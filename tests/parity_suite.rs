@@ -8,6 +8,15 @@
 //! The transformed side is checked under *every* transform pass
 //! (vanguard, meld, shadow, stacked), so a rival pass can never ship a
 //! program the cycle model commits differently.
+//!
+//! Every job's full `SimStats` (`mem` included) is also compared with
+//! `tests/golden/parity_simstats.txt`, one line per (benchmark,
+//! variant). The printed figure goldens show only some counters; this
+//! one pins all of them, so a simulator-speed change that shifts any
+//! counter fails here. The lines the run produced are written to
+//! `parity_simstats.txt` under Cargo's integration-test temp directory;
+//! when a change to the timing model is intended, copy that file over
+//! the golden.
 
 use std::sync::Arc;
 use vanguard_bench::{quick_spec, BenchScale};
@@ -50,8 +59,11 @@ fn sim_result(image: &Arc<DecodedImage>, memory: Memory, init: &[(Reg, u64)]) ->
     res
 }
 
+const SIMSTATS_GOLDEN: &str = include_str!("golden/parity_simstats.txt");
+
 #[test]
 fn quick_suite_commits_interpreter_state() {
+    let mut stats_lines = Vec::new();
     for spec in suite::all_benchmarks() {
         let mut spec = quick_spec(spec, BenchScale::Quick);
         // Debug-build sized: parity needs every control-flow shape, not
@@ -89,7 +101,31 @@ fn quick_suite_commits_interpreter_state() {
                     written,
                     "{name}/{variant}: committed memory"
                 );
+                stats_lines.push(format!("{name}/{variant}: {:?}", res.stats));
             }
         }
     }
+
+    let actual = stats_lines.join("\n") + "\n";
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("parity_simstats.txt");
+    std::fs::write(&out, &actual).expect("write the produced SimStats lines");
+    let golden: Vec<&str> = SIMSTATS_GOLDEN.lines().collect();
+    for (i, line) in stats_lines.iter().enumerate() {
+        let want = golden.get(i).copied().unwrap_or("<missing>");
+        let job = line.split(": ").next().unwrap_or(line);
+        assert_eq!(
+            line,
+            want,
+            "{job}: SimStats differ from tests/golden/parity_simstats.txt line {}\n  \
+             got:  {line}\n  want: {want}\n(all produced lines: {})",
+            i + 1,
+            out.display()
+        );
+    }
+    assert_eq!(
+        stats_lines.len(),
+        golden.len(),
+        "job count differs from tests/golden/parity_simstats.txt (produced lines: {})",
+        out.display()
+    );
 }
