@@ -21,11 +21,6 @@
 //! paper's high-opportunity benchmarks leading the low-opportunity ones —
 //! and exits non-zero on any violation.
 //!
-//! `--no-replay` disables the simulator's steady-state replay layer.
-//! Output is byte-identical with or without it (CI checks exactly
-//! that); the flag exists to measure replay's throughput contribution
-//! and to rule the layer out when diagnosing.
-//!
 //! All items share one experiment engine: profiles and compiled pairs
 //! are computed once per distinct (benchmark, predictor, width) and
 //! reused across figures, and simulations run on a worker pool sized by
@@ -52,10 +47,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let verbose = args.iter().any(|a| a == "--verbose");
     let assert_shape = args.iter().any(|a| a == "--assert-shape");
-    // `--no-replay` disables the simulator's steady-state replay layer
-    // (results are bit-identical either way; this exists to measure the
-    // layer's throughput contribution and to rule it out when debugging).
-    let no_replay = args.iter().any(|a| a == "--no-replay");
     // `--max-cycles N` arms the engine's per-job cycle-budget watchdog:
     // a wedged simulation becomes a TimedOut outcome instead of hanging
     // the run (`VANGUARD_JOB_TIMEOUT` is the wall-clock equivalent).
@@ -115,10 +106,6 @@ fn main() {
         eng.set_transform_kind(kind);
         eprintln!("[engine] transform pass: {kind}");
     }
-    if no_replay {
-        eng.set_replay(false);
-        eprintln!("[engine] steady-state replay: off");
-    }
     if let Some(mc) = max_cycles {
         let mut policy = eng.engine().fault_policy().clone();
         policy.max_cycles = Some(mc);
@@ -131,10 +118,6 @@ fn main() {
     }));
     eprintln!("[engine] {} workers", eng.engine().workers());
     let started = Instant::now();
-    // Per-item replay visibility (`--verbose`): deltas of the engine's
-    // replay counters across each item, so a suite with a 0% hit rate is
-    // visible in the log without opening BENCH_sim.json.
-    let mut replay_mark = eng.engine().stats();
 
     for item in what {
         let item_started = Instant::now();
@@ -306,27 +289,6 @@ fn main() {
             item,
             item_started.elapsed().as_secs_f64() * 1e3
         );
-        if verbose {
-            let now = eng.engine().stats();
-            let hits = now.replay_hits - replay_mark.replay_hits;
-            let triggers = hits
-                + (now.replay_misses - replay_mark.replay_misses)
-                + (now.replay_divergences - replay_mark.replay_divergences)
-                + (now.replay_suppressed - replay_mark.replay_suppressed);
-            if triggers > 0 {
-                eprintln!(
-                    "[replay] item {:<12} {:.1}% hit rate ({} hits / {} triggers), \
-                     {} sites armed, {} disarmed",
-                    item,
-                    hits as f64 * 100.0 / triggers as f64,
-                    hits,
-                    triggers,
-                    now.replay_armed_sites - replay_mark.replay_armed_sites,
-                    now.replay_disarmed_sites - replay_mark.replay_disarmed_sites,
-                );
-            }
-            replay_mark = now;
-        }
     }
 
     eprintln!(

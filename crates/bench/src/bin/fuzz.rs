@@ -31,7 +31,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: vanguard-fuzz [--cases N] [--seed S] [--time-budget SECS] [--out DIR]\n\
          \x20                  [--transform vanguard|meld|shadow|stacked]\n\
-         \x20                  [--inject flip-resolves|faulting-loads] [--no-replay]\n\
+         \x20                  [--inject flip-resolves|faulting-loads]\n\
          \x20                  [--one SEED [--sites N] [--side-insts N] [--stores N]\n\
          \x20                   [--persistent N] [--iterations N] [--cond-chain BOOL]\n\
          \x20                   [--shadow-temps BOOL] [--hoist-loads BOOL] [--max-hoist N]]"
@@ -52,7 +52,6 @@ fn main() -> ExitCode {
     let mut inject: Option<Inject> = None;
     let mut transform: Option<TransformKind> = None;
     let mut one: Option<u64> = None;
-    let mut replay = true;
     let mut overrides: Vec<(String, String)> = Vec::new();
 
     while let Some(arg) = args.next() {
@@ -78,7 +77,6 @@ fn main() -> ExitCode {
                 )
             }
             "--one" => one = Some(parse(args.next())),
-            "--no-replay" => replay = false,
             knob @ ("--sites" | "--side-insts" | "--stores" | "--persistent" | "--iterations"
             | "--cond-chain" | "--shadow-temps" | "--hoist-loads" | "--max-hoist") => {
                 overrides.push((knob.to_string(), parse(args.next())));
@@ -106,13 +104,13 @@ fn main() -> ExitCode {
         }
         eprintln!("[fuzz] replaying {spec:?}");
         let kinds = kinds_for(transform);
-        return match run_case_kinds(&spec, inject, &kinds, replay) {
+        return match run_case_kinds(&spec, inject, &kinds) {
             Ok(sites) => {
                 println!("seed {seed}: PASS ({sites} sites converted)");
                 ExitCode::SUCCESS
             }
             Err(failure) => {
-                let (min_spec, min_failure) = shrink_kinds(&spec, inject, failure, &kinds, replay);
+                let (min_spec, min_failure) = shrink_kinds(&spec, inject, failure, &kinds);
                 println!("seed {seed}: FAIL\n{min_failure}");
                 match write_reproducer(&out_dir, &min_spec, inject, &min_failure) {
                     Ok(dir) => eprintln!("[fuzz] reproducer written to {}", dir.display()),
@@ -130,7 +128,6 @@ fn main() -> ExitCode {
         out_dir,
         inject,
         transform,
-        replay,
     };
     let stats = run_fuzz(&config);
     println!(

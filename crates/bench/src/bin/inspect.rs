@@ -3,8 +3,6 @@
 //!
 //! `--transform <kind>` swaps the pass (vanguard | meld | shadow |
 //! stacked) so rival transformations can be diagnosed the same way.
-//! `--no-replay` disables the simulator's steady-state replay layer
-//! (bit-identical results; rules replay out when diagnosing).
 
 use std::sync::Arc;
 use vanguard_bench::{BenchScale, StderrProgress, SuiteEngine};
@@ -46,9 +44,6 @@ fn main() {
     let mut eng = SuiteEngine::new(BenchScale::Quick);
     if let Some(kind) = transform {
         eng.set_transform_kind(kind);
-    }
-    if args.iter().any(|a| a == "--no-replay") {
-        eng.set_replay(false);
     }
     eng.observe(Arc::new(StderrProgress::verbose()));
     let out = eng.outcome(&spec, MachineConfig::four_wide());

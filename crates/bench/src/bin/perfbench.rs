@@ -7,43 +7,31 @@
 //! cargo run --release -p vanguard-bench --bin perfbench -- --profile-hotloop
 //! ```
 //!
-//! Three measurements, written as JSON (hand-rolled; no serde
+//! Two measurements, written as JSON (hand-rolled; no serde
 //! dependency):
 //!
 //! 1. **Quick-suite throughput** — runs the full benchmark suite at
 //!    quick scale (the CI figure workload) through the experiment
 //!    engine: one untimed warm-up sweep computes every profile and
-//!    compiled pair, then a replay-on and a replay-off sweep are timed
-//!    against the warm caches (so the two walls compare pure
-//!    simulation). The sweeps are asserted bit-identical per job, and
-//!    the report carries per-stage wall-clock, simulated-instruction
-//!    throughput (committed MIPS per worker, replay-on sweep only), the
-//!    MIPS trajectory (`history`, appended across runs), and
-//!    per-benchmark replay hit rates.
-//! 2. **Steady-state replay microbenchmark** — a loop-dominated kernel
-//!    (three ~8000-iteration sites over an 8 KB data footprint) run
-//!    replay-on and replay-off on a bare [`Simulator`], with committed
-//!    state asserted bit-identical and the wall-clock ratio reported.
-//! 3. **Memory microbenchmark** — replays one deterministic
+//!    compiled pair, then timed sweeps run against the warm caches (so
+//!    the wall is pure simulation). The report carries per-stage
+//!    wall-clock, simulated-instruction throughput (committed MIPS per
+//!    worker) and the MIPS trajectory (`history`, appended across runs).
+//! 2. **Memory microbenchmark** — replays one deterministic
 //!    read/write sequence against the paged [`Memory`] and against
 //!    [`ReferenceMemory`] (the word-granular `HashMap` store the paged
 //!    implementation replaced, kept as the executable specification)
 //!    and reports the speedup ratio.
 //!
-//! `--profile-hotloop` additionally runs the steady-state kernel (both
-//! replay modes) and a low-convergence irregular kernel under
-//! [`Simulator::run_profiled`], reporting per-stage wall shares
-//! (fetch / fused issue+execute / commit / replay / batch-entry) to
+//! `--profile-hotloop` additionally runs a low-convergence irregular
+//! kernel under [`Simulator::run_profiled`], reporting per-stage wall
+//! shares (fetch / fused issue+execute / commit / batch-entry) to
 //! stderr and a `hotloop_profile` JSON section — the attribution data
 //! future perf PRs cite.
 //!
 //! `--check` exits non-zero unless ALL of:
 //!
 //! * the paged store beats the reference store by ≥ 3x;
-//! * replay beats replay-off by ≥ 3x on the steady-state kernel;
-//! * quick-suite replay-ON wall ≤ 1.05x replay-OFF (replay must never
-//!   cost throughput on a real suite — the gate the adaptive arming
-//!   layer exists to hold);
 //! * quick-suite throughput ≥ 9.4 committed MIPS per worker.
 
 use std::fmt::Write as _;
@@ -54,7 +42,7 @@ use vanguard_core::engine::{EngineStats, PredictorKind, SimJob, Variant};
 use vanguard_isa::{
     AluOp, CmpKind, CondKind, Inst, Memory, Operand, Program, ProgramBuilder, ReferenceMemory, Reg,
 };
-use vanguard_sim::{HotloopProfile, MachineConfig, SimResult, Simulator};
+use vanguard_sim::{HotloopProfile, MachineConfig, Simulator};
 use vanguard_workloads::suite;
 
 /// Deterministic xorshift64* stream (no external randomness).
@@ -172,42 +160,18 @@ fn memory_microbench() -> MemBenchResult {
     }
 }
 
-/// Per-benchmark replay effectiveness over the quick-suite sweep
-/// (baseline + transformed variants summed).
-struct BenchReplayRow {
-    name: String,
-    hits: u64,
-    misses: u64,
-    suppressed: u64,
-    replayed_cycles: u64,
-    cycles: u64,
-}
-
-impl BenchReplayRow {
-    fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
-
 struct QuickSuiteResult {
-    /// Engine counters for one timed replay-on sweep (warm-up counters
+    /// Engine counters for one timed sweep (warm-up counters
     /// subtracted), with `sim_nanos` replaced by the per-job
     /// best-of-rounds sum and profile/compile fields taken from the
     /// warm-up (the timed sweeps hit those caches by design).
     stats: EngineStats,
     benchmarks: usize,
-    /// Worker-summed per-job best-of-rounds simulate seconds, replay on.
-    wall_on: f64,
-    /// Worker-summed per-job best-of-rounds simulate seconds, replay off.
-    wall_off: f64,
-    rows: Vec<BenchReplayRow>,
+    /// Worker-summed per-job best-of-rounds simulate seconds.
+    wall: f64,
 }
 
-/// Timed replay-on/replay-off sweep rounds over the warm engine.
+/// Timed sweep rounds over the warm engine.
 const SUITE_ROUNDS: usize = 3;
 
 /// The sweep-delta of the engine counters across one timed sweep:
@@ -221,27 +185,16 @@ fn sweep_delta(after: EngineStats, before: &EngineStats) -> EngineStats {
     d.sim_insts -= before.sim_insts;
     d.sim_nanos -= before.sim_nanos;
     d.jobs_ok -= before.jobs_ok;
-    d.replay_hits -= before.replay_hits;
-    d.replay_misses -= before.replay_misses;
-    d.replay_divergences -= before.replay_divergences;
-    d.replay_recordings -= before.replay_recordings;
-    d.replayed_cycles -= before.replayed_cycles;
-    d.replay_suppressed -= before.replay_suppressed;
-    d.replay_armed_sites -= before.replay_armed_sites;
-    d.replay_disarmed_sites -= before.replay_disarmed_sites;
     d
 }
 
 /// Runs the quick-scale suite on one shared engine: an untimed warm-up
-/// sweep that computes every profile and compiled pair (the replay
-/// policy is not part of the artifact key), then [`SUITE_ROUNDS`]
-/// alternating timed replay-on / replay-off sweeps against the warm
-/// caches. `wall_on` and `wall_off` are worker-summed *per-job*
-/// best-of-rounds simulate times — the best-of-N idiom the microbenches
-/// use, applied per job, so a burst of host noise must hit the same job
-/// in every round to bias the 1.05x regression gate. Every round's
-/// replay-on sweep is asserted bit-identical to its replay-off sweep
-/// per job.
+/// sweep that computes every profile and compiled pair, then
+/// [`SUITE_ROUNDS`] timed sweeps against the warm caches, one job at a
+/// time. `wall` is the worker-summed *per-job* best-of-rounds simulate
+/// time — the best-of-N idiom the memory microbenchmark uses, applied
+/// per job, so a burst of host noise must hit the same job in every
+/// round to bias the MIPS floor.
 fn quick_suite() -> QuickSuiteResult {
     let mut engine = SuiteEngine::new(BenchScale::Quick);
     let specs = suite::all_benchmarks();
@@ -258,290 +211,33 @@ fn quick_suite() -> QuickSuiteResult {
             });
         }
     }
-    engine.set_replay(true);
     let _ = engine.run_jobs(&jobs); // warm-up: profiles + compiled pairs
     let warm = engine.engine().stats();
 
-    let mut best_on = vec![f64::INFINITY; jobs.len()];
-    let mut best_off = vec![f64::INFINITY; jobs.len()];
+    let mut best = vec![f64::INFINITY; jobs.len()];
     let mut stats = EngineStats::default();
-    let mut first_on: Vec<vanguard_core::engine::JobResult> = Vec::new();
     for round in 0..SUITE_ROUNDS {
         let before = engine.engine().stats();
-        // Each job runs replay-on and replay-off back to back, so a
-        // burst of host noise lands on both sides of the ratio alike.
         for (j, job) in jobs.iter().enumerate() {
-            engine.set_replay(true);
-            let on = engine.run_jobs(std::slice::from_ref(job));
-            engine.set_replay(false);
-            let off = engine.run_jobs(std::slice::from_ref(job));
-            let (ja, jb) = (on[0].expect_completed(), off[0].expect_completed());
-            assert_eq!(
-                ja.stats, jb.stats,
-                "replay-on vs replay-off divergence on {:?}",
-                ja.job
-            );
-            best_on[j] = best_on[j].min(ja.sim_elapsed.as_secs_f64());
-            best_off[j] = best_off[j].min(jb.sim_elapsed.as_secs_f64());
-            if round == 0 {
-                first_on.extend(on);
-            }
+            let run = engine.run_jobs(std::slice::from_ref(job));
+            best[j] = best[j].min(run[0].expect_completed().sim_elapsed.as_secs_f64());
         }
         if round == 0 {
-            // The round interleaved replay-off jobs; keep only the
-            // replay-on halves of the counters by halving nothing —
-            // the off jobs contribute no replay counters, and the
-            // sim_insts/sim_jobs double-count is corrected here.
-            let mut d = sweep_delta(engine.engine().stats(), &before);
-            d.sim_jobs /= 2;
-            d.sim_insts /= 2;
-            d.jobs_ok /= 2;
-            stats = d;
+            stats = sweep_delta(engine.engine().stats(), &before);
         }
     }
-    let wall_on: f64 = best_on.iter().sum();
-    let wall_off: f64 = best_off.iter().sum();
+    let wall: f64 = best.iter().sum();
     // Profile/compile counters happened in the warm-up, and the timing
-    // aggregates come from the per-job bests rather than one round.
+    // aggregate comes from the per-job bests rather than one round.
     stats.profile_misses = warm.profile_misses;
     stats.profile_nanos = warm.profile_nanos;
     stats.compile_misses = warm.compile_misses;
     stats.compile_nanos = warm.compile_nanos;
-    stats.sim_nanos = (wall_on * 1e9) as u64;
-
-    let mut rows: Vec<BenchReplayRow> = specs
-        .iter()
-        .map(|s| BenchReplayRow {
-            name: s.name.clone(),
-            hits: 0,
-            misses: 0,
-            suppressed: 0,
-            replayed_cycles: 0,
-            cycles: 0,
-        })
-        .collect();
-    for a in first_on.iter() {
-        let ja = a.expect_completed();
-        let row = &mut rows[ja.job.bench];
-        row.hits += ja.replay.hits;
-        row.misses += ja.replay.misses;
-        row.suppressed += ja.replay.suppressed_ticks;
-        row.replayed_cycles += ja.replay.replayed_cycles;
-        row.cycles += ja.stats.cycles;
-    }
+    stats.sim_nanos = (wall * 1e9) as u64;
     QuickSuiteResult {
         stats,
         benchmarks: specs.len(),
-        wall_on,
-        wall_off,
-        rows,
-    }
-}
-
-// ------------------------------------------------------------------
-// Steady-state replay microbenchmark
-// ------------------------------------------------------------------
-
-const STEADY_ITERS: i64 = 8000;
-const STEADY_SITES: usize = 3;
-const STEADY_ROUNDS: usize = 3;
-/// ALU operations per loop body (a dependent reduction chain — the
-/// arithmetic payload a real steady loop carries between its memory
-/// accesses).
-const STEADY_ALU_OPS: usize = 28;
-/// 8 KB data footprint per site — L1-resident after the first lap, so
-/// steady-state iterations are memoizable.
-const STEADY_FOOT_MASK: i64 = 8191 & !7;
-const STEADY_BASE: i64 = 0x2_0000;
-
-/// The gate kernel: three consecutive ~[`STEADY_ITERS`]-iteration loop
-/// sites, each striding a store + load over its own 8 KB footprint with
-/// an [`STEADY_ALU_OPS`]-operation arithmetic payload and a highly
-/// predictable backward branch — the loop shape the replay layer is
-/// built for.
-fn steady_state_program() -> Program {
-    let mut b = ProgramBuilder::new();
-    let entry = b.block("entry");
-    b.set_entry(entry);
-    let mut prev = entry;
-    for site in 0..STEADY_SITES {
-        let body = b.block(format!("steady{site}"));
-        let base = STEADY_BASE + (site as i64) * 0x1_0000;
-        b.push(prev, Inst::mov(Reg(1), Operand::Imm(STEADY_ITERS)));
-        b.push(prev, Inst::mov(Reg(4), Operand::Imm(base)));
-        b.fallthrough(prev, body);
-        b.push(
-            body,
-            Inst::alu(AluOp::Sub, Reg(1), Operand::Reg(Reg(1)), Operand::Imm(1)),
-        );
-        // cursor = base + ((i * 8) & footprint mask): a word-stride walk
-        // that wraps inside the L1-resident region.
-        b.push(
-            body,
-            Inst::alu(AluOp::Shl, Reg(5), Operand::Reg(Reg(1)), Operand::Imm(3)),
-        );
-        b.push(
-            body,
-            Inst::alu(
-                AluOp::And,
-                Reg(5),
-                Operand::Reg(Reg(5)),
-                Operand::Imm(STEADY_FOOT_MASK),
-            ),
-        );
-        b.push(
-            body,
-            Inst::alu(
-                AluOp::Add,
-                Reg(5),
-                Operand::Reg(Reg(5)),
-                Operand::Reg(Reg(4)),
-            ),
-        );
-        b.push(
-            body,
-            Inst::Store {
-                src: Reg(3),
-                base: Reg(5),
-                offset: 0,
-            },
-        );
-        b.push(
-            body,
-            Inst::Load {
-                dst: Reg(6),
-                base: Reg(5),
-                offset: 0,
-                speculative: false,
-            },
-        );
-        b.push(
-            body,
-            Inst::alu(
-                AluOp::Add,
-                Reg(3),
-                Operand::Reg(Reg(3)),
-                Operand::Reg(Reg(6)),
-            ),
-        );
-        // The arithmetic payload: a dependent chain folding the loaded
-        // value through registers 7..10 back into the accumulator.
-        for k in 0..STEADY_ALU_OPS {
-            let dst = Reg(7 + (k % 4) as u8);
-            let src = Reg(7 + ((k + 1) % 4) as u8);
-            let op = match k % 3 {
-                0 => AluOp::Add,
-                1 => AluOp::Xor,
-                _ => AluOp::Shr,
-            };
-            b.push(
-                body,
-                Inst::alu(op, dst, Operand::Reg(src), Operand::Imm((k % 7) as i64 + 1)),
-            );
-        }
-        b.push(
-            body,
-            Inst::alu(
-                AluOp::Add,
-                Reg(3),
-                Operand::Reg(Reg(3)),
-                Operand::Reg(Reg(7)),
-            ),
-        );
-        b.push(
-            body,
-            Inst::alu(
-                AluOp::Xor,
-                Reg(3),
-                Operand::Reg(Reg(3)),
-                Operand::Imm(site as i64 + 1),
-            ),
-        );
-        b.push(
-            body,
-            Inst::Cmp {
-                kind: CmpKind::Ne,
-                dst: Reg(2),
-                a: Reg(1),
-                b: Operand::Imm(0),
-            },
-        );
-        b.push(
-            body,
-            Inst::Branch {
-                cond: CondKind::Nz,
-                src: Reg(2),
-                target: body,
-            },
-        );
-        let next = b.block(format!("after{site}"));
-        b.fallthrough(body, next);
-        prev = next;
-    }
-    b.push(prev, Inst::Halt);
-    b.finish().unwrap()
-}
-
-/// Best-of-[`STEADY_ROUNDS`] wall time of the gate kernel with the
-/// given replay policy, plus the final round's result.
-fn run_steady(program: &Program, replay: bool) -> (f64, SimResult) {
-    let mut best = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..STEADY_ROUNDS {
-        let mut sim = Simulator::new(
-            program,
-            Memory::new(),
-            MachineConfig::four_wide(),
-            Box::new(Combined::ptlsim_default()),
-        );
-        sim.set_replay(replay);
-        let started = Instant::now();
-        let r = sim.run().expect("steady-state kernel simulates cleanly");
-        best = best.min(started.elapsed().as_secs_f64());
-        result = Some(r);
-    }
-    (best, result.unwrap())
-}
-
-struct ReplayBenchResult {
-    on_secs: f64,
-    off_secs: f64,
-    speedup: f64,
-    hits: u64,
-    misses: u64,
-    hit_rate: f64,
-    replayed_cycles: u64,
-    cycles: u64,
-}
-
-/// Runs the steady-state kernel replay-on and replay-off, asserting the
-/// committed state and every statistic are bit-identical.
-fn replay_microbench() -> ReplayBenchResult {
-    let program = steady_state_program();
-    let (on_secs, on) = run_steady(&program, true);
-    let (off_secs, off) = run_steady(&program, false);
-    assert_eq!(on.stats, off.stats, "replay changed reported statistics");
-    assert_eq!(on.regs, off.regs, "replay changed architectural registers");
-    assert_eq!(on.stop, off.stop, "replay changed the stop cause");
-    assert_eq!(
-        on.memory.written_words(),
-        off.memory.written_words(),
-        "replay changed committed memory"
-    );
-    let total = on.replay.hits + on.replay.misses;
-    ReplayBenchResult {
-        on_secs,
-        off_secs,
-        speedup: off_secs / on_secs,
-        hits: on.replay.hits,
-        misses: on.replay.misses,
-        hit_rate: if total == 0 {
-            0.0
-        } else {
-            on.replay.hits as f64 / total as f64
-        },
-        replayed_cycles: on.replay.replayed_cycles,
-        cycles: on.stats.cycles,
+        wall,
     }
 }
 
@@ -553,10 +249,8 @@ const IRREGULAR_ITERS: i64 = 20_000;
 const IRREGULAR_BASE: i64 = 0x8_0000;
 
 /// A low-convergence kernel for profiling: a data-driven hammock whose
-/// branch direction follows a pseudo-random word stream, so iteration
-/// signatures never stabilise and the replay layer's probing filter is
-/// exercised without ever arming — the branch behaviour the quick
-/// suite's irregular benchmarks exhibit.
+/// branch direction follows a pseudo-random word stream — the branch
+/// behaviour the quick suite's irregular benchmarks exhibit.
 fn irregular_program() -> Program {
     let mut b = ProgramBuilder::new();
     let entry = b.block("entry");
@@ -650,55 +344,32 @@ struct HotloopRun {
     wall: f64,
 }
 
-/// Runs the steady kernel (replay on and off) and the irregular kernel
-/// (replay on, never arms) under the instrumented pipeline loop.
+/// Runs the irregular kernel under the instrumented pipeline loop.
 fn profile_hotloop() -> Vec<HotloopRun> {
-    let mut out = Vec::new();
-    let steady = steady_state_program();
-    for (label, replay) in [("steady_replay_on", true), ("steady_replay_off", false)] {
-        let mut sim = Simulator::new(
-            &steady,
-            Memory::new(),
-            MachineConfig::four_wide(),
-            Box::new(Combined::ptlsim_default()),
-        );
-        sim.set_replay(replay);
-        let started = Instant::now();
-        let (_, prof) = sim
-            .run_profiled()
-            .expect("steady-state kernel simulates cleanly");
-        out.push(HotloopRun {
-            label,
-            prof,
-            wall: started.elapsed().as_secs_f64(),
-        });
-    }
     let irregular = irregular_program();
     let mut mem = Memory::new();
     let mut rng = Rng(0xbadc0ffee0ddf00d);
     let noise: Vec<u64> = (0..IRREGULAR_ITERS).map(|_| rng.next()).collect();
     mem.load_words(IRREGULAR_BASE as u64, &noise);
-    let mut sim = Simulator::new(
+    let sim = Simulator::new(
         &irregular,
         mem,
         MachineConfig::four_wide(),
         Box::new(Combined::ptlsim_default()),
     );
-    sim.set_replay(true);
     let started = Instant::now();
     let (_, prof) = sim
         .run_profiled()
         .expect("irregular kernel simulates cleanly");
-    out.push(HotloopRun {
-        label: "irregular_replay_on",
+    vec![HotloopRun {
+        label: "irregular",
         prof,
         wall: started.elapsed().as_secs_f64(),
-    });
-    out
+    }]
 }
 
 // ------------------------------------------------------------------
-// MIPS history (schema v3)
+// MIPS history (schema v4)
 // ------------------------------------------------------------------
 
 /// Most history entries to carry forward — enough to see a trend, small
@@ -706,7 +377,7 @@ fn profile_hotloop() -> Vec<HotloopRun> {
 const HISTORY_CAP: usize = 20;
 
 /// Prior `sim_mips_per_worker` trajectory recovered from an existing
-/// report at `path`: the `history` array if present (v3), else the
+/// report at `path`: the `history` array if present (v3+), else the
 /// single `sim_mips_per_worker` value (v2). String-scanned rather than
 /// parsed — the file is the hand-rolled JSON this binary also writes.
 fn prior_mips_history(path: &str) -> Vec<f64> {
@@ -761,28 +432,13 @@ fn main() {
         mem.speedup
     );
 
-    eprintln!("[perfbench] steady-state replay microbenchmark: {STEADY_SITES} sites x {STEADY_ITERS} iterations ...");
-    let replay = replay_microbench();
-    eprintln!(
-        "[perfbench] replay on {:.1} ms, off {:.1} ms, speedup {:.2}x, hit rate {:.1}%",
-        replay.on_secs * 1e3,
-        replay.off_secs * 1e3,
-        replay.speedup,
-        replay.hit_rate * 100.0
-    );
-
-    eprintln!(
-        "[perfbench] quick-suite sweep (4-wide, Combined24KB, warm-up + replay on + off) ..."
-    );
+    eprintln!("[perfbench] quick-suite sweep (4-wide, Combined24KB, warm-up + timed rounds) ...");
     let qs = quick_suite();
     let (stats, benchmarks) = (&qs.stats, qs.benchmarks);
-    let wall_ratio = qs.wall_on / qs.wall_off;
     eprintln!(
-        "[perfbench] {} jobs, {:.1} ms wall (replay on) vs {:.1} ms (off), ratio {:.3}, {:.2} MIPS/worker",
+        "[perfbench] {} jobs, {:.1} ms wall, {:.2} MIPS/worker",
         stats.sim_jobs,
-        qs.wall_on * 1e3,
-        qs.wall_off * 1e3,
-        wall_ratio,
+        qs.wall * 1e3,
         stats.sim_mips()
     );
 
@@ -815,12 +471,11 @@ fn main() {
             let p = &run.prof;
             let t = p.total_ns().max(1) as f64;
             eprintln!(
-                "[perfbench] hotloop {:<18} fetch {:>4.1}%  issue+exec {:>4.1}%  commit {:>4.1}%  replay {:>4.1}%  batch-entry {:>4.1}%  ({:.1} ms, {} cycles)",
+                "[perfbench] hotloop {:<18} fetch {:>4.1}%  issue+exec {:>4.1}%  commit {:>4.1}%  batch-entry {:>4.1}%  ({:.1} ms, {} cycles)",
                 run.label,
                 p.fetch_ns as f64 * 100.0 / t,
                 p.issue_ns as f64 * 100.0 / t,
                 p.commit_ns as f64 * 100.0 / t,
-                p.replay_ns as f64 * 100.0 / t,
                 p.other_ns as f64 * 100.0 / t,
                 run.wall * 1e3,
                 p.cycles,
@@ -833,56 +488,10 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"vanguard-perfbench-v3\",");
+    let _ = writeln!(json, "  \"schema\": \"vanguard-perfbench-v4\",");
     let _ = writeln!(json, "  \"quick_suite\": {{");
     let _ = writeln!(json, "    \"benchmarks\": {benchmarks},");
-    let _ = writeln!(json, "    \"wall_clock_ms\": {},", json_f(qs.wall_on * 1e3));
-    let _ = writeln!(
-        json,
-        "    \"wall_clock_ms_replay_off\": {},",
-        json_f(qs.wall_off * 1e3)
-    );
-    let _ = writeln!(json, "    \"wall_ratio_on_off\": {},", json_f(wall_ratio));
-    let _ = writeln!(json, "    \"replay_hits\": {},", stats.replay_hits);
-    let _ = writeln!(json, "    \"replay_misses\": {},", stats.replay_misses);
-    let _ = writeln!(
-        json,
-        "    \"replay_divergences\": {},",
-        stats.replay_divergences
-    );
-    let _ = writeln!(json, "    \"replayed_cycles\": {},", stats.replayed_cycles);
-    let _ = writeln!(
-        json,
-        "    \"replay_suppressed_ticks\": {},",
-        stats.replay_suppressed
-    );
-    let _ = writeln!(
-        json,
-        "    \"replay_armed_sites\": {},",
-        stats.replay_armed_sites
-    );
-    let _ = writeln!(
-        json,
-        "    \"replay_disarmed_sites\": {},",
-        stats.replay_disarmed_sites
-    );
-    let _ = writeln!(json, "    \"per_benchmark_replay\": [");
-    for (i, row) in qs.rows.iter().enumerate() {
-        let comma = if i + 1 == qs.rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "      {{\"name\": \"{}\", \"hits\": {}, \"misses\": {}, \
-             \"hit_rate\": {}, \"suppressed\": {}, \"replayed_cycles\": {}, \"cycles\": {}}}{comma}",
-            row.name,
-            row.hits,
-            row.misses,
-            json_f(row.hit_rate()),
-            row.suppressed,
-            row.replayed_cycles,
-            row.cycles,
-        );
-    }
-    let _ = writeln!(json, "    ],");
+    let _ = writeln!(json, "    \"wall_clock_ms\": {},", json_f(qs.wall * 1e3));
     let _ = writeln!(json, "    \"profile_runs\": {},", stats.profile_misses);
     let _ = writeln!(
         json,
@@ -918,12 +527,11 @@ fn main() {
             let _ = writeln!(
                 json,
                 "    \"{}\": {{\"fetch_ns\": {}, \"issue_ns\": {}, \"commit_ns\": {}, \
-                 \"replay_ns\": {}, \"other_ns\": {}, \"cycles\": {}, \"wall_ms\": {}}}{comma}",
+                 \"other_ns\": {}, \"cycles\": {}, \"wall_ms\": {}}}{comma}",
                 run.label,
                 p.fetch_ns,
                 p.issue_ns,
                 p.commit_ns,
-                p.replay_ns,
                 p.other_ns,
                 p.cycles,
                 json_f(run.wall * 1e3),
@@ -931,31 +539,6 @@ fn main() {
         }
         let _ = writeln!(json, "  }},");
     }
-    let _ = writeln!(json, "  \"steady_state_replay\": {{");
-    let _ = writeln!(json, "    \"sites\": {STEADY_SITES},");
-    let _ = writeln!(json, "    \"iterations_per_site\": {STEADY_ITERS},");
-    let _ = writeln!(json, "    \"rounds\": {STEADY_ROUNDS},");
-    let _ = writeln!(
-        json,
-        "    \"replay_on_ms\": {},",
-        json_f(replay.on_secs * 1e3)
-    );
-    let _ = writeln!(
-        json,
-        "    \"replay_off_ms\": {},",
-        json_f(replay.off_secs * 1e3)
-    );
-    let _ = writeln!(json, "    \"hits\": {},", replay.hits);
-    let _ = writeln!(json, "    \"misses\": {},", replay.misses);
-    let _ = writeln!(json, "    \"hit_rate\": {},", json_f(replay.hit_rate));
-    let _ = writeln!(json, "    \"replayed_cycles\": {},", replay.replayed_cycles);
-    let _ = writeln!(json, "    \"total_cycles\": {},", replay.cycles);
-    let _ = writeln!(
-        json,
-        "    \"speedup_vs_replay_off\": {}",
-        json_f(replay.speedup)
-    );
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"memory_microbench\": {{");
     let _ = writeln!(json, "    \"ops\": {OPS},");
     let _ = writeln!(json, "    \"rounds\": {ROUNDS},");
@@ -985,21 +568,6 @@ fn main() {
         eprintln!(
             "[perfbench] FAIL: paged memory speedup {:.2}x below the 3x gate",
             mem.speedup
-        );
-        failed = true;
-    }
-    if check && replay.speedup < 3.0 {
-        eprintln!(
-            "[perfbench] FAIL: steady-state replay speedup {:.2}x below the 3x gate",
-            replay.speedup
-        );
-        failed = true;
-    }
-    if check && wall_ratio > 1.05 {
-        eprintln!(
-            "[perfbench] FAIL: quick-suite replay-ON wall is {:.3}x replay-OFF \
-             (gate: <= 1.05x — replay must never cost suite throughput)",
-            wall_ratio
         );
         failed = true;
     }

@@ -131,13 +131,6 @@ fn render(label: &str, program: &Program, mem: Memory, window: u64) -> u64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // A per-cycle trace needs every cycle simulated, so `run_traced`
-    // always disables the steady-state replay layer; `--no-replay` is
-    // accepted for flag uniformity with figures/inspect and changes
-    // nothing here.
-    if args.iter().any(|a| a == "--no-replay") {
-        eprintln!("[pipeview] note: traced simulation always runs with steady-state replay off");
-    }
     let kind: TransformKind = args
         .iter()
         .position(|a| a == "--transform")

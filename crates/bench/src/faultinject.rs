@@ -23,15 +23,12 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use vanguard_bpred::Combined;
 use vanguard_core::engine::{
     Engine, FaultPolicy, JobResult, PredictorKind, SimJob, SweepCell, DEFAULT_MAX_PROFILE_STEPS,
 };
 use vanguard_core::{ExperimentInput, RunInput, TransformOptions};
-use vanguard_isa::{
-    AluOp, CmpKind, CondKind, DecodedImage, Inst, Memory, Operand, Program, ProgramBuilder, Reg,
-};
-use vanguard_sim::{MachineConfig, SimError, SimResult, SimStats, Simulator, StopCause};
+use vanguard_isa::{AluOp, CmpKind, CondKind, Inst, Memory, Operand, ProgramBuilder, Reg};
+use vanguard_sim::{MachineConfig, SimError, SimStats};
 use vanguard_workloads::suite;
 
 use crate::{quick_spec, to_experiment_input, BenchScale};
@@ -86,10 +83,6 @@ declare_fault_classes! {
     CacheTruncation => "cache-truncation",
     /// A single bit of an on-disk profile cache entry is flipped.
     CacheBitflip => "cache-bitflip",
-    /// A steady-state replay memo entry is corrupted in place; the
-    /// replay verify guards must detect it and fall back to full
-    /// simulation bit-identically.
-    ReplayDivergence => "replay-divergence",
     /// A sweep worker *process* is `SIGKILL`ed mid-sweep; the resumed
     /// sweep must complete off the journal with no job's side effects
     /// run twice and a merged output byte-identical to an uninterrupted
@@ -619,127 +612,6 @@ fn cache_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats])
         class,
         checks,
         summary: stats.summary(),
-    }
-}
-
-/// A steady-state loop that the replay layer memoizes heavily: the
-/// replay-divergence victim. Finite (50 000 iterations), pure ALU body.
-pub fn replay_victim() -> Program {
-    let mut pb = ProgramBuilder::new();
-    let spin = pb.block("spin");
-    let done = pb.block("done");
-    pb.push(
-        spin,
-        Inst::alu(
-            AluOp::Add,
-            Reg(3),
-            Operand::Reg(Reg(3)),
-            Operand::Reg(Reg(1)),
-        ),
-    );
-    pb.push(
-        spin,
-        Inst::alu(AluOp::Sub, Reg(1), Operand::Reg(Reg(1)), Operand::Imm(1)),
-    );
-    pb.push(
-        spin,
-        Inst::Cmp {
-            kind: CmpKind::Ne,
-            dst: Reg(2),
-            a: Reg(1),
-            b: Operand::Imm(0),
-        },
-    );
-    pb.push(
-        spin,
-        Inst::Branch {
-            cond: CondKind::Nz,
-            src: Reg(2),
-            target: spin,
-        },
-    );
-    pb.fallthrough(spin, done);
-    pb.push(done, Inst::Halt);
-    pb.set_entry(spin);
-    pb.finish().expect("replay victim is structurally valid")
-}
-
-/// Stages the replay-divergence class: the simulator's replay memo
-/// table is deliberately corrupted ([`Simulator::set_replay_corruption`]
-/// flips one guarded quantity of every entry at record time), and the
-/// verify guards must catch every corrupted entry, fall back to full
-/// simulation, and still produce a run bit-identical to replay-off.
-/// Unlike the engine-level classes, the fault lives *inside* one
-/// simulation, so the victim runs on the simulator directly.
-fn replay_divergence_class(seed: u64) -> ClassReport {
-    let program = replay_victim();
-    let image = std::sync::Arc::new(DecodedImage::build(&program));
-    let run = |replay: bool, corrupt: Option<u64>| -> SimResult {
-        let mut sim = Simulator::with_image(
-            image.clone(),
-            Memory::new(),
-            MachineConfig::four_wide(),
-            Box::new(Combined::ptlsim_default()),
-        );
-        sim.set_replay(replay);
-        if let Some(seed) = corrupt {
-            sim.set_replay_corruption(seed);
-        }
-        sim.set_reg(Reg(1), 50_000);
-        let res = sim.run().expect("replay victim never faults");
-        assert_eq!(res.stop, StopCause::Halted);
-        res
-    };
-    let off = run(false, None);
-    let clean_on = run(true, None);
-    let corrupted = run(true, Some(seed));
-    let mut checks = Vec::new();
-
-    push_check(
-        &mut checks,
-        "victim exercises replay when healthy",
-        clean_on.replay.hits > 100 && clean_on.replay.recordings >= 1,
-        format!("{:?}", clean_on.replay),
-    );
-    push_check(
-        &mut checks,
-        "healthy replay is bit-identical to replay-off",
-        clean_on.stats == off.stats && clean_on.regs == off.regs,
-        format!(
-            "on {:?} vs off {:?}",
-            clean_on.stats.cycles, off.stats.cycles
-        ),
-    );
-    push_check(
-        &mut checks,
-        "memo entries corrupted in place",
-        corrupted.replay.corrupted_entries >= 1,
-        format!("corrupted_entries = {}", corrupted.replay.corrupted_entries),
-    );
-    push_check(
-        &mut checks,
-        "verify guard rejects every corrupted entry",
-        corrupted.replay.hits == 0 && corrupted.replay.divergences >= 1,
-        format!("{:?}", corrupted.replay),
-    );
-    push_check(
-        &mut checks,
-        "corrupted run falls back bit-identically",
-        corrupted.stats == off.stats
-            && corrupted.regs == off.regs
-            && corrupted.memory.written_words() == off.memory.written_words(),
-        format!(
-            "corrupted cycles {} vs replay-off {}",
-            corrupted.stats.cycles, off.stats.cycles
-        ),
-    );
-    ClassReport {
-        class: FaultClass::ReplayDivergence,
-        checks,
-        summary: format!(
-            "replay  : {} corrupted entries, {} divergences, 0 hits, fell back to full simulation",
-            corrupted.replay.corrupted_entries, corrupted.replay.divergences
-        ),
     }
 }
 
@@ -1320,7 +1192,6 @@ pub fn run_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats
         FaultClass::CacheTruncation | FaultClass::CacheBitflip => {
             cache_class(class, seed, scratch, clean)
         }
-        FaultClass::ReplayDivergence => replay_divergence_class(seed),
         FaultClass::KillAndResume => kill_and_resume_class(seed, scratch),
         FaultClass::DeadClaimHolder => dead_claim_holder_class(seed, scratch),
         FaultClass::CompactionUnderKill => compaction_under_kill_class(seed, scratch),

@@ -13,15 +13,8 @@
 //!    original uses, plus the output memory region). The baseline goes
 //!    through the same gate, checking layout/scheduling alone.
 //! 3. **Simulator parity** — both compiled programs run on the cycle
-//!    simulator (steady-state replay disabled), whose committed
-//!    registers and written words must match the interpreter's (the
-//!    `parity_suite` comparison, per case).
-//! 4. **Replay parity** — the same simulation runs again with the
-//!    steady-state replay layer enabled; every committed register,
-//!    written word, and every [`SimStats`] counter must be bit-identical
-//!    to the replay-off run. A failure here implicates the replay layer
-//!    alone and is attributed as such in the reproducer. `--no-replay`
-//!    skips this gate.
+//!    simulator, whose committed registers and written words must match
+//!    the interpreter's (the `parity_suite` comparison, per case).
 //!
 //! A failing case is shrunk by greedy knob reduction to a minimal
 //! reproducer and written to disk with exact replay instructions.
@@ -45,7 +38,7 @@ use vanguard_core::{
 use vanguard_isa::{
     DecodedImage, InterpConfig, Interpreter, Memory, Program, Reg, StopReason, TakenOracle,
 };
-use vanguard_sim::{MachineConfig, SimStats, Simulator, StopCause};
+use vanguard_sim::{MachineConfig, Simulator, StopCause};
 use vanguard_workloads::{FuzzCase, FuzzSpec};
 
 /// Interpreter/simulator step budget per run (generated kernels retire
@@ -96,10 +89,6 @@ pub struct FuzzConfig {
     /// Restrict the campaign to one pass (default: every
     /// [`TransformKind`], vanguard first).
     pub transform: Option<TransformKind>,
-    /// Run gate 4 (replay-on vs replay-off bit-identity) on every case.
-    /// On by default; `--no-replay` clears it to isolate whether a
-    /// failure needs the replay layer at all.
-    pub replay: bool,
 }
 
 /// The variant list a campaign runs: one explicit kind, or all of them
@@ -138,14 +127,6 @@ pub enum CaseFailure {
         /// Description of the first mismatch.
         detail: String,
     },
-    /// The replay-on simulation diverged from the replay-off one: the
-    /// steady-state replay layer (not the transform) is implicated.
-    ReplayParity {
-        /// "baseline" or "transformed".
-        variant: &'static str,
-        /// Description of the first mismatch.
-        detail: String,
-    },
 }
 
 impl fmt::Display for CaseFailure {
@@ -176,13 +157,6 @@ impl fmt::Display for CaseFailure {
                 write!(
                     f,
                     "simulator/interpreter parity mismatch on {variant}: {detail}"
-                )
-            }
-            CaseFailure::ReplayParity { variant, detail } => {
-                write!(
-                    f,
-                    "replay-on vs replay-off mismatch on {variant} (steady-state \
-                     replay layer implicated): {detail}"
                 )
             }
         }
@@ -284,16 +258,13 @@ fn interp_state(
     Ok((vals, i.memory().written_words()))
 }
 
-/// Simulator committed state (plus the full cycle-level counters) for
-/// the same program and input, with the steady-state replay layer
-/// toggled per `replay`.
+/// Simulator committed state for the same program and input.
 fn sim_state(
     program: &Program,
     memory: Memory,
     init: &[(Reg, u64)],
     regs: &[Reg],
-    replay: bool,
-) -> Result<(CommittedState, SimStats), String> {
+) -> Result<CommittedState, String> {
     let image = Arc::new(DecodedImage::build(program));
     let mut sim = Simulator::with_image(
         image,
@@ -301,7 +272,6 @@ fn sim_state(
         MachineConfig::four_wide(),
         Box::new(Combined::ptlsim_default()),
     );
-    sim.set_replay(replay);
     for &(r, v) in init {
         sim.set_reg(r, v);
     }
@@ -310,17 +280,15 @@ fn sim_state(
         return Err(format!("simulator stopped on {:?}", res.stop));
     }
     let vals = regs.iter().map(|&r| res.regs[r.index()]).collect();
-    Ok(((vals, res.memory.written_words()), res.stats))
+    Ok((vals, res.memory.written_words()))
 }
 
-/// Gates 2 through 4 for one compiled program under one label (`replay`
-/// controls whether gate 4 runs).
+/// Gates 2 and 3 for one compiled program under one label.
 fn runtime_gates(
     variant: &'static str,
     program: &Program,
     case: &FuzzCase,
     obs: &Observables,
-    replay: bool,
 ) -> Result<(), CaseFailure> {
     // Gate 2: interpreter differential under adversarial oracles.
     let divs = verify_equivalence(
@@ -340,18 +308,11 @@ fn runtime_gates(
         });
     }
 
-    // Gate 3: cycle-simulator parity with the interpreter (replay off —
-    // the plain simulation is the semantic reference).
+    // Gate 3: cycle-simulator parity with the interpreter.
     let i = interp_state(program, case.memory.clone(), &case.init_regs, &obs.regs)
         .map_err(|detail| CaseFailure::SimParity { variant, detail })?;
-    let (s, off_stats) = sim_state(
-        program,
-        case.memory.clone(),
-        &case.init_regs,
-        &obs.regs,
-        false,
-    )
-    .map_err(|detail| CaseFailure::SimParity { variant, detail })?;
+    let s = sim_state(program, case.memory.clone(), &case.init_regs, &obs.regs)
+        .map_err(|detail| CaseFailure::SimParity { variant, detail })?;
     if i.0 != s.0 {
         let r = obs
             .regs
@@ -374,71 +335,26 @@ fn runtime_gates(
             ),
         });
     }
-    if !replay {
-        return Ok(());
-    }
-
-    // Gate 4: the replay-on run must be bit-identical to the replay-off
-    // run just gated — committed registers, written words, and every
-    // cycle-level counter.
-    let (r, on_stats) = sim_state(
-        program,
-        case.memory.clone(),
-        &case.init_regs,
-        &obs.regs,
-        true,
-    )
-    .map_err(|detail| CaseFailure::ReplayParity { variant, detail })?;
-    if s.0 != r.0 {
-        let reg = obs
-            .regs
-            .iter()
-            .zip(s.0.iter().zip(&r.0))
-            .find(|(_, (a, b))| a != b);
-        let (reg, (ov, rv)) = reg.expect("some register differs");
-        return Err(CaseFailure::ReplayParity {
-            variant,
-            detail: format!("{reg}: replay-off {ov:#x} vs replay-on {rv:#x}"),
-        });
-    }
-    if s.1 != r.1 {
-        return Err(CaseFailure::ReplayParity {
-            variant,
-            detail: format!(
-                "written words differ: replay-off {} words vs replay-on {}",
-                s.1.len(),
-                r.1.len()
-            ),
-        });
-    }
-    if off_stats != on_stats {
-        return Err(CaseFailure::ReplayParity {
-            variant,
-            detail: format!("SimStats differ: replay-off {off_stats:?} vs replay-on {on_stats:?}"),
-        });
-    }
     Ok(())
 }
 
-/// Runs one case through all four gates for every transform pass.
+/// Runs one case through all three gates for every transform pass.
 /// `Ok(sites)` is the largest per-variant count of changed sites
 /// (converted branches + melded hammocks; 0 = every selector declined —
 /// still checked).
 pub fn run_case(spec: &FuzzSpec, inject: Option<Inject>) -> Result<u64, CaseFailure> {
-    run_case_kinds(spec, inject, &kinds_for(None), true)
+    run_case_kinds(spec, inject, &kinds_for(None))
 }
 
-/// [`run_case`] restricted to an explicit variant list (`replay` gates
-/// the replay-parity check). The baseline program is identical across
-/// variants and gates once (against the first kind's compile); each
-/// variant's transformed program then runs the full oracle under its
-/// pass-specific lint contract. The TRAIN profile is computed once and
-/// shared across every variant and both replay modes.
+/// [`run_case`] restricted to an explicit variant list. The baseline
+/// program is identical across variants and gates once (against the
+/// first kind's compile); each variant's transformed program then runs
+/// the full oracle under its pass-specific lint contract. The TRAIN
+/// profile is computed once and shared across every variant.
 pub fn run_case_kinds(
     spec: &FuzzSpec,
     inject: Option<Inject>,
     kinds: &[TransformKind],
-    replay: bool,
 ) -> Result<u64, CaseFailure> {
     let case: FuzzCase = spec.build();
     let input = ExperimentInput {
@@ -484,7 +400,7 @@ pub fn run_case_kinds(
                     diagnostics: diags.iter().map(|d| d.to_string()).collect(),
                 });
             }
-            runtime_gates("baseline", &baseline, &case, &obs, replay)?;
+            runtime_gates("baseline", &baseline, &case, &obs)?;
         } else if sites == 0 && inject.is_none() {
             // This variant's selector declined every site, so its
             // transformed program is the already-gated baseline.
@@ -499,7 +415,7 @@ pub fn run_case_kinds(
                 diagnostics: diags.iter().map(|d| d.to_string()).collect(),
             });
         }
-        runtime_gates(kind.name(), &transformed, &case, &obs, replay)?;
+        runtime_gates(kind.name(), &transformed, &case, &obs)?;
     }
 
     Ok(max_sites)
@@ -513,19 +429,16 @@ pub fn shrink(
     inject: Option<Inject>,
     failure: CaseFailure,
 ) -> (FuzzSpec, CaseFailure) {
-    shrink_kinds(spec, inject, failure, &kinds_for(None), true)
+    shrink_kinds(spec, inject, failure, &kinds_for(None))
 }
 
 /// [`shrink`] restricted to an explicit variant list, so a campaign
-/// limited to one pass shrinks against that pass's oracle only
-/// (`replay` matches the campaign's replay-parity gating, so a
-/// replay-implicating failure shrinks against the gate that caught it).
+/// limited to one pass shrinks against that pass's oracle only.
 pub fn shrink_kinds(
     spec: &FuzzSpec,
     inject: Option<Inject>,
     failure: CaseFailure,
     kinds: &[TransformKind],
-    replay: bool,
 ) -> (FuzzSpec, CaseFailure) {
     let mut best = spec.clone();
     let mut best_failure = failure;
@@ -585,7 +498,7 @@ pub fn shrink_kinds(
             if attempts > MAX_SHRINK_ATTEMPTS {
                 return (best, best_failure);
             }
-            if let Err(f) = run_case_kinds(&candidate, inject, kinds, replay) {
+            if let Err(f) = run_case_kinds(&candidate, inject, kinds) {
                 best = candidate;
                 best_failure = f;
                 reduced = true;
@@ -605,8 +518,7 @@ pub fn failure_kind(failure: &CaseFailure) -> TransformKind {
     let variant = match failure {
         CaseFailure::Lint { variant, .. }
         | CaseFailure::Divergence { variant, .. }
-        | CaseFailure::SimParity { variant, .. }
-        | CaseFailure::ReplayParity { variant, .. } => variant,
+        | CaseFailure::SimParity { variant, .. } => variant,
         CaseFailure::Profile(_) => "vanguard",
     };
     TransformKind::parse(variant).unwrap_or_default()
@@ -651,19 +563,9 @@ pub fn write_reproducer(
         };
         replay.push_str(&format!(" \\\n  --inject {flag}"));
     }
-    let attribution = if matches!(failure, CaseFailure::ReplayParity { .. }) {
-        "\nattribution: the steady-state replay layer is implicated — the \
-         replay-on\nsimulation diverged from replay-off. The same command with \
-         --no-replay skips\nthe replay-parity gate and should pass; the bug is \
-         in the simulator's replay\nmemoization, not the transform.\n"
-    } else {
-        ""
-    };
     std::fs::write(
         case_dir.join("repro.txt"),
-        format!(
-            "minimized spec:\n{spec:#?}\n\nreplay:\n{replay}\n\nfailure:\n{failure}\n{attribution}"
-        ),
+        format!("minimized spec:\n{spec:#?}\n\nreplay:\n{replay}\n\nfailure:\n{failure}\n"),
     )?;
     let case = spec.build();
     std::fs::write(case_dir.join("original.asm"), case.program.disassemble())?;
@@ -706,7 +608,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzStats {
         let seed = config.start_seed + i;
         let spec = FuzzSpec::from_seed(seed);
         stats.cases_run += 1;
-        match run_case_kinds(&spec, config.inject, &kinds, config.replay) {
+        match run_case_kinds(&spec, config.inject, &kinds) {
             Ok(sites) => {
                 if sites > 0 {
                     stats.transformed += 1;
@@ -715,8 +617,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzStats {
             }
             Err(failure) => {
                 eprintln!("[fuzz] seed {seed} FAILED: shrinking…");
-                let (min_spec, min_failure) =
-                    shrink_kinds(&spec, config.inject, failure, &kinds, config.replay);
+                let (min_spec, min_failure) = shrink_kinds(&spec, config.inject, failure, &kinds);
                 match write_reproducer(&config.out_dir, &min_spec, config.inject, &min_failure) {
                     Ok(dir) => eprintln!("[fuzz] reproducer written to {}", dir.display()),
                     Err(e) => eprintln!("[fuzz] failed to write reproducer: {e}"),

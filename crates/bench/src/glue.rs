@@ -137,19 +137,6 @@ impl SuiteEngine {
         &self.transform
     }
 
-    /// Enables or disables the simulator's steady-state replay layer
-    /// for subsequent runs. Replay is a pure simulator-throughput
-    /// optimization — results are bit-identical either way — so it is
-    /// *not* part of the artifact-cache key and toggling it mid-run
-    /// reuses already-compiled pairs.
-    pub fn set_replay(&mut self, enabled: bool) {
-        self.transform.replay = if enabled {
-            vanguard_core::ReplayPolicy::On
-        } else {
-            vanguard_core::ReplayPolicy::Off
-        };
-    }
-
     /// Subscribes a progress observer on the underlying engine.
     pub fn observe(&mut self, observer: Arc<dyn ProgressObserver>) {
         self.engine.observe(observer);

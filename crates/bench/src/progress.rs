@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use vanguard_core::engine::{JobResult, ProgressObserver, SimJob, Stage, Variant};
-use vanguard_sim::{ReplayStats, SimStats};
+use vanguard_sim::SimStats;
 
 /// A [`ProgressObserver`] that logs stage and job completions to stderr.
 ///
@@ -73,28 +73,6 @@ impl ProgressObserver for StderrProgress {
                 stats.mips(elapsed)
             );
         }
-    }
-
-    fn job_replay(&self, _index: usize, job: &SimJob, bench_name: &str, replay: &ReplayStats) {
-        // Only worth a line when replay actually did something (verbose
-        // runs with replay off stay readable).
-        let triggers = replay.hits + replay.misses + replay.divergences + replay.suppressed_ticks;
-        if !self.verbose || triggers == 0 {
-            return;
-        }
-        eprintln!(
-            "[engine]      replay {:<12} {}-wide ref{}: {:.1}% hit rate \
-             ({} hits / {} triggers), {} armed, {} disarmed, {} suppressed",
-            bench_name,
-            job.machine.width,
-            job.ref_input,
-            replay.hits as f64 * 100.0 / triggers as f64,
-            replay.hits,
-            triggers,
-            replay.armed_sites,
-            replay.disarmed_sites,
-            replay.suppressed_ticks,
-        );
     }
 
     fn job_failed(&self, _index: usize, job: &SimJob, bench_name: &str, outcome: &JobResult) {

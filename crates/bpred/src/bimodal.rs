@@ -1,6 +1,6 @@
 //! PC-indexed bimodal predictor (Smith predictor).
 
-use crate::meta::{cell_id, fold_pc, DirectionPredictor, PredMeta, SaturatingCounter};
+use crate::meta::{fold_pc, DirectionPredictor, PredMeta, SaturatingCounter};
 
 /// A table of 2-bit saturating counters indexed by PC.
 ///
@@ -43,14 +43,6 @@ impl Bimodal {
         let i = self.index(pc);
         self.table[i].train(taken);
     }
-
-    /// Replay digest of the one cell a prediction at `pc` touches, under
-    /// the caller-chosen `table` namespace (used standalone and as the
-    /// TAGE base).
-    pub(crate) fn probe_cell(&self, table: u64, pc: u64, out: &mut Vec<(u64, u64)>) {
-        let i = self.index(pc);
-        out.push((cell_id(table, i as u64), u64::from(self.table[i].value())));
-    }
 }
 
 impl DirectionPredictor for Bimodal {
@@ -77,14 +69,6 @@ impl DirectionPredictor for Bimodal {
         for c in &mut self.table {
             *c = SaturatingCounter::new(2);
         }
-    }
-
-    fn replay_supported(&self) -> bool {
-        true
-    }
-
-    fn probe_cells(&self, pc: u64, _meta: &PredMeta, out: &mut Vec<(u64, u64)>) {
-        self.probe_cell(0, pc, out);
     }
 }
 

@@ -149,34 +149,6 @@ impl DecomposedBranchBuffer {
     pub fn index_bits(&self) -> u32 {
         self.entries.len().trailing_zeros()
     }
-
-    /// Replay snapshot of the associative state: the entry array and tail
-    /// pointer (the lifetime counters are deltas, restored separately).
-    pub fn replay_state(&self) -> (Vec<Option<DbbEntry>>, usize) {
-        (self.entries.clone(), self.tail)
-    }
-
-    /// Whether the associative state equals a [`replay_state`](Self::replay_state)
-    /// snapshot.
-    pub fn replay_matches(&self, entries: &[Option<DbbEntry>], tail: usize) -> bool {
-        self.tail == tail && self.entries == entries
-    }
-
-    /// Restores the associative state from a snapshot and bumps the
-    /// lifetime counters by the memoized per-iteration deltas.
-    pub fn replay_restore(
-        &mut self,
-        entries: &[Option<DbbEntry>],
-        tail: usize,
-        d_inserts: u64,
-        d_spurious: u64,
-    ) {
-        self.entries.clear();
-        self.entries.extend_from_slice(entries);
-        self.tail = tail;
-        self.inserts += d_inserts;
-        self.spurious += d_spurious;
-    }
 }
 
 #[cfg(test)]

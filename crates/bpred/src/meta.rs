@@ -79,55 +79,6 @@ pub trait DirectionPredictor: fmt::Debug {
     fn repair_history(&mut self, meta: &PredMeta, taken: bool) {
         let _ = (meta, taken);
     }
-
-    /// Whether the predictor exposes the replay digest below. Predictors
-    /// that return `false` (the default) disable the simulator's
-    /// steady-state iteration replay — conservatively correct, never
-    /// wrong.
-    fn replay_supported(&self) -> bool {
-        false
-    }
-
-    /// Appends the predictor's *speculative* state — everything `predict`
-    /// can read or write that is not a training cell reachable through
-    /// [`DirectionPredictor::probe_cells`] (global-history shift
-    /// registers, allocation seeds). Two predictors whose `spec_words`
-    /// and touched cells agree must make identical predictions.
-    fn spec_words(&self, out: &mut Vec<u64>) {
-        let _ = out;
-    }
-
-    /// Appends `(cell_id, value)` pairs for every table cell `predict(pc)`
-    /// read and `update(pc, meta, _)` may write, given the metadata a
-    /// prediction at `pc` produced. Cell ids are stable across calls and
-    /// namespaced per table so distinct tables never collide.
-    fn probe_cells(&self, pc: u64, meta: &PredMeta, out: &mut Vec<(u64, u64)>) {
-        let _ = (pc, meta, out);
-    }
-
-    /// Re-applies the speculative-history side effect of `predict(pc)`
-    /// without touching any table cell — the replay-time stand-in for a
-    /// prediction whose outcome (`meta`) is already known.
-    fn replay_advance(&mut self, pc: u64, meta: &PredMeta) {
-        let _ = (pc, meta);
-    }
-
-    /// How many more `update` calls are guaranteed *not* to cross an
-    /// internal maintenance boundary (e.g. TAGE useful-counter aging)
-    /// that depends on a global update count rather than on cell state.
-    /// Replay must not memoize across such a boundary.
-    fn replay_guard(&self) -> u64 {
-        u64::MAX
-    }
-
-    /// Consecutive identical iteration-shape observations the replay
-    /// layer's adaptive arming requires at a loop site before it starts
-    /// paying for full signature capture there. Predictors whose steady
-    /// state takes longer to settle (deep histories, slow allocation)
-    /// may raise this to defer the capture cost further.
-    fn replay_probe_streak(&self) -> u32 {
-        2
-    }
 }
 
 /// An n-bit saturating up/down counter (the workhorse of every table).
@@ -193,13 +144,6 @@ pub(crate) fn fold_pc(pc: u64) -> u64 {
     pc ^ (pc >> 17) ^ (pc >> 31)
 }
 
-/// Namespaces a replay cell id: `table` codes are unique within one
-/// predictor, indices fit well under 2^40.
-#[inline]
-pub(crate) fn cell_id(table: u64, idx: u64) -> u64 {
-    (table << 40) | idx
-}
-
 impl DirectionPredictor for Box<dyn DirectionPredictor> {
     fn predict(&mut self, pc: u64) -> PredMeta {
         (**self).predict(pc)
@@ -221,24 +165,6 @@ impl DirectionPredictor for Box<dyn DirectionPredictor> {
     }
     fn repair_history(&mut self, meta: &PredMeta, taken: bool) {
         (**self).repair_history(meta, taken)
-    }
-    fn replay_supported(&self) -> bool {
-        (**self).replay_supported()
-    }
-    fn spec_words(&self, out: &mut Vec<u64>) {
-        (**self).spec_words(out)
-    }
-    fn probe_cells(&self, pc: u64, meta: &PredMeta, out: &mut Vec<(u64, u64)>) {
-        (**self).probe_cells(pc, meta, out)
-    }
-    fn replay_advance(&mut self, pc: u64, meta: &PredMeta) {
-        (**self).replay_advance(pc, meta)
-    }
-    fn replay_guard(&self) -> u64 {
-        (**self).replay_guard()
-    }
-    fn replay_probe_streak(&self) -> u32 {
-        (**self).replay_probe_streak()
     }
 }
 

@@ -5,7 +5,7 @@
 /// Overflow wraps and silently overwrites the oldest entry; underflow
 /// returns `None` (the front end then falls back to a not-taken fetch and
 /// relies on the back end to redirect).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Ras {
     entries: Vec<u64>,
     top: usize,

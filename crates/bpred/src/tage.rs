@@ -2,7 +2,7 @@
 //! branch-predictor sensitivity study (§5.3 of the paper).
 
 use crate::bimodal::Bimodal;
-use crate::meta::{cell_id, fold_pc, DirectionPredictor, PredMeta, SaturatingCounter};
+use crate::meta::{fold_pc, DirectionPredictor, PredMeta, SaturatingCounter};
 
 /// Updates between two graceful useful-bit aging sweeps (`update` ages
 /// when `update_count` reaches a multiple of this).
@@ -179,23 +179,6 @@ impl Tage {
             self.alloc_seed ^= 0xB400;
         }
         self.alloc_seed
-    }
-
-    /// Replay cell digest shared with [`IslTage`]: every table entry a
-    /// prediction with this metadata read and its resolution may write.
-    fn probe_tage_cells(&self, pc: u64, meta: &PredMeta, out: &mut Vec<(u64, u64)>) {
-        for t in 0..self.config.num_tables {
-            let idx = meta.words[t] as usize;
-            let e = &self.tables[t][idx];
-            let packed = u64::from(e.tag) | (u64::from(e.ctr) << 16) | (u64::from(e.useful) << 24);
-            out.push((cell_id(1 + t as u64, idx as u64), packed));
-        }
-        self.base.probe_cell(0, pc, out);
-        let ai = Self::use_alt_index(pc);
-        out.push((
-            cell_id(7, ai as u64),
-            u64::from(self.use_alt_on_na[ai].value()),
-        ));
     }
 }
 
@@ -388,28 +371,6 @@ impl DirectionPredictor for Tage {
             *c = SaturatingCounter::new(4);
         }
     }
-
-    fn replay_supported(&self) -> bool {
-        true
-    }
-
-    fn spec_words(&self, out: &mut Vec<u64>) {
-        out.push(self.hist[0]);
-        out.push(self.hist[1]);
-        out.push(u64::from(self.alloc_seed));
-    }
-
-    fn probe_cells(&self, pc: u64, meta: &PredMeta, out: &mut Vec<(u64, u64)>) {
-        self.probe_tage_cells(pc, meta, out);
-    }
-
-    fn replay_advance(&mut self, _pc: u64, meta: &PredMeta) {
-        self.hist = Self::shift_history(meta.hist, meta.taken);
-    }
-
-    fn replay_guard(&self) -> u64 {
-        AGING_PERIOD - (self.update_count % AGING_PERIOD)
-    }
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -560,38 +521,6 @@ impl DirectionPredictor for IslTage {
             *c = SaturatingCounter::new(5);
         }
     }
-
-    fn replay_supported(&self) -> bool {
-        true
-    }
-
-    fn spec_words(&self, out: &mut Vec<u64>) {
-        self.tage.spec_words(out);
-    }
-
-    fn probe_cells(&self, pc: u64, meta: &PredMeta, out: &mut Vec<(u64, u64)>) {
-        self.tage.probe_tage_cells(pc, meta, out);
-        let li = ((meta.words[10] >> 8) & 0xff) as usize;
-        let e = self.loops[li];
-        let packed = u64::from(e.tag)
-            | (u64::from(e.trip) << 16)
-            | (u64::from(e.current) << 32)
-            | (u64::from(e.conf) << 48);
-        out.push((cell_id(8, li as u64), packed));
-        let ci = ((meta.words[10] >> 16) & 0xffff) as usize;
-        out.push((cell_id(9, ci as u64), u64::from(self.corrector[ci].value())));
-    }
-
-    fn replay_advance(&mut self, _pc: u64, meta: &PredMeta) {
-        // `predict` shifts the TAGE history by its own prediction, then
-        // re-shifts from the snapshot when the loop/corrector overrides —
-        // the net effect is always a shift-in of the final prediction.
-        self.tage.hist = Tage::shift_history(meta.hist, meta.taken);
-    }
-
-    fn replay_guard(&self) -> u64 {
-        self.tage.replay_guard()
-    }
 }
 
 #[cfg(test)]
@@ -655,71 +584,6 @@ mod tests {
         let mut tage = Tage::new(TageConfig::storage_32kb());
         let acc = late_accuracy(&mut tage, 0x4000, &[true], 2000);
         assert!(acc > 0.99, "tage on bias: {acc}");
-    }
-
-    /// TAGE's replay digest (`spec_words`: both 128-bit history words
-    /// plus the allocation seed) must separate states whose predictions
-    /// can diverge, and must be identical for identically driven
-    /// predictors — the property the steady-state replay signature
-    /// relies on.
-    #[test]
-    fn replay_digest_separates_tage_histories() {
-        let mut a = Tage::new(TageConfig::storage_32kb());
-        let mut b = Tage::new(TageConfig::storage_32kb());
-        for i in 0..64u64 {
-            let ma = a.predict(0x4000);
-            a.update(0x4000, &ma, true);
-            let mb = b.predict(0x4000);
-            b.update(0x4000, &mb, i % 2 == 0);
-        }
-        let (mut da, mut db) = (Vec::new(), Vec::new());
-        a.spec_words(&mut da);
-        b.spec_words(&mut db);
-        assert_ne!(da, db, "distinct TAGE histories must digest differently");
-        let mut c = Tage::new(TageConfig::storage_32kb());
-        for _ in 0..64 {
-            let mc = c.predict(0x4000);
-            c.update(0x4000, &mc, true);
-        }
-        let mut dc = Vec::new();
-        c.spec_words(&mut dc);
-        assert_eq!(da, dc, "identical TAGE histories must digest identically");
-        // The digest also separates histories long past gshare's reach:
-        // flip only the 100th-most-recent outcome.
-        let drive = |flip: bool| {
-            let mut p = Tage::new(TageConfig::storage_32kb());
-            for i in 0..128u64 {
-                let m = p.predict(0x4000);
-                p.update(0x4000, &m, if i == 28 { flip } else { i % 3 == 0 });
-            }
-            let mut d = Vec::new();
-            p.spec_words(&mut d);
-            d
-        };
-        assert_ne!(
-            drive(false),
-            drive(true),
-            "a single outcome 100 branches back must still change the digest"
-        );
-    }
-
-    /// `replay_advance` reproduces `predict`'s speculative-history shift
-    /// exactly, including across the 64-bit word boundary of the 128-bit
-    /// history.
-    #[test]
-    fn tage_replay_advance_matches_predict_side_effect() {
-        let mut p = Tage::new(TageConfig::storage_32kb());
-        for i in 0..100u64 {
-            let m = p.predict(0x4000);
-            p.update(0x4000, &m, i % 5 != 0);
-        }
-        let mut shadow = p.clone();
-        let m = p.predict(0x4000);
-        shadow.replay_advance(0x4000, &m);
-        let (mut dp, mut ds) = (Vec::new(), Vec::new());
-        p.spec_words(&mut dp);
-        shadow.spec_words(&mut ds);
-        assert_eq!(dp, ds);
     }
 
     #[test]

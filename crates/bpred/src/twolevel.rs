@@ -1,6 +1,6 @@
 //! Local-history two-level (PAg-style) predictor.
 
-use crate::meta::{cell_id, fold_pc, DirectionPredictor, PredMeta, SaturatingCounter};
+use crate::meta::{fold_pc, DirectionPredictor, PredMeta, SaturatingCounter};
 
 /// Two-level predictor with per-branch local history (PAg).
 ///
@@ -93,21 +93,6 @@ impl DirectionPredictor for TwoLevel {
         for c in &mut self.pht {
             *c = SaturatingCounter::new(2);
         }
-    }
-
-    fn replay_supported(&self) -> bool {
-        true
-    }
-
-    fn probe_cells(&self, _pc: u64, meta: &PredMeta, out: &mut Vec<(u64, u64)>) {
-        // `predict` is pure (local history updates at resolution), so the
-        // whole digest is the two cells the resolution trains. The local
-        // history is a cell, which is what makes the data-dependent
-        // pht_index reproducible at replay time.
-        let l1 = meta.words[0] as usize;
-        let pi = meta.words[1] as usize;
-        out.push((cell_id(0, l1 as u64), u64::from(self.histories[l1])));
-        out.push((cell_id(1, pi as u64), u64::from(self.pht[pi].value())));
     }
 }
 

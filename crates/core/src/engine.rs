@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 use vanguard_ir::Profile;
 use vanguard_isa::{parse_program, BlockId, DecodedImage, Program};
-use vanguard_sim::{MachineConfig, ReplayStats, SimError, SimStats, Simulator, StopCause};
+use vanguard_sim::{MachineConfig, SimError, SimStats, Simulator, StopCause};
 
 pub use vanguard_bpred::LadderRung as PredictorKind;
 
@@ -97,9 +97,6 @@ pub struct JobSuccess {
     /// Wall-clock time of the simulate stage alone (excludes cached or
     /// shared profile/compile work).
     pub sim_elapsed: Duration,
-    /// Steady-state replay-layer counters for this job (all zero when
-    /// replay was disabled or the predictor does not support it).
-    pub replay: ReplayStats,
     /// Whether this result came from a retry after a transient failure.
     pub retried: bool,
 }
@@ -341,9 +338,7 @@ pub struct ProfileKey {
 /// hash-map key. Constructed with [`TransformKey::from_options`]; two
 /// keys are equal iff every *program-affecting* option field is
 /// identical, so distinct option sets can never collide in the artifact
-/// cache. [`TransformOptions::replay`] is deliberately excluded: the
-/// replay policy only changes how the simulator executes, never the
-/// compiled program, so both policies share one cached pair.
+/// cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TransformKey {
     /// The transform pass (`kind`) — distinct variants of the same
@@ -668,13 +663,6 @@ pub trait ProgressObserver: Send + Sync {
         let _ = (index, job, bench_name, stats, elapsed);
     }
 
-    /// A completed job's steady-state replay counters (reported right
-    /// after [`ProgressObserver::job_finished`]; all-zero counters when
-    /// replay was off or unsupported are still delivered).
-    fn job_replay(&self, index: usize, job: &SimJob, bench_name: &str, replay: &ReplayStats) {
-        let _ = (index, job, bench_name, replay);
-    }
-
     /// A job ended in a non-completed outcome (guest trap, watchdog
     /// timeout, or engine failure), after any retry.
     fn job_failed(&self, index: usize, job: &SimJob, bench_name: &str, outcome: &JobResult) {
@@ -739,26 +727,6 @@ pub struct EngineStats {
     /// Compile-stage executions served from the on-disk cache (a subset
     /// of `compile_misses`).
     pub pair_disk_hits: u64,
-    /// Steady-state loop iterations replayed from the memo table,
-    /// summed over simulate stages.
-    pub replay_hits: u64,
-    /// Cycles skipped by applying memoized iteration deltas.
-    pub replayed_cycles: u64,
-    /// Replay verification failures that fell back to full simulation.
-    pub replay_divergences: u64,
-    /// Iteration recordings completed into the memo table.
-    pub replay_recordings: u64,
-    /// Replay trigger points with no matching memo entry.
-    pub replay_misses: u64,
-    /// Replay triggers suppressed by the adaptive arming gate (probing
-    /// or disarmed loop sites that skipped all signature work).
-    pub replay_suppressed: u64,
-    /// Loop sites left in the `Armed` state, summed over simulate
-    /// stages.
-    pub replay_armed_sites: u64,
-    /// Loop sites left sitting out a disarm backoff period, summed over
-    /// simulate stages.
-    pub replay_disarmed_sites: u64,
     /// Disk-cache stores that failed (full disk, unwritable cache dir):
     /// the artifact was computed and used but not persisted — the
     /// degrade-to-compute-without-store path under disk pressure.
@@ -779,21 +747,6 @@ impl EngineStats {
         self.sim_insts as f64 / 1e6 / (self.sim_nanos as f64 / 1e9)
     }
 
-    /// Fraction of replay trigger points that applied a memoized
-    /// iteration, in percent (suppressed triggers count as non-hits:
-    /// the rate reflects how often the layer actually paid off, not
-    /// just how often it gambled). Zero when replay never triggered.
-    pub fn replay_hit_rate(&self) -> f64 {
-        let total = self.replay_hits
-            + self.replay_misses
-            + self.replay_divergences
-            + self.replay_suppressed;
-        if total == 0 {
-            return 0.0;
-        }
-        self.replay_hits as f64 * 100.0 / total as f64
-    }
-
     /// Renders the per-stage timing/cache summary (one line per stage,
     /// plus an outcome line counting ok / faulted / timed-out / failed /
     /// retried jobs and quarantined cache entries).
@@ -805,9 +758,6 @@ impl EngineStats {
             "profile : {:>4} runs, {:>4} cache hits, {:>9.1} ms\n\
              compile : {:>4} runs, {:>4} cache hits, {:>9.1} ms\n\
              simulate: {:>4} jobs, {:>21.1} ms, {:>7.2} MIPS/worker\n\
-             replay  : {:>4} hits ({:.1}% of triggers), {} cycles replayed, \
-             {} divergences, {} recordings\n\
-             arming  : {:>4} sites armed, {} disarmed, {} suppressed ticks\n\
              outcomes: {:>4} ok, {} faulted, {} timed out, {} failed, \
              {} retried, {} corrupt cache entries, {} store failures, \
              {} evicted",
@@ -820,14 +770,6 @@ impl EngineStats {
             self.sim_jobs,
             ms(self.sim_nanos),
             self.sim_mips(),
-            self.replay_hits,
-            self.replay_hit_rate(),
-            self.replayed_cycles,
-            self.replay_divergences,
-            self.replay_recordings,
-            self.replay_armed_sites,
-            self.replay_disarmed_sites,
-            self.replay_suppressed,
             self.jobs_ok,
             self.jobs_faulted,
             self.jobs_timed_out,
@@ -929,14 +871,6 @@ pub struct Engine {
     cache_store_failures: AtomicU64,
     profile_disk_hits: AtomicU64,
     pair_disk_hits: AtomicU64,
-    replay_hits: AtomicU64,
-    replayed_cycles: AtomicU64,
-    replay_divergences: AtomicU64,
-    replay_recordings: AtomicU64,
-    replay_misses: AtomicU64,
-    replay_suppressed: AtomicU64,
-    replay_armed_sites: AtomicU64,
-    replay_disarmed_sites: AtomicU64,
 }
 
 impl std::fmt::Debug for Engine {
@@ -1013,14 +947,6 @@ impl Engine {
             cache_store_failures: AtomicU64::new(0),
             profile_disk_hits: AtomicU64::new(0),
             pair_disk_hits: AtomicU64::new(0),
-            replay_hits: AtomicU64::new(0),
-            replayed_cycles: AtomicU64::new(0),
-            replay_divergences: AtomicU64::new(0),
-            replay_recordings: AtomicU64::new(0),
-            replay_misses: AtomicU64::new(0),
-            replay_suppressed: AtomicU64::new(0),
-            replay_armed_sites: AtomicU64::new(0),
-            replay_disarmed_sites: AtomicU64::new(0),
         }
     }
 
@@ -1112,14 +1038,6 @@ impl Engine {
                 .unwrap_or(0),
             profile_disk_hits: self.profile_disk_hits.load(Ordering::Relaxed),
             pair_disk_hits: self.pair_disk_hits.load(Ordering::Relaxed),
-            replay_hits: self.replay_hits.load(Ordering::Relaxed),
-            replayed_cycles: self.replayed_cycles.load(Ordering::Relaxed),
-            replay_divergences: self.replay_divergences.load(Ordering::Relaxed),
-            replay_recordings: self.replay_recordings.load(Ordering::Relaxed),
-            replay_misses: self.replay_misses.load(Ordering::Relaxed),
-            replay_suppressed: self.replay_suppressed.load(Ordering::Relaxed),
-            replay_armed_sites: self.replay_armed_sites.load(Ordering::Relaxed),
-            replay_disarmed_sites: self.replay_disarmed_sites.load(Ordering::Relaxed),
         }
     }
 
@@ -1495,7 +1413,6 @@ impl Engine {
         for &(r, v) in &ref_input.init_regs {
             sim.set_reg(r, v);
         }
-        sim.set_replay(options.replay.enabled());
         let policy = &self.fault_policy;
         let deadline = policy.job_timeout.map(|t| Instant::now() + t);
         if policy.max_cycles.is_some() || deadline.is_some() {
@@ -1517,27 +1434,10 @@ impl Engine {
             Ok(res) => {
                 self.sim_insts
                     .fetch_add(res.stats.committed(), Ordering::Relaxed);
-                self.replay_hits
-                    .fetch_add(res.replay.hits, Ordering::Relaxed);
-                self.replayed_cycles
-                    .fetch_add(res.replay.replayed_cycles, Ordering::Relaxed);
-                self.replay_divergences
-                    .fetch_add(res.replay.divergences, Ordering::Relaxed);
-                self.replay_recordings
-                    .fetch_add(res.replay.recordings, Ordering::Relaxed);
-                self.replay_misses
-                    .fetch_add(res.replay.misses, Ordering::Relaxed);
-                self.replay_suppressed
-                    .fetch_add(res.replay.suppressed_ticks, Ordering::Relaxed);
-                self.replay_armed_sites
-                    .fetch_add(res.replay.armed_sites, Ordering::Relaxed);
-                self.replay_disarmed_sites
-                    .fetch_add(res.replay.disarmed_sites, Ordering::Relaxed);
                 JobResult::Completed(Box::new(JobSuccess {
                     job: *job,
                     stats: res.stats,
                     sim_elapsed,
-                    replay: res.replay,
                     retried: false,
                 }))
             }
@@ -1687,7 +1587,6 @@ impl Engine {
                         JobResult::Completed(s) => {
                             for o in &self.observers {
                                 o.job_finished(i, job, name, &s.stats, s.sim_elapsed);
-                                o.job_replay(i, job, name, &s.replay);
                             }
                         }
                         other => {

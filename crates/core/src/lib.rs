@@ -62,5 +62,5 @@ pub use passes::{
 pub use report::{CodeSizeReport, SiteOutcome, TransformReport};
 pub use select::{select_candidates, Candidate, SelectOptions};
 pub use slice::{condition_slice, SliceError};
-pub use transform::{decompose_branches, ReplayPolicy, TransformOptions};
+pub use transform::{decompose_branches, TransformOptions};
 pub use verify::{verify_equivalence, Divergence, Observables};

@@ -33,30 +33,6 @@ pub struct TransformOptions {
     /// Maximum instructions per hammock side that the meld/stacked
     /// passes will if-convert (Li et al. meld short diamonds only).
     pub meld_max_side: usize,
-    /// Steady-state iteration replay in the simulator (host-side
-    /// throughput only: replay is bit-identical on all committed state
-    /// and statistics, so it is *not* part of the transform identity —
-    /// [`crate::engine::TransformKey`] ignores it).
-    pub replay: ReplayPolicy,
-}
-
-/// Whether simulations memoize converged loop iterations
-/// (see `vanguard_sim`'s replay layer). Defaults to [`On`](Self::On):
-/// replay never changes simulation results, only host wall-clock.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReplayPolicy {
-    /// Memoize and replay steady-state iterations (default).
-    #[default]
-    On,
-    /// Simulate every cycle in full.
-    Off,
-}
-
-impl ReplayPolicy {
-    /// `true` when replay is enabled.
-    pub fn enabled(self) -> bool {
-        matches!(self, ReplayPolicy::On)
-    }
 }
 
 impl Default for TransformOptions {
@@ -68,7 +44,6 @@ impl Default for TransformOptions {
             hoist_loads: true,
             shadow_temps: false,
             meld_max_side: 4,
-            replay: ReplayPolicy::default(),
         }
     }
 }

@@ -135,12 +135,6 @@ impl Cache {
         false
     }
 
-    /// Probes without updating LRU or stats; returns `true` if resident.
-    pub fn probe(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        self.sets[set_idx].iter().any(|l| l.tag == tag)
-    }
-
     /// Invalidates all contents (keeps statistics).
     pub fn flush(&mut self) {
         for s in &mut self.sets {
@@ -187,19 +181,9 @@ mod tests {
         c.access(0x0200);
         c.access(0x0000); // refresh line 0
         c.access(0x0400); // evicts 0x0200 (LRU)
-        assert!(c.probe(0x0000));
-        assert!(!c.probe(0x0200));
-        assert!(c.probe(0x0400));
-    }
-
-    #[test]
-    fn probe_does_not_disturb_state() {
-        let mut c = small();
-        c.access(0x0000);
-        let stats = c.stats();
-        assert!(c.probe(0x0000));
-        assert!(!c.probe(0x4000));
-        assert_eq!(c.stats(), stats);
+        assert!(c.access(0x0000));
+        assert!(c.access(0x0400));
+        assert!(!c.access(0x0200));
     }
 
     #[test]
@@ -207,7 +191,7 @@ mod tests {
         let mut c = small();
         c.access(0x1000);
         c.flush();
-        assert!(!c.probe(0x1000));
+        assert!(!c.access(0x1000));
     }
 
     #[test]

@@ -184,15 +184,6 @@ impl MemSystem {
         Access { complete, level }
     }
 
-    /// Probes whether an address currently hits in its L1 (no state
-    /// change).
-    pub fn probe_l1(&self, addr: u64, kind: AccessKind) -> bool {
-        match kind {
-            AccessKind::InstFetch => self.l1i.probe(addr),
-            AccessKind::Load | AccessKind::Store => self.l1d.probe(addr),
-        }
-    }
-
     /// Snapshot of statistics.
     pub fn stats(&self) -> MemStats {
         MemStats {
@@ -288,14 +279,5 @@ mod tests {
         // A subsequent load to a different line shows no LFRQ interference.
         let b = m.access(1, 0x400_0000, AccessKind::Load);
         assert_eq!(b.complete, 141);
-    }
-
-    #[test]
-    fn probe_l1_is_side_effect_free() {
-        let mut m = MemSystem::new(MemConfig::table1_default());
-        assert!(!m.probe_l1(0x9000, AccessKind::Load));
-        m.access(0, 0x9000, AccessKind::Load);
-        assert!(m.probe_l1(0x9000, AccessKind::Load));
-        assert_eq!(m.stats().l1d.hits, 0);
     }
 }

@@ -2,16 +2,15 @@
 //! Buffer.
 
 use crate::config::MachineConfig;
-use crate::replay::{Fnv, ReplayEngine};
 use crate::stats::SimStats;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use vanguard_bpred::{Btb, DbbEntry, DecomposedBranchBuffer, DirectionPredictor, PredMeta, Ras};
+use vanguard_bpred::{Btb, DecomposedBranchBuffer, DirectionPredictor, PredMeta, Ras};
 use vanguard_isa::{BlockId, DecodedImage, FuClass, Inst, NO_INST};
 use vanguard_mem::{AccessKind, Level, MemSystem};
 
 /// Prediction state attached to a fetched conditional.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub enum PredInfo {
     /// A conventional branch: the predictor metadata and direction chosen
     /// at fetch.
@@ -31,7 +30,7 @@ pub enum PredInfo {
 
 /// One reversible call-stack mutation, recorded at fetch so a
 /// misprediction flush can restore the stack without snapshotting it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 enum JournalOp {
     /// A `call` pushed a frame.
     Pushed,
@@ -45,7 +44,7 @@ enum JournalOp {
 ///
 /// `Copy`: the call stack itself is not cloned per conditional; the flush
 /// path instead rewinds the undo journal to `journal_mark`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub struct FetchSnapshot {
     /// DBB tail pointer.
     pub dbb_tail: usize,
@@ -115,7 +114,7 @@ impl LaneMeta {
 }
 
 /// An instruction waiting in the fetch buffer.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub struct FetchedInst {
     /// The instruction.
     pub inst: Inst,
@@ -262,17 +261,7 @@ impl FrontEnd {
 
     /// Runs one fetch cycle: up to `width` instructions, stopping at taken
     /// steers, I$ miss stalls, a full fetch buffer, or `halt`.
-    ///
-    /// `replay` (when present) observes predictor interactions, I$ line
-    /// accesses, and steers so a [`ReplayEngine`] recording can be
-    /// finalized into a memoized iteration; backward steers arm it.
-    pub(crate) fn fetch_cycle(
-        &mut self,
-        cycle: u64,
-        mem: &mut MemSystem,
-        stats: &mut SimStats,
-        mut replay: Option<&mut ReplayEngine>,
-    ) {
+    pub(crate) fn fetch_cycle(&mut self, cycle: u64, mem: &mut MemSystem, stats: &mut SimStats) {
         if self.halted {
             return;
         }
@@ -292,16 +281,10 @@ impl FrontEnd {
             // Instruction cache: one access per line transition.
             let line = pc >> 6;
             if self.last_line != Some(line) {
-                if let Some(r) = replay.as_deref_mut() {
-                    r.on_ifetch(pc);
-                }
                 let acc = mem.access(cycle, pc, AccessKind::InstFetch);
                 let was_redirect_window = self.redirect_window;
                 self.redirect_window = false;
                 if acc.level != Level::L1 {
-                    if let Some(r) = replay.as_deref_mut() {
-                        r.abort_recording();
-                    }
                     if was_redirect_window {
                         stats.icache_miss_under_mispredict += 1;
                     }
@@ -321,16 +304,9 @@ impl FrontEnd {
                     stats.predicts += 1;
                     let meta = self.predictor.predict(pc);
                     let predicted_taken = meta.taken;
-                    if let Some(r) = replay.as_deref_mut() {
-                        r.on_predict(pc, &meta, &*self.predictor);
-                        let head = self.image.block_entry(target);
-                        if predicted_taken && head <= self.pc {
-                            r.note_backward(head);
-                        }
-                    }
                     self.dbb.insert(pc, meta);
                     if predicted_taken {
-                        if self.steer(cycle, pc, target, replay) {
+                        if self.steer(cycle, pc, target) {
                             return;
                         }
                         break; // taken steer ends the fetch group
@@ -341,13 +317,6 @@ impl FrontEnd {
                     let snapshot = self.snapshot();
                     let meta = self.predictor.predict(pc);
                     let predicted_taken = meta.taken;
-                    if let Some(r) = replay.as_deref_mut() {
-                        r.on_predict(pc, &meta, &*self.predictor);
-                        let head = self.image.block_entry(target);
-                        if predicted_taken && head <= self.pc {
-                            r.note_backward(head);
-                        }
-                    }
                     self.push_fetched(
                         &di,
                         cycle,
@@ -358,7 +327,7 @@ impl FrontEnd {
                         Some(snapshot),
                     );
                     if predicted_taken {
-                        if self.steer(cycle, pc, target, replay) {
+                        if self.steer(cycle, pc, target) {
                             return;
                         }
                         break;
@@ -378,13 +347,7 @@ impl FrontEnd {
                     self.pc = di.next;
                 }
                 Inst::Jump { target } => {
-                    if let Some(r) = replay.as_deref_mut() {
-                        let head = self.image.block_entry(target);
-                        if head <= self.pc {
-                            r.note_backward(head);
-                        }
-                    }
-                    if self.steer(cycle, pc, target, replay) {
+                    if self.steer(cycle, pc, target) {
                         return;
                     }
                     break;
@@ -393,7 +356,7 @@ impl FrontEnd {
                     self.call_stack.push(ret_to);
                     self.journal.push(JournalOp::Pushed);
                     self.ras.push(self.image.block_start(ret_to));
-                    if self.steer(cycle, pc, callee, replay) {
+                    if self.steer(cycle, pc, callee) {
                         return;
                     }
                     break;
@@ -403,25 +366,19 @@ impl FrontEnd {
                     match self.call_stack.pop() {
                         Some(ret) => {
                             self.journal.push(JournalOp::Popped(ret));
-                            if self.steer(cycle, pc, ret, replay) {
+                            if self.steer(cycle, pc, ret) {
                                 return;
                             }
                         }
                         None => {
                             // Wrong-path return past the top frame: fetch
                             // cannot proceed; wait to be flushed.
-                            if let Some(r) = replay.as_deref_mut() {
-                                r.abort_recording();
-                            }
                             self.halted = true;
                         }
                     }
                     break;
                 }
                 Inst::Halt => {
-                    if let Some(r) = replay.as_deref_mut() {
-                        r.abort_recording();
-                    }
                     self.push_fetched(&di, cycle, None, None);
                     self.halted = true;
                     break;
@@ -463,27 +420,15 @@ impl FrontEnd {
 
     /// Redirects fetch to `target`; returns `true` if a BTB miss inserted a
     /// one-cycle steer bubble (which ends the fetch cycle immediately).
-    fn steer(
-        &mut self,
-        cycle: u64,
-        from_pc: u64,
-        target: BlockId,
-        replay: Option<&mut ReplayEngine>,
-    ) -> bool {
+    fn steer(&mut self, cycle: u64, from_pc: u64, target: BlockId) -> bool {
         self.pc = self.image.block_entry(target);
         self.last_line = None;
         let target_addr = self.image.block_start(target);
         if self.btb.lookup(from_pc) != Some(target_addr) {
-            if let Some(r) = replay {
-                r.abort_recording();
-            }
             self.btb.insert(from_pc, target_addr);
             // Decode-stage steer: one bubble cycle.
             self.stall_until = cycle + 2;
             return true;
-        }
-        if let Some(r) = replay {
-            r.on_steer(from_pc, target_addr);
         }
         false
     }
@@ -532,163 +477,6 @@ impl FrontEnd {
     pub fn is_halted(&self) -> bool {
         self.halted
     }
-
-    /// Current fetch position (flat instruction index) — the replay
-    /// signature's primary key.
-    pub(crate) fn replay_pc(&self) -> u32 {
-        self.pc
-    }
-
-    /// Whether the BTB still maps `from → target` (replay steers must not
-    /// re-simulate a BTB miss bubble that the recording did not pay).
-    pub(crate) fn replay_btb_hit(&self, from_pc: u64, target_addr: u64) -> bool {
-        self.btb.lookup(from_pc) == Some(target_addr)
-    }
-
-    /// Folds the cheap-to-read parts of the front-end state into a replay
-    /// signature hash. Collisions are resolved by the exact compare in
-    /// [`replay_matches`](Self::replay_matches).
-    pub(crate) fn replay_hash(&self, cycle: u64, h: &mut Fnv) {
-        h.u64(u64::from(self.pc));
-        h.u64(self.stall_until.saturating_sub(cycle));
-        h.u64(self.last_line.unwrap_or(u64::MAX));
-        h.u64(self.buffer.len() as u64);
-        for fi in &self.buffer {
-            h.u64(fi.pc);
-            h.u64(fi.ready_cycle.saturating_sub(cycle));
-        }
-        h.u64(self.call_stack.len() as u64);
-        h.u64(self.journal.len() as u64);
-        h.u64(self.dbb.tail() as u64);
-    }
-
-    /// Captures the complete fetch-relevant state, with cycle-valued fields
-    /// stored relative to `cycle` so a recorded iteration can be matched
-    /// and restored at any later cycle.
-    pub(crate) fn replay_capture(&self, cycle: u64) -> FrontSnapshot {
-        let (dbb_entries, dbb_tail) = self.dbb.replay_state();
-        FrontSnapshot {
-            pc: self.pc,
-            stall_rel: self.stall_until.saturating_sub(cycle),
-            last_line: self.last_line,
-            redirect_window: self.redirect_window,
-            buffer: self
-                .buffer
-                .iter()
-                .map(|fi| FetchedInst {
-                    ready_cycle: fi.ready_cycle.saturating_sub(cycle),
-                    ..*fi
-                })
-                .collect(),
-            journal: self.journal.clone(),
-            call_stack: self.call_stack.clone(),
-            ras: self.ras.clone(),
-            dbb_entries,
-            dbb_tail,
-        }
-    }
-
-    /// Exact, allocation-free comparison of the live state against a
-    /// snapshot relativized at `cycle`.
-    ///
-    /// Cycle-valued fields are compared saturating-relative: a
-    /// `ready_cycle` (or stall) already in the past behaves identically to
-    /// one equal to `cycle`, so clamping to zero is behavior-preserving.
-    pub(crate) fn replay_matches(&self, s: &FrontSnapshot, cycle: u64) -> bool {
-        self.pc == s.pc
-            && self.stall_until.saturating_sub(cycle) == s.stall_rel
-            && self.last_line == s.last_line
-            && self.redirect_window == s.redirect_window
-            && self.buffer.len() == s.buffer.len()
-            && self.buffer.iter().zip(&s.buffer).all(|(live, snap)| {
-                live.ready_cycle.saturating_sub(cycle) == snap.ready_cycle
-                    && live.inst == snap.inst
-                    && live.block == snap.block
-                    && live.index == snap.index
-                    && live.pc == snap.pc
-                    && live.pred == snap.pred
-                    && live.snapshot == snap.snapshot
-            })
-            && self.journal == s.journal
-            && self.call_stack == s.call_stack
-            && self.ras == s.ras
-            && self.dbb.replay_matches(&s.dbb_entries, s.dbb_tail)
-    }
-
-    /// Restores the front end wholesale from a post-iteration snapshot,
-    /// re-absolutizing cycle-valued fields at `cycle` and bumping the DBB
-    /// lifetime counters by the memoized deltas.
-    pub(crate) fn replay_restore(
-        &mut self,
-        s: &FrontSnapshot,
-        cycle: u64,
-        d_dbb_inserts: u64,
-        d_dbb_spurious: u64,
-    ) {
-        self.pc = s.pc;
-        self.stall_until = cycle + s.stall_rel;
-        self.last_line = s.last_line;
-        self.redirect_window = s.redirect_window;
-        self.buffer.clear();
-        self.buffer.extend(s.buffer.iter().map(|fi| FetchedInst {
-            ready_cycle: cycle + fi.ready_cycle,
-            ..*fi
-        }));
-        self.meta.clear();
-        self.meta.extend(
-            s.buffer
-                .iter()
-                .map(|fi| LaneMeta::of(&fi.inst, cycle + fi.ready_cycle)),
-        );
-        self.snapshots_in_buffer = s.buffer.iter().filter(|fi| fi.snapshot.is_some()).count();
-        self.journal.clear();
-        self.journal.extend_from_slice(&s.journal);
-        self.call_stack.clear();
-        self.call_stack.extend_from_slice(&s.call_stack);
-        self.ras = s.ras.clone();
-        self.dbb
-            .replay_restore(&s.dbb_entries, s.dbb_tail, d_dbb_inserts, d_dbb_spurious);
-        self.halted = false;
-    }
-}
-
-/// A relativized snapshot of the complete fetch-relevant front-end state:
-/// one half of a replay signature (the other half — predictor speculative
-/// words and the issue scoreboard — lives in the [`ReplayEngine`]'s
-/// pre-state).
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct FrontSnapshot {
-    pc: u32,
-    /// `stall_until − cycle`, clamped at zero.
-    stall_rel: u64,
-    last_line: Option<u64>,
-    redirect_window: bool,
-    /// Buffer contents with `ready_cycle` relativized (clamped at zero).
-    buffer: Vec<FetchedInst>,
-    journal: Vec<JournalOp>,
-    call_stack: Vec<BlockId>,
-    ras: Ras,
-    dbb_entries: Vec<Option<DbbEntry>>,
-    dbb_tail: usize,
-}
-
-#[cfg(test)]
-impl FrontSnapshot {
-    /// A trivially-empty snapshot for unit tests of the replay machinery.
-    pub(crate) fn empty_for_test() -> Self {
-        FrontSnapshot {
-            pc: 0,
-            stall_rel: 0,
-            last_line: None,
-            redirect_window: false,
-            buffer: Vec::new(),
-            journal: Vec::new(),
-            call_stack: Vec::new(),
-            ras: Ras::new(1),
-            dbb_entries: Vec::new(),
-            dbb_tail: 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -728,14 +516,14 @@ mod tests {
         let p = straightline();
         let (mut fe, mut mem, mut stats) = front_for(&p);
         // Cycle 0: cold I$ miss stalls fetch.
-        fe.fetch_cycle(0, &mut mem, &mut stats, None);
+        fe.fetch_cycle(0, &mut mem, &mut stats);
         assert_eq!(fe.buffer.len(), 0);
         assert!(stats.icache_stall_cycles > 0);
         // After the fill completes, width instructions per cycle.
         let resume = 200;
-        fe.fetch_cycle(resume, &mut mem, &mut stats, None);
+        fe.fetch_cycle(resume, &mut mem, &mut stats);
         assert_eq!(fe.buffer.len(), 4);
-        fe.fetch_cycle(resume + 1, &mut mem, &mut stats, None);
+        fe.fetch_cycle(resume + 1, &mut mem, &mut stats);
         assert_eq!(fe.buffer.len(), 7); // 6 nops + halt
         assert!(fe.is_halted());
     }
@@ -744,8 +532,8 @@ mod tests {
     fn ready_cycle_reflects_front_end_depth() {
         let p = straightline();
         let (mut fe, mut mem, mut stats) = front_for(&p);
-        fe.fetch_cycle(0, &mut mem, &mut stats, None); // cold I$ fill
-        fe.fetch_cycle(200, &mut mem, &mut stats, None);
+        fe.fetch_cycle(0, &mut mem, &mut stats); // cold I$ fill
+        fe.fetch_cycle(200, &mut mem, &mut stats);
         let head = fe.head().expect("fetched");
         assert_eq!(head.ready_cycle, 200 + 4);
     }
@@ -776,8 +564,8 @@ mod tests {
         // Warm the I$ then fetch: nop + branch fetched; the branch is
         // predicted not-taken cold, so fetch continues at the fall-through
         // within the same group.
-        fe.fetch_cycle(0, &mut mem, &mut stats, None);
-        fe.fetch_cycle(200, &mut mem, &mut stats, None);
+        fe.fetch_cycle(0, &mut mem, &mut stats);
+        fe.fetch_cycle(200, &mut mem, &mut stats);
         assert!(fe.buffer.len() >= 2);
         let kinds: Vec<_> = fe.buffer.iter().map(|fi| fi.inst.mnemonic()).collect();
         assert!(kinds.contains(&"br.nz"));
@@ -787,8 +575,8 @@ mod tests {
     fn flush_clears_buffer_and_resteers() {
         let p = straightline();
         let (mut fe, mut mem, mut stats) = front_for(&p);
-        fe.fetch_cycle(0, &mut mem, &mut stats, None); // cold I$ fill
-        fe.fetch_cycle(200, &mut mem, &mut stats, None);
+        fe.fetch_cycle(0, &mut mem, &mut stats); // cold I$ fill
+        fe.fetch_cycle(200, &mut mem, &mut stats);
         assert!(!fe.buffer.is_empty());
         let snap = FetchSnapshot {
             dbb_tail: 0,
@@ -799,9 +587,9 @@ mod tests {
         assert!(fe.buffer.is_empty());
         assert!(!fe.is_halted());
         // Fetch resumes at the redirect cycle, not before.
-        fe.fetch_cycle(299, &mut mem, &mut stats, None);
+        fe.fetch_cycle(299, &mut mem, &mut stats);
         assert!(fe.buffer.is_empty());
-        fe.fetch_cycle(300, &mut mem, &mut stats, None);
+        fe.fetch_cycle(300, &mut mem, &mut stats);
         assert!(!fe.buffer.is_empty());
     }
 
@@ -820,7 +608,7 @@ mod tests {
         let p = b.finish().unwrap();
         let (mut fe, mut mem, mut stats) = front_for(&p);
         for c in 0..300 {
-            fe.fetch_cycle(c, &mut mem, &mut stats, None);
+            fe.fetch_cycle(c, &mut mem, &mut stats);
         }
         assert!(fe.buffer.len() <= MachineConfig::four_wide().fetch_buffer);
     }
@@ -860,7 +648,7 @@ mod tests {
         // Drive fetch until the ret's return block has been entered
         // (the halt after the ret marks it).
         for c in 0..2000 {
-            fe.fetch_cycle(c, &mut mem, &mut stats, None);
+            fe.fetch_cycle(c, &mut mem, &mut stats);
             if fe.is_halted() {
                 break;
             }
@@ -898,7 +686,7 @@ mod tests {
         let p = b.finish().unwrap();
         let (mut fe, mut mem, mut stats) = front_for(&p);
         for c in 0..2000 {
-            fe.fetch_cycle(c, &mut mem, &mut stats, None);
+            fe.fetch_cycle(c, &mut mem, &mut stats);
             if fe.is_halted() {
                 break;
             }

@@ -46,7 +46,6 @@
 mod config;
 mod front;
 mod pipeline;
-mod replay;
 mod stats;
 mod store_buffer;
 
@@ -55,6 +54,5 @@ pub use front::{FetchedInst, FrontEnd, PredInfo};
 pub use pipeline::{
     HotloopProfile, SimError, SimFault, SimResult, Simulator, StopCause, TraceEvent,
 };
-pub use replay::ReplayStats;
 pub use stats::SimStats;
 pub use store_buffer::{StoreBuffer, StoreEntry};

@@ -3,7 +3,6 @@
 
 use crate::config::MachineConfig;
 use crate::front::{FetchSnapshot, FrontEnd, PredInfo};
-use crate::replay::{ReplayEngine, ReplayStats};
 use crate::stats::SimStats;
 use crate::store_buffer::StoreBuffer;
 use std::fmt;
@@ -12,7 +11,7 @@ use std::time::Instant;
 use vanguard_isa::{
     eval_alu, BlockId, DecodedImage, FpOp, FuClass, Inst, Memory, Operand, Program, NUM_ARCH_REGS,
 };
-use vanguard_mem::{AccessKind, Level, MemSystem};
+use vanguard_mem::{AccessKind, MemSystem};
 
 /// Why the simulation stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -144,18 +143,13 @@ pub struct SimResult {
     pub memory: Memory,
     /// Why the run ended.
     pub stop: StopCause,
-    /// Steady-state replay layer statistics (all zeros when replay was
-    /// disabled or unsupported by the predictor).
-    pub replay: ReplayStats,
 }
 
 /// Per-stage wall-clock attribution for the pipeline hot loop, collected
 /// by [`Simulator::run_profiled`].
 ///
 /// This simulator executes instructions at issue, so the issue and
-/// execute stages are one bucket (`issue_ns`). Replayed spans advance the
-/// cycle counter without running the per-cycle stages, so `cycles` counts
-/// only cycles simulated in full.
+/// execute stages are one bucket (`issue_ns`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HotloopProfile {
     /// Nanoseconds in the fetch stage (I$ probes, prediction, steers).
@@ -164,20 +158,17 @@ pub struct HotloopProfile {
     pub issue_ns: u64,
     /// Nanoseconds committing stores (store-buffer drain).
     pub commit_ns: u64,
-    /// Nanoseconds in steady-state replay triggers (signature probing,
-    /// capture, and memoized application).
-    pub replay_ns: u64,
     /// Nanoseconds of batch-entry work: stop checks, watchdog polls,
     /// redirect application, journal compaction.
     pub other_ns: u64,
-    /// Cycles simulated in full (excludes replayed spans).
+    /// Cycles simulated.
     pub cycles: u64,
 }
 
 impl HotloopProfile {
     /// Total attributed nanoseconds across all stages.
     pub fn total_ns(&self) -> u64 {
-        self.fetch_ns + self.issue_ns + self.commit_ns + self.replay_ns + self.other_ns
+        self.fetch_ns + self.issue_ns + self.commit_ns + self.other_ns
     }
 
     /// Accumulates another profile into this one (for multi-job sums).
@@ -185,7 +176,6 @@ impl HotloopProfile {
         self.fetch_ns += other.fetch_ns;
         self.issue_ns += other.issue_ns;
         self.commit_ns += other.commit_ns;
-        self.replay_ns += other.replay_ns;
         self.other_ns += other.other_ns;
         self.cycles += other.cycles;
     }
@@ -233,10 +223,6 @@ pub struct Simulator<'t> {
     /// Watchdog wall-clock deadline, checked every 4096 cycles so the
     /// clean-run hot loop never pays a syscall per cycle.
     pub(crate) watchdog_deadline: Option<Instant>,
-    /// Steady-state iteration replay (present iff enabled and the
-    /// predictor supports it; boxed — it is cold relative to the fields
-    /// the per-cycle loop touches).
-    pub(crate) replay: Option<Box<ReplayEngine>>,
 }
 
 impl<'t> fmt::Debug for Simulator<'t> {
@@ -277,11 +263,6 @@ impl<'t> Simulator<'t> {
         config: MachineConfig,
         predictor: Box<dyn vanguard_bpred::DirectionPredictor>,
     ) -> Self {
-        let replay = predictor.replay_supported().then(|| {
-            let mut eng = Box::new(ReplayEngine::new());
-            eng.set_probe_streak(predictor.replay_probe_streak());
-            eng
-        });
         Simulator {
             config,
             front: FrontEnd::new(image, config, predictor),
@@ -298,45 +279,6 @@ impl<'t> Simulator<'t> {
             trace: None,
             watchdog_cycles: u64::MAX,
             watchdog_deadline: None,
-            replay,
-        }
-    }
-
-    /// Enables or disables steady-state iteration replay (enabled by
-    /// default whenever the predictor supports it — replay is
-    /// bit-identical on all committed state and statistics, so goldens
-    /// are safe either way).
-    pub fn set_replay(&mut self, enabled: bool) {
-        if enabled {
-            if self.replay.is_none() && self.front.predictor.replay_supported() {
-                let mut eng = Box::new(ReplayEngine::new());
-                eng.set_probe_streak(self.front.predictor.replay_probe_streak());
-                self.replay = Some(eng);
-            }
-        } else {
-            self.replay = None;
-        }
-    }
-
-    /// Arms replay fault injection: every memoized iteration recorded
-    /// from now on has one guarded quantity corrupted. The divergence
-    /// guards must catch every corruption and fall back to full
-    /// simulation, leaving all architectural results bit-identical —
-    /// this is the `replay-divergence` fault-injection class.
-    pub fn set_replay_corruption(&mut self, seed: u64) {
-        if let Some(r) = self.replay.as_deref_mut() {
-            r.set_corruption(seed);
-        }
-    }
-
-    /// Arms replay-arming chaos injection: the adaptive arming gate is
-    /// replaced by a seeded random admit/suppress decision per trigger,
-    /// exercising arbitrary arm/disarm schedules. Results must stay
-    /// bit-identical to replay-off under every schedule — this backs the
-    /// arming property tests.
-    pub fn set_replay_chaos(&mut self, seed: u64) {
-        if let Some(r) = self.replay.as_deref_mut() {
-            r.set_chaos(seed);
         }
     }
 
@@ -362,9 +304,6 @@ impl<'t> Simulator<'t> {
     /// Returns a [`SimError`] on a committed-path architectural fault.
     pub fn run_traced(mut self, sink: impl FnMut(&TraceEvent) + 't) -> Result<SimResult, SimError> {
         self.trace = Some(Box::new(sink));
-        // Replayed iterations would emit no per-instruction trace events;
-        // tracing runs see every cycle simulated in full.
-        self.replay = None;
         self.run()
     }
 
@@ -405,14 +344,14 @@ impl<'t> Simulator<'t> {
 
     /// The per-cycle loop, restructured as batches: all cold per-cycle
     /// branch-outs (stop conditions, watchdog poll, redirect apply,
-    /// journal compaction, replay trigger) run once at batch entry, then
-    /// a fused fetch/issue/commit fast path runs until the next cold
-    /// event. The batch limit is the earliest of the cycle/watchdog
-    /// budgets, the next 4096-cycle watchdog poll boundary, and a pending
-    /// redirect's due cycle; a halt, a newly-scheduled redirect, or a
-    /// replay arm ends the batch early. Every cold check therefore fires
-    /// at exactly the cycles the per-cycle loop fired it at, so the
-    /// restructuring is cycle-for-cycle invisible.
+    /// journal compaction) run once at batch entry, then a fused
+    /// fetch/issue/commit fast path runs until the next cold event. The
+    /// batch limit is the earliest of the cycle/watchdog budgets, the
+    /// next 4096-cycle watchdog poll boundary, and a pending redirect's
+    /// due cycle; a halt or a newly-scheduled redirect ends the batch
+    /// early. Every cold check therefore fires at exactly the cycles the
+    /// per-cycle loop fired it at, so the restructuring is
+    /// cycle-for-cycle invisible.
     fn run_loop<const PROFILE: bool>(
         &mut self,
         prof: &mut HotloopProfile,
@@ -464,18 +403,6 @@ impl<'t> Simulator<'t> {
                 prof.other_ns += (now - mark.expect("profiling")).as_nanos() as u64;
                 mark = Some(now);
             }
-            // Steady-state replay trigger: a backward steer armed the
-            // engine last fetch; this point (post-redirect-apply,
-            // post-compaction, pre-fetch) is the loop-head fixed point
-            // at which iteration signatures are comparable.
-            if self.replay.as_ref().is_some_and(|r| r.armed) {
-                self.replay_tick();
-                if PROFILE {
-                    let now = Instant::now();
-                    prof.replay_ns += (now - mark.expect("profiling")).as_nanos() as u64;
-                    mark = Some(now);
-                }
-            }
             let mut limit = self
                 .config
                 .max_cycles
@@ -486,12 +413,8 @@ impl<'t> Simulator<'t> {
             }
             while self.cycle < limit {
                 // Fetch.
-                self.front.fetch_cycle(
-                    self.cycle,
-                    &mut self.mem_sys,
-                    &mut self.stats,
-                    self.replay.as_deref_mut(),
-                );
+                self.front
+                    .fetch_cycle(self.cycle, &mut self.mem_sys, &mut self.stats);
                 if PROFILE {
                     let now = Instant::now();
                     prof.fetch_ns += (now - mark.expect("profiling")).as_nanos() as u64;
@@ -526,10 +449,7 @@ impl<'t> Simulator<'t> {
                     prof.commit_ns += (now - mark.expect("profiling")).as_nanos() as u64;
                     mark = Some(now);
                 }
-                if self.halted
-                    || self.pending.is_some()
-                    || self.replay.as_ref().is_some_and(|r| r.armed)
-                {
+                if self.halted || self.pending.is_some() {
                     break;
                 }
             }
@@ -542,13 +462,11 @@ impl<'t> Simulator<'t> {
         self.store_buffer.drain_all(&mut self.memory);
         self.stats.cycles = self.cycle;
         self.stats.mem = self.mem_sys.stats();
-        let replay = self.replay.as_ref().map(|r| r.stats()).unwrap_or_default();
         SimResult {
             stats: self.stats,
             regs: self.regs,
             memory: self.memory,
             stop,
-            replay,
         }
     }
 
@@ -658,9 +576,6 @@ impl<'t> Simulator<'t> {
             }
             let seq = self.next_seq;
             self.next_seq += 1;
-            // Conditional outcome recorded for replay (`Branch`: taken,
-            // `Resolve`: mispredicted), set by the arms below.
-            let mut rec_outcome = false;
 
             match fi.inst {
                 Inst::Alu { op, dst, a, b } => {
@@ -708,24 +623,13 @@ impl<'t> Simulator<'t> {
                     self.regs[dst.index()] = value;
                     let acc = self.mem_sys.access(self.cycle, addr, AccessKind::Load);
                     self.reg_ready[dst.index()] = acc.complete;
-                    if acc.level != Level::L1 {
-                        // Non-L1 data timing is not memoizable.
-                        if let Some(r) = self.replay.as_deref_mut() {
-                            r.abort_recording();
-                        }
-                    }
                 }
                 Inst::Store { src, base, offset } => {
                     let addr = self.regs[base.index()].wrapping_add(offset as u64);
                     self.store_buffer
                         .push(addr, self.regs[src.index()], seq, self.cycle);
                     // Timing: write-allocate probe; completion never blocks.
-                    let acc = self.mem_sys.access(self.cycle, addr, AccessKind::Store);
-                    if acc.level != Level::L1 {
-                        if let Some(r) = self.replay.as_deref_mut() {
-                            r.abort_recording();
-                        }
-                    }
+                    let _ = self.mem_sys.access(self.cycle, addr, AccessKind::Store);
                 }
                 Inst::Branch { cond, src, target } => {
                     let taken = cond.eval(self.regs[src.index()]);
@@ -739,12 +643,8 @@ impl<'t> Simulator<'t> {
                             detail: "branch fetched without prediction",
                         });
                     };
-                    rec_outcome = taken;
                     if !wrong_path {
                         self.stats.branches += 1;
-                        if let Some(r) = self.replay.as_deref_mut() {
-                            r.on_update(fi.pc, &meta, taken, &*self.front.predictor);
-                        }
                         self.front.predictor.update(fi.pc, &meta, taken);
                         if taken != predicted_taken {
                             self.stats.branch_mispredicts += 1;
@@ -769,20 +669,11 @@ impl<'t> Simulator<'t> {
                             detail: "resolve fetched without DBB index",
                         });
                     };
-                    rec_outcome = mispredicted;
                     if !wrong_path {
                         self.stats.resolves += 1;
                         // Train the predict instruction's entry via the DBB.
                         if let Some(entry) = self.front.dbb.get(dbb_index) {
                             let actual = entry.meta.taken ^ mispredicted;
-                            if let Some(r) = self.replay.as_deref_mut() {
-                                r.on_update(
-                                    entry.predict_pc,
-                                    &entry.meta,
-                                    actual,
-                                    &*self.front.predictor,
-                                );
-                            }
                             self.front
                                 .predictor
                                 .update(entry.predict_pc, &entry.meta, actual);
@@ -821,9 +712,6 @@ impl<'t> Simulator<'t> {
                     });
                 }
             }
-            if let Some(r) = self.replay.as_deref_mut() {
-                r.on_issue(fi.inst, rec_outcome);
-            }
         }
         Ok(())
     }
@@ -836,12 +724,6 @@ impl<'t> Simulator<'t> {
         repair: Option<(vanguard_bpred::PredMeta, bool)>,
     ) {
         debug_assert!(self.pending.is_none());
-        // A redirect invalidates any in-flight replay recording: the
-        // iteration's trajectory includes a flush whose wrong-path side
-        // effects the memoized delta cannot reproduce.
-        if let Some(r) = self.replay.as_deref_mut() {
-            r.abort_recording();
-        }
         self.stats.redirects += 1;
         self.pending = Some(PendingRedirect {
             redirect_cycle: self.cycle + 1 + u64::from(self.config.redirect_latency),
@@ -993,7 +875,7 @@ mod tests {
         );
     }
 
-    pub(super) fn countdown_loop(iters: i64) -> Program {
+    fn countdown_loop(iters: i64) -> Program {
         let mut b = ProgramBuilder::new();
         let e = b.block("entry");
         let body = b.block("body");
@@ -1036,6 +918,27 @@ mod tests {
         // The final exit is mispredicted (predictor learns "taken").
         assert!(r.stats.branch_mispredicts >= 1);
         assert!(r.stats.branch_mispredicts <= 5);
+    }
+
+    #[test]
+    fn budgets_stop_the_run_at_exactly_the_budget_cycle() {
+        // Both budgets bound the pipeline batches: a run cut mid-loop
+        // must stop at the budget cycle, not at the end of a batch.
+        let p = countdown_loop(5000);
+        let mut cfg = MachineConfig::four_wide();
+        cfg.max_cycles = 4000;
+        let sim = Simulator::new(&p, Memory::new(), cfg, Box::new(Combined::ptlsim_default()));
+        let r = sim.run().expect("cycle-limited run");
+        assert_eq!((r.stop, r.stats.cycles), (StopCause::CycleLimit, 4000));
+        let mut sim = Simulator::new(
+            &p,
+            Memory::new(),
+            MachineConfig::four_wide(),
+            Box::new(Combined::ptlsim_default()),
+        );
+        sim.set_watchdog(Some(3500), None);
+        let r = sim.run().expect("watchdog-limited run");
+        assert_eq!((r.stop, r.stats.cycles), (StopCause::TimedOut, 3500));
     }
 
     #[test]
@@ -1538,505 +1441,5 @@ bb5 <exit>:
         assert_eq!(flushes as u64, r.stats.redirects);
         assert_eq!(wrong_path_issues as u64, r.stats.issued_wrong_path);
         assert!(flushes > 5, "unpredictable branch must flush: {flushes}");
-    }
-}
-
-/// Steady-state iteration replay: bit-identity, non-vacuity, divergence
-/// fallback, fault injection, and watchdog interaction.
-#[cfg(test)]
-mod replay_tests {
-    use super::tests::countdown_loop;
-    use super::*;
-    use vanguard_bpred::Combined;
-    use vanguard_isa::{AluOp, CmpKind, CondKind, Memory, ProgramBuilder, Reg};
-
-    fn run_replay_pair(p: &Program, mem: &Memory) -> (SimResult, SimResult) {
-        let mk = || {
-            Simulator::new(
-                p,
-                mem.clone(),
-                MachineConfig::four_wide(),
-                Box::new(Combined::ptlsim_default()),
-            )
-        };
-        let on = mk().run().expect("replay-on run");
-        let mut sim = mk();
-        sim.set_replay(false);
-        let off = sim.run().expect("replay-off run");
-        (on, off)
-    }
-
-    fn assert_bit_identical(on: &SimResult, off: &SimResult) {
-        assert_eq!(on.stats, off.stats, "SimStats must be replay-invariant");
-        assert_eq!(on.regs, off.regs, "registers must be replay-invariant");
-        assert_eq!(on.stop, off.stop, "stop cause must be replay-invariant");
-        assert_eq!(
-            off.replay,
-            crate::ReplayStats::default(),
-            "replay-off must report zero replay stats"
-        );
-        assert_eq!(
-            on.memory.written_words(),
-            off.memory.written_words(),
-            "memory must be replay-invariant"
-        );
-    }
-
-    #[test]
-    fn replay_is_bit_identical_and_non_vacuous() {
-        // Long enough for the predictor and caches to converge: the memo
-        // table must take over the steady state.
-        let p = countdown_loop(2000);
-        let (on, off) = run_replay_pair(&p, &Memory::new());
-        assert_bit_identical(&on, &off);
-        assert!(
-            on.replay.hits > 100,
-            "steady-state loop must replay: {:?}",
-            on.replay
-        );
-        assert!(on.replay.replayed_cycles > 0);
-        assert!(on.replay.recordings >= 1);
-    }
-
-    #[test]
-    fn replay_survives_memory_writing_loops() {
-        // Stores with a per-iteration fresh address (pointer walk): the
-        // pre-pass recomputes addresses from live registers, so these
-        // replay despite no two iterations writing the same word.
-        let mut b = ProgramBuilder::new();
-        let e = b.block("entry");
-        let body = b.block("body");
-        let exit = b.block("exit");
-        b.push(e, Inst::mov(Reg(1), Operand::Imm(1500)));
-        b.push(e, Inst::mov(Reg(3), Operand::Imm(0x8000)));
-        b.fallthrough(e, body);
-        b.push(
-            body,
-            Inst::alu(AluOp::Sub, Reg(1), Operand::Reg(Reg(1)), Operand::Imm(1)),
-        );
-        b.push(body, Inst::store(Reg(1), Reg(3), 0));
-        b.push(body, Inst::load(Reg(4), Reg(3), 0));
-        b.push(
-            body,
-            Inst::alu(AluOp::Add, Reg(3), Operand::Reg(Reg(3)), Operand::Imm(8)),
-        );
-        b.push(
-            body,
-            Inst::Cmp {
-                kind: CmpKind::Ne,
-                dst: Reg(2),
-                a: Reg(1),
-                b: Operand::Imm(0),
-            },
-        );
-        b.push(
-            body,
-            Inst::Branch {
-                cond: CondKind::Nz,
-                src: Reg(2),
-                target: body,
-            },
-        );
-        b.fallthrough(body, exit);
-        b.push(exit, Inst::Halt);
-        b.set_entry(e);
-        let p = b.finish().unwrap();
-        // Pre-map the stored range so loads after stores always hit
-        // mapped memory and page-crossing store misses stay rare.
-        let mut mem = Memory::new();
-        mem.load_words(0x8000, &vec![0u64; 1500]);
-
-        let (on, off) = run_replay_pair(&p, &mem);
-        assert_bit_identical(&on, &off);
-        assert!(
-            on.replay.hits > 50,
-            "pointer-walk loop must replay: {:?}",
-            on.replay
-        );
-    }
-
-    #[test]
-    fn replay_diverges_on_store_to_cold_page() {
-        // Two passes over the same loop head: the second pass stores to a
-        // page the cache has never seen. The memoized entry's pre-state
-        // matches (registers are not part of the signature) but the
-        // pre-pass L1 probe misses, so the guard must fall back — and the
-        // result must stay bit-identical.
-        let mut b = ProgramBuilder::new();
-        let e = b.block("entry");
-        let outer = b.block("outer");
-        let body = b.block("body");
-        let next = b.block("next");
-        let exit = b.block("exit");
-        b.push(e, Inst::mov(Reg(6), Operand::Imm(2))); // outer trips
-        b.push(e, Inst::mov(Reg(3), Operand::Imm(0x10000))); // page A
-        b.fallthrough(e, outer);
-        b.push(outer, Inst::mov(Reg(1), Operand::Imm(600))); // inner trips
-        b.fallthrough(outer, body);
-        b.push(
-            body,
-            Inst::alu(AluOp::Sub, Reg(1), Operand::Reg(Reg(1)), Operand::Imm(1)),
-        );
-        b.push(body, Inst::store(Reg(1), Reg(3), 0)); // fixed address
-        b.push(
-            body,
-            Inst::Cmp {
-                kind: CmpKind::Ne,
-                dst: Reg(2),
-                a: Reg(1),
-                b: Operand::Imm(0),
-            },
-        );
-        b.push(
-            body,
-            Inst::Branch {
-                cond: CondKind::Nz,
-                src: Reg(2),
-                target: body,
-            },
-        );
-        b.fallthrough(body, next);
-        // Advance far past L2/L3 reach: a genuinely cold page.
-        b.push(
-            next,
-            Inst::alu(
-                AluOp::Add,
-                Reg(3),
-                Operand::Reg(Reg(3)),
-                Operand::Imm(0x4000_0000),
-            ),
-        );
-        b.push(
-            next,
-            Inst::alu(AluOp::Sub, Reg(6), Operand::Reg(Reg(6)), Operand::Imm(1)),
-        );
-        b.push(
-            next,
-            Inst::Cmp {
-                kind: CmpKind::Ne,
-                dst: Reg(7),
-                a: Reg(6),
-                b: Operand::Imm(0),
-            },
-        );
-        b.push(
-            next,
-            Inst::Branch {
-                cond: CondKind::Nz,
-                src: Reg(7),
-                target: outer,
-            },
-        );
-        b.fallthrough(next, exit);
-        b.push(exit, Inst::Halt);
-        b.set_entry(e);
-        let p = b.finish().unwrap();
-
-        let (on, off) = run_replay_pair(&p, &Memory::new());
-        assert_bit_identical(&on, &off);
-        assert!(
-            on.replay.hits > 50,
-            "first pass must replay: {:?}",
-            on.replay
-        );
-        assert!(
-            on.replay.divergences >= 1,
-            "cold-page store must diverge: {:?}",
-            on.replay
-        );
-    }
-
-    #[test]
-    fn replay_corruption_is_always_caught() {
-        // The replay-divergence fault class: corrupt every memoized entry
-        // and require the guards to catch each one, with the run still
-        // completing bit-identically to replay-off.
-        let p = countdown_loop(2000);
-        let mut sim = Simulator::new(
-            &p,
-            Memory::new(),
-            MachineConfig::four_wide(),
-            Box::new(Combined::ptlsim_default()),
-        );
-        sim.set_replay_corruption(0x5eed_cafe);
-        let on = sim.run().expect("corrupted-replay run");
-        let mut sim = Simulator::new(
-            &p,
-            Memory::new(),
-            MachineConfig::four_wide(),
-            Box::new(Combined::ptlsim_default()),
-        );
-        sim.set_replay(false);
-        let off = sim.run().expect("replay-off run");
-        assert_bit_identical(&on, &off);
-        assert!(
-            on.replay.corrupted_entries >= 1,
-            "corruption must have been injected: {:?}",
-            on.replay
-        );
-        assert_eq!(
-            on.replay.hits, 0,
-            "every corrupted entry must be rejected: {:?}",
-            on.replay
-        );
-        // Divergences are capped below corrupted_entries by the
-        // eviction/ban backoff (persistently failing entries are dropped
-        // and their loop head banned), but every *attempted* replay of a
-        // corrupted entry must have been caught.
-        assert!(
-            on.replay.divergences >= 1,
-            "corruption must surface as divergences: {:?}",
-            on.replay
-        );
-    }
-
-    #[test]
-    fn replay_never_crosses_a_watchdog_poll_boundary() {
-        // With a wall-clock deadline armed, the simulator polls every
-        // 4096 cycles; a replayed span must never skip a poll. With a
-        // generous deadline the run completes normally and stays
-        // bit-identical; every hit's span stayed within a poll window.
-        let p = countdown_loop(2000);
-        let mut sim = Simulator::new(
-            &p,
-            Memory::new(),
-            MachineConfig::four_wide(),
-            Box::new(Combined::ptlsim_default()),
-        );
-        sim.set_watchdog(
-            None,
-            Some(Instant::now() + std::time::Duration::from_secs(3600)),
-        );
-        let on = sim.run().expect("deadline-armed run");
-        assert_eq!(on.stop, StopCause::Halted);
-        let mut sim = Simulator::new(
-            &p,
-            Memory::new(),
-            MachineConfig::four_wide(),
-            Box::new(Combined::ptlsim_default()),
-        );
-        sim.set_replay(false);
-        sim.set_watchdog(
-            None,
-            Some(Instant::now() + std::time::Duration::from_secs(3600)),
-        );
-        let off = sim.run().expect("deadline-armed replay-off run");
-        assert_bit_identical(&on, &off);
-        // The loop still replays inside poll windows.
-        assert!(on.replay.hits > 50, "windowed replay: {:?}", on.replay);
-    }
-
-    #[test]
-    fn replay_respects_cycle_limit_and_watchdog_budget() {
-        // Cut the run mid-loop with both kinds of cycle budget: partial
-        // statistics must be bit-identical to replay-off.
-        let p = countdown_loop(5000);
-        for (limit, watchdog) in [(4000u64, None), (u64::MAX, Some(3500u64))] {
-            let mk = || {
-                let mut cfg = MachineConfig::four_wide();
-                if limit != u64::MAX {
-                    cfg.max_cycles = limit;
-                }
-                let mut sim =
-                    Simulator::new(&p, Memory::new(), cfg, Box::new(Combined::ptlsim_default()));
-                sim.set_watchdog(watchdog, None);
-                sim
-            };
-            let on = mk().run().expect("budgeted run");
-            let mut sim = mk();
-            sim.set_replay(false);
-            let off = sim.run().expect("budgeted replay-off run");
-            assert_bit_identical(&on, &off);
-            assert_ne!(on.stop, StopCause::Halted, "budget must cut the loop");
-            assert!(on.replay.hits > 0, "budgeted replay: {:?}", on.replay);
-        }
-    }
-
-    #[test]
-    fn traced_runs_disable_replay() {
-        let p = countdown_loop(2000);
-        let sim = Simulator::new(
-            &p,
-            Memory::new(),
-            MachineConfig::four_wide(),
-            Box::new(Combined::ptlsim_default()),
-        );
-        let mut issues = 0u64;
-        let r = sim
-            .run_traced(|e| {
-                if matches!(e, TraceEvent::Issue { .. }) {
-                    issues += 1;
-                }
-            })
-            .unwrap();
-        assert_eq!(r.replay, crate::ReplayStats::default());
-        // The committed halt bumps `issued` without a trace event.
-        assert_eq!(issues, r.stats.issued - 1, "every issue must be traced");
-    }
-
-    #[test]
-    fn site_that_never_arms_is_bit_identical_to_replay_off() {
-        // An unreachable probe streak keeps every site in Probing forever:
-        // the engine pays only the per-trigger proxy hash, never captures
-        // or probes a signature, and the run must match replay-off on
-        // every committed bit.
-        let p = countdown_loop(2000);
-        let mut sim = Simulator::new(
-            &p,
-            Memory::new(),
-            MachineConfig::four_wide(),
-            Box::new(Combined::ptlsim_default()),
-        );
-        sim.replay
-            .as_deref_mut()
-            .expect("replay-capable predictor")
-            .set_probe_streak(u32::MAX);
-        let on = sim.run().expect("never-armed run");
-        let mut sim = Simulator::new(
-            &p,
-            Memory::new(),
-            MachineConfig::four_wide(),
-            Box::new(Combined::ptlsim_default()),
-        );
-        sim.set_replay(false);
-        let off = sim.run().expect("replay-off run");
-        assert_bit_identical(&on, &off);
-        assert_eq!(on.replay.hits, 0, "a probing site never replays");
-        assert_eq!(on.replay.recordings, 0, "a probing site never records");
-        assert!(
-            on.replay.suppressed_ticks > 100,
-            "every trigger suppressed: {:?}",
-            on.replay
-        );
-    }
-
-    #[test]
-    fn corruption_drives_disarm_and_rearm_cycles() {
-        // With every memoized entry corrupted, each armed window ends in
-        // divergences, the site backs off disarmed, re-arms, and fails
-        // again: the run must stay bit-identical while the backoff keeps
-        // the suppressed-tick count high.
-        let p = countdown_loop(4000);
-        let mut sim = Simulator::new(
-            &p,
-            Memory::new(),
-            MachineConfig::four_wide(),
-            Box::new(Combined::ptlsim_default()),
-        );
-        sim.set_replay_corruption(0x5eed_cafe);
-        let on = sim.run().expect("corrupted-replay run");
-        let mut sim = Simulator::new(
-            &p,
-            Memory::new(),
-            MachineConfig::four_wide(),
-            Box::new(Combined::ptlsim_default()),
-        );
-        sim.set_replay(false);
-        let off = sim.run().expect("replay-off run");
-        assert_bit_identical(&on, &off);
-        assert_eq!(on.replay.hits, 0, "corrupted entries never replay");
-        assert!(
-            on.replay.suppressed_ticks > 100,
-            "divergences must disarm the site: {:?}",
-            on.replay
-        );
-        assert!(
-            on.replay.recordings >= 2,
-            "the site must re-arm and record again: {:?}",
-            on.replay
-        );
-    }
-}
-
-/// Property test: arbitrary arm/disarm schedules (chaos injection over
-/// the adaptive-arming gate) never change committed state.
-#[cfg(test)]
-mod replay_chaos_tests {
-    use super::tests::countdown_loop;
-    use super::*;
-    use proptest::prelude::*;
-    use vanguard_bpred::Combined;
-    use vanguard_isa::{AluOp, CmpKind, CondKind, Memory, ProgramBuilder, Reg};
-
-    /// A store/load loop (memory traffic makes arming mistakes visible).
-    fn store_loop(iters: i64) -> Program {
-        let mut b = ProgramBuilder::new();
-        let e = b.block("entry");
-        let body = b.block("body");
-        let exit = b.block("exit");
-        b.push(e, Inst::mov(Reg(1), Operand::Imm(iters)));
-        b.push(e, Inst::mov(Reg(3), Operand::Imm(0x8000)));
-        b.fallthrough(e, body);
-        b.push(
-            body,
-            Inst::alu(AluOp::Sub, Reg(1), Operand::Reg(Reg(1)), Operand::Imm(1)),
-        );
-        b.push(body, Inst::store(Reg(1), Reg(3), 0));
-        b.push(body, Inst::load(Reg(4), Reg(3), 0));
-        b.push(
-            body,
-            Inst::alu(AluOp::Add, Reg(3), Operand::Reg(Reg(3)), Operand::Imm(8)),
-        );
-        b.push(
-            body,
-            Inst::Cmp {
-                kind: CmpKind::Ne,
-                dst: Reg(2),
-                a: Reg(1),
-                b: Operand::Imm(0),
-            },
-        );
-        b.push(
-            body,
-            Inst::Branch {
-                cond: CondKind::Nz,
-                src: Reg(2),
-                target: body,
-            },
-        );
-        b.fallthrough(body, exit);
-        b.push(exit, Inst::Halt);
-        b.set_entry(e);
-        b.finish().unwrap()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn random_arming_schedules_never_change_committed_state(
-            seed in any::<u64>(),
-            use_stores in any::<bool>(),
-        ) {
-            let p = if use_stores {
-                store_loop(700)
-            } else {
-                countdown_loop(900)
-            };
-            let mut mem = Memory::new();
-            if use_stores {
-                mem.load_words(0x8000, &vec![0u64; 700]);
-            }
-            let mut sim = Simulator::new(
-                &p,
-                mem.clone(),
-                MachineConfig::four_wide(),
-                Box::new(Combined::ptlsim_default()),
-            );
-            sim.set_replay_chaos(seed);
-            let on = sim.run().expect("chaos run");
-            let mut sim = Simulator::new(
-                &p,
-                mem,
-                MachineConfig::four_wide(),
-                Box::new(Combined::ptlsim_default()),
-            );
-            sim.set_replay(false);
-            let off = sim.run().expect("replay-off run");
-            prop_assert_eq!(&on.stats, &off.stats);
-            prop_assert_eq!(&on.regs, &off.regs);
-            prop_assert_eq!(on.stop, off.stop);
-            prop_assert_eq!(on.memory.written_words(), off.memory.written_words());
-        }
     }
 }

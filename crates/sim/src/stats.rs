@@ -50,52 +50,7 @@ pub struct SimStats {
     pub mem: MemStats,
 }
 
-/// Applies `op` to every scalar counter pair of two [`SimStats`] (the
-/// `mem` sub-struct is deliberately excluded: memory statistics accrue
-/// live through re-applied accesses during replay).
-macro_rules! for_each_counter {
-    ($a:expr, $b:expr, $f:expr) => {{
-        let f = $f;
-        f(&mut $a.cycles, $b.cycles);
-        f(&mut $a.issued, $b.issued);
-        f(&mut $a.issued_wrong_path, $b.issued_wrong_path);
-        f(&mut $a.fetched, $b.fetched);
-        f(&mut $a.predicts, $b.predicts);
-        f(&mut $a.branches, $b.branches);
-        f(&mut $a.branch_mispredicts, $b.branch_mispredicts);
-        f(&mut $a.resolves, $b.resolves);
-        f(&mut $a.resolve_mispredicts, $b.resolve_mispredicts);
-        f(&mut $a.branch_stall_cycles, $b.branch_stall_cycles);
-        f(&mut $a.resolve_stall_cycles, $b.resolve_stall_cycles);
-        f(&mut $a.frontend_stall_cycles, $b.frontend_stall_cycles);
-        f(&mut $a.operand_stall_cycles, $b.operand_stall_cycles);
-        f(&mut $a.fu_stall_cycles, $b.fu_stall_cycles);
-        f(&mut $a.redirects, $b.redirects);
-        f(
-            &mut $a.icache_miss_under_mispredict,
-            $b.icache_miss_under_mispredict,
-        );
-        f(&mut $a.icache_stall_cycles, $b.icache_stall_cycles);
-    }};
-}
-
 impl SimStats {
-    /// Per-iteration counter delta since `start` for the replay memo
-    /// table (`mem` zeroed — see [`add_replay_delta`](Self::add_replay_delta)).
-    pub(crate) fn replay_delta(&self, start: &SimStats) -> SimStats {
-        let mut d = *self;
-        d.mem = MemStats::default();
-        for_each_counter!(d, start, |a: &mut u64, b: u64| *a -= b);
-        d
-    }
-
-    /// Adds `k` memoized per-iteration deltas to the live counters
-    /// (`mem` untouched: the replay layer re-applies cache accesses for
-    /// real).
-    pub(crate) fn add_replay_delta(&mut self, d: &SimStats, k: u64) {
-        for_each_counter!(*self, d, |a: &mut u64, b: u64| *a += b * k);
-    }
-
     /// Committed (correct-path) instructions issued.
     pub fn committed(&self) -> u64 {
         self.issued - self.issued_wrong_path

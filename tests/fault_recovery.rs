@@ -79,11 +79,6 @@ fn bitflipped_cache_entry_is_evicted_and_recomputed() {
     assert_class_contained(FaultClass::CacheBitflip);
 }
 
-#[test]
-fn corrupted_replay_memo_is_detected_and_falls_back() {
-    assert_class_contained(FaultClass::ReplayDivergence);
-}
-
 /// Disk pressure (failed stores, budget eviction) degrades to
 /// compute-without-store, bit-identically. The other new daemon
 /// classes (dead-claim-holder, compaction-under-kill) spawn worker
