@@ -806,7 +806,7 @@ fn serial_reference(scratch: &Path, tag: &str) -> Result<String, Check> {
 ///    cache quarantine by `sweep_stale_claims` once its lease expires.
 fn dead_claim_holder_class(seed: u64, scratch: &Path) -> ClassReport {
     use crate::sweep::{self, ShardOptions, Sweep, SweepRequest, JOB_CLAIM_TAG};
-    use vanguard_core::{DiskCache, Journal};
+    use vanguard_core::{ClaimAttempt, DiskCache, Journal};
 
     let mut checks = Vec::new();
     let mut summary = String::new();
@@ -849,11 +849,11 @@ fn dead_claim_holder_class(seed: u64, scratch: &Path) -> ClassReport {
             Ok(sweep_run) => {
                 let victim = sweep_run.plan()[seed as usize % sweep_run.plan().len()].key;
                 let claims = DiskCache::new(&cache_dir);
-                let wedged = claims.try_claim(JOB_CLAIM_TAG, victim);
+                let wedged = claims.try_claim_leased(JOB_CLAIM_TAG, victim, Duration::MAX);
                 push_check(
                     &mut checks,
                     "harness wedges a live claim holder",
-                    matches!(wedged, Ok(Some(_))),
+                    matches!(wedged, Ok(ClaimAttempt::Won(_))),
                     format!("victim job {victim:016x}"),
                 );
                 let journal = Journal::new(dir.join("journal.vgj"));

@@ -42,7 +42,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs::{self, OpenOptions};
+use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -55,7 +55,8 @@ use vanguard_core::engine::{
 };
 use vanguard_core::journal::COMPACT_BYTES_ENV;
 use vanguard_core::{
-    ClaimAttempt, DiskCache, Journal, JournalSnapshot, TransformKind, TransformOptions,
+    atomic_publish, heartbeat_claim, ClaimAttempt, DiskCache, Journal, JournalSnapshot,
+    TransformKind, TransformOptions,
 };
 use vanguard_sim::{MachineConfig, SimStats};
 use vanguard_workloads::suite;
@@ -599,15 +600,6 @@ pub fn maybe_run_worker() {
     std::process::exit(worker_main());
 }
 
-/// Bumps a claim file's mtime (the lease heartbeat) from the holder's
-/// heartbeat thread. The holder's own OS lock does not block its own
-/// writes, and peers only read the mtime.
-fn touch(path: &Path) {
-    if let Ok(mut f) = OpenOptions::new().append(true).open(path) {
-        let _ = f.write_all(b"hb");
-    }
-}
-
 /// The worker loop: parse the request from the environment, then steal
 /// unjournaled jobs via non-blocking leased claims until the journal
 /// covers the whole plan. A heartbeat thread keeps the worker's
@@ -672,7 +664,7 @@ fn worker_main() -> i32 {
                 let _ = fs::write(&hb, b"hb");
                 if let Ok(slot) = current.lock() {
                     if let Some(path) = slot.as_deref() {
-                        touch(path);
+                        heartbeat_claim(path);
                     }
                 }
                 std::thread::sleep(period);
@@ -1144,9 +1136,8 @@ fn serve_request(
         .merged(&snapshot)
         .map_err(|missing| crashed(format!("merge missing {} jobs", missing.len())))?;
     let out_path = spool.join(format!("{stem}.out"));
-    let tmp = spool.join(format!(".tmp-{stem}.out"));
-    fs::write(&tmp, merged).map_err(|e| crashed(format!("write output: {e}")))?;
-    fs::rename(&tmp, &out_path).map_err(|e| crashed(format!("publish output: {e}")))?;
+    atomic_publish(&out_path, merged.as_bytes())
+        .map_err(|e| crashed(format!("publish output: {e}")))?;
     writeln!(stream, "[sweep-daemon] wrote {}", out_path.display())
         .map_err(|e| crashed(format!("stream: {e}")))?;
     Ok(())

@@ -17,6 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
+use vanguard_core::atomic_publish;
 
 /// Schema tag of `status.json`.
 pub const STATUS_SCHEMA: &str = "vanguard-sweep-status-v1";
@@ -307,19 +308,18 @@ impl DaemonStatus {
         }
     }
 
-    /// Publishes `status.json` into the spool via temp + rename, so a
-    /// poller never sees a torn file.
+    /// Publishes `status.json` into the spool with [`atomic_publish`],
+    /// so a poller (or a crash) never leaves a torn or empty file.
     ///
     /// # Errors
     ///
-    /// Returns the I/O error from writing or renaming.
+    /// Returns the I/O error from writing, syncing, or renaming.
     pub fn publish(&self) -> io::Result<()> {
         fs::create_dir_all(&self.spool)?;
-        let tmp = self
-            .spool
-            .join(format!(".tmp-{}-{STATUS_FILE}", std::process::id()));
-        fs::write(&tmp, self.snapshot().render())?;
-        fs::rename(&tmp, self.spool.join(STATUS_FILE))
+        atomic_publish(
+            &self.spool.join(STATUS_FILE),
+            self.snapshot().render().as_bytes(),
+        )
     }
 }
 

@@ -1,18 +1,27 @@
-//! Crash-safe on-disk artifact cache.
+//! Crash-safe on-disk artifact cache, and the one owner of its format.
 //!
 //! Expensive engine artifacts — profiles (a full TRAIN-input
 //! interpretation) and compiled program pairs — can optionally persist
-//! across processes in a directory named by `VANGUARD_CACHE_DIR`.
-//! Entries are namespaced by a `tag` (`profile-…`, `pair-…`) so distinct
-//! artifact types can never alias, and every key already folds in the
-//! transform variant's stable cache id, so two transform kinds of the
-//! same (benchmark, profile, width) occupy distinct files. The cache is
-//! designed to survive crashes and concurrent writers without ever
-//! poisoning a run:
+//! across processes in a directory named by `VANGUARD_CACHE_DIR`. This
+//! module knows the whole disk layout; the engine only asks for a
+//! profile ([`DiskCache::load`] / [`DiskCache::store`]) or a pair
+//! ([`DiskCache::load_pair`] / [`DiskCache::store_pair`]):
 //!
-//! * **Atomic writes** — entries are written to a private temp file in
-//!   the cache directory and `rename`d into place, so a reader never
-//!   observes a half-written entry (at worst it misses and recomputes).
+//! * `profile-<key>.bin` — a [`Profile`] in its own byte encoding;
+//! * `pair-<key>.bin` — a compiled pair's header: its transformation
+//!   report plus the content addresses of its two program images;
+//! * `image-<hash>.bin` — one program's exact disassembly text, keyed by
+//!   its own FNV-1a hash, so identical programs share one entry.
+//!
+//! Every key already folds in the transform variant's stable cache id,
+//! so two transform kinds of the same (benchmark, profile, width) occupy
+//! distinct files. The cache is designed to survive crashes and
+//! concurrent writers without ever poisoning a run:
+//!
+//! * **Atomic writes** — entries are published with [`atomic_publish`]
+//!   (private temp file, `fsync`, `rename`, directory `fsync`), so a
+//!   reader never observes a half-written entry (at worst it misses and
+//!   recomputes).
 //! * **Checksummed entries** — every entry carries a magic tag, payload
 //!   length, and FNV-1a checksum; [`DiskCache::load`] validates all
 //!   three plus the payload structure before trusting a byte.
@@ -20,18 +29,24 @@
 //!   `quarantine/` subdirectory (preserved for postmortem) and reported
 //!   as [`CorruptEntry`]; the caller recomputes and re-stores. A flaky
 //!   disk degrades throughput, never correctness.
-//! * **Cross-process claims** — [`DiskCache::claim`] hands exactly one
-//!   process the right to produce a missing entry (an OS file lock on a
-//!   `claim-…` file); everyone else blocks until the producer stores and
-//!   releases, then re-loads. A `SIGKILL`ed producer releases its lock
-//!   with its process, so a dead claim never wedges the farm. Two
-//!   workers never recompute the same artifact while both are healthy.
+//! * **Racing producers** — two processes (or two engines in one
+//!   process) that miss the same entry both compute it and both store
+//!   it. Nothing blocks: each store atomically publishes the same bytes,
+//!   so whichever rename lands last wins and every reader sees a whole,
+//!   checksummed entry.
 //! * **Content-addressed payloads** — [`DiskCache::store_content`] keys
 //!   an entry by the FNV-1a hash of its payload, so identical artifacts
 //!   produced anywhere in the farm share one entry, and
 //!   [`DiskCache::load_content`] re-verifies the address against the
 //!   bytes (a mismatch is quarantined like any other corruption).
+//! * **Job claims** — [`DiskCache::try_claim_leased`] gives the sweep's
+//!   workers at-most-once ownership of a *job* (not of an artifact): an
+//!   OS file lock on a `claim-…` file whose modification time is the
+//!   holder's lease heartbeat ([`heartbeat_claim`]).
 
+use crate::engine::CompiledPair;
+use crate::report::{SiteOutcome, TransformReport};
+use std::ffi::OsString;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -39,6 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 use vanguard_ir::Profile;
+use vanguard_isa::{parse_program, BlockId, DecodedImage, Program};
 
 /// Entry header magic ("Vanguard Cache v1").
 const MAGIC: &[u8; 4] = b"VGC1";
@@ -52,6 +68,66 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Atomically and durably replaces `target` with `bytes`. The bytes go
+/// to a private temp file beside `target`, named
+/// `.tmp-<stem>-<pid>-<seq>` so that no two writers (threads or
+/// processes) ever share one; the temp file is `sync_all`ed, `rename`d
+/// onto `target`, and the directory is synced so the rename itself
+/// survives a crash. A reader sees the old file or the new one, never a
+/// torn or empty write. If writing or renaming fails, the temp file is
+/// removed and `target` is left as it was.
+///
+/// # Errors
+///
+/// Returns the I/O error from creating, writing, syncing, or renaming.
+/// An error from the final directory sync means `target` already holds
+/// the new bytes but may not survive a crash.
+pub fn atomic_publish(target: &Path, bytes: &[u8]) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let stem = target.file_stem().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "publish target has no file name",
+        )
+    })?;
+    let mut name = OsString::from(".tmp-");
+    name.push(stem);
+    name.push(format!(
+        "-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = target.with_file_name(name);
+    let result = (|| {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        fs::rename(&tmp, target)
+    })();
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+        return result;
+    }
+    let dir = match target.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
+/// Refreshes a claim's lease heartbeat: appends two bytes to the claim
+/// file at `path`, bumping its modification time. Callable by path, so a
+/// worker's heartbeat thread needs only the path of the claim it holds
+/// (the lock is advisory, so the holder's own lock never blocks the
+/// write). A holder that stops heartbeating for longer than the lease is
+/// treated as dead by [`DiskCache::try_claim_leased`]. Best-effort — a
+/// failed heartbeat only risks a benign steal.
+pub fn heartbeat_claim(path: &Path) {
+    if let Ok(mut f) = OpenOptions::new().append(true).open(path) {
+        let _ = f.write_all(b"hb");
+    }
 }
 
 /// A cache entry that failed validation and was quarantined.
@@ -106,8 +182,7 @@ impl DiskCache {
 
     /// A cache rooted at `dir` with an optional byte budget
     /// (`VANGUARD_CACHE_BUDGET`): after every store the `.bin` entries
-    /// are kept under `budget` bytes by evicting unclaimed entries
-    /// oldest-first.
+    /// are kept under `budget` bytes by evicting entries oldest-first.
     pub fn with_budget(dir: impl Into<PathBuf>, budget: Option<u64>) -> Self {
         DiskCache {
             dir: dir.into(),
@@ -203,9 +278,9 @@ impl DiskCache {
         Ok(payload)
     }
 
-    /// Atomically stores the profile entry for `key` (temp file +
-    /// rename; a concurrent reader sees either the old entry or the new
-    /// one, never a torn write).
+    /// Atomically stores the profile entry for `key` ([`atomic_publish`];
+    /// a concurrent reader sees either the old entry or the new one,
+    /// never a torn write).
     ///
     /// # Errors
     ///
@@ -213,6 +288,62 @@ impl DiskCache {
     /// miss, never a run failure.
     pub fn store(&self, key: u64, profile: &Profile) -> io::Result<()> {
         self.store_bytes(Self::PROFILE_TAG, key, &profile.to_bytes())
+    }
+
+    /// Loads a compiled pair: its header (`pair-<key>.bin`), then its two
+    /// content-addressed images (`image-<hash>.bin`). Returns `Ok(None)`
+    /// on a clean miss — including a missing image, since shared images
+    /// can be evicted independently of the headers that reference them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CorruptEntry`] when the header or an image fails
+    /// validation; the offending entry has been quarantined, so
+    /// recompiling and re-storing is always safe.
+    pub fn load_pair(&self, key: u64) -> Result<Option<CompiledPair>, CorruptEntry> {
+        let Some(header) = self.load_bytes(PAIR_TAG, key)? else {
+            return Ok(None);
+        };
+        let (report, baseline_key, transformed_key) =
+            decode_pair_header(&header).map_err(|detail| self.reject(PAIR_TAG, key, detail))?;
+        let mut images = Vec::with_capacity(2);
+        for (what, image_key) in [("baseline", baseline_key), ("transformed", transformed_key)] {
+            let Some(text) = self.load_content(IMAGE_TAG, image_key)? else {
+                return Ok(None);
+            };
+            images.push(decode_image(&text).map_err(|detail| {
+                self.reject(IMAGE_TAG, image_key, format!("{what}: {detail}"))
+            })?);
+        }
+        let (transformed, transformed_image) = images.pop().expect("two images");
+        let (baseline, baseline_image) = images.pop().expect("two images");
+        Ok(Some(CompiledPair {
+            baseline,
+            transformed,
+            baseline_image,
+            transformed_image,
+            report,
+        }))
+    }
+
+    /// Stores a compiled pair: both program images content-addressed
+    /// (`image-<hash>.bin`), then the header referencing them
+    /// (`pair-<key>.bin`). Image-first ordering means a reader never sees a
+    /// header whose images have not landed yet.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error; callers treat a failed store as a cache
+    /// miss, never a run failure.
+    pub fn store_pair(&self, key: u64, pair: &CompiledPair) -> io::Result<()> {
+        let baseline_key = self.store_content(IMAGE_TAG, pair.baseline.disassemble().as_bytes())?;
+        let transformed_key =
+            self.store_content(IMAGE_TAG, pair.transformed.disassemble().as_bytes())?;
+        self.store_bytes(
+            PAIR_TAG,
+            key,
+            &encode_pair_header(pair, baseline_key, transformed_key),
+        )
     }
 
     /// Atomically stores a raw payload for `(tag, key)` under the
@@ -229,42 +360,30 @@ impl DiskCache {
         entry.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         entry.extend_from_slice(&fnv1a(payload).to_le_bytes());
         entry.extend_from_slice(payload);
-        let tmp = self
-            .dir
-            .join(format!(".tmp-{tag}-{key:016x}-{}", std::process::id()));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&entry)?;
-            f.sync_all()?;
-        }
-        let result = fs::rename(&tmp, self.entry_path(tag, key));
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
-        if result.is_ok() {
-            if let Some(budget) = self.budget {
-                // Disk-pressure degradation, not an error: a store that
-                // pushed the cache over budget evicts cold entries. The
-                // running estimate keeps the common under-budget store
-                // at one atomic add; only crossing the budget (or the
-                // first store ever) pays for a directory scan.
-                let prev = self.stored.fetch_add(entry.len() as u64, Ordering::Relaxed);
-                if prev.saturating_add(entry.len() as u64) > budget {
-                    let _ = self.enforce_budget();
-                }
+        atomic_publish(&self.entry_path(tag, key), &entry)?;
+        if let Some(budget) = self.budget {
+            // Disk-pressure degradation, not an error: a store that
+            // pushed the cache over budget evicts cold entries. The
+            // running estimate keeps the common under-budget store at
+            // one atomic add; only crossing the budget (or the first
+            // store ever) pays for a directory scan.
+            let prev = self.stored.fetch_add(entry.len() as u64, Ordering::Relaxed);
+            if prev.saturating_add(entry.len() as u64) > budget {
+                let _ = self.enforce_budget();
             }
         }
-        result
+        Ok(())
     }
 
     /// Brings the `.bin` entries under the byte budget (if one is set)
-    /// by deleting *unclaimed* entries oldest-first (by modification
-    /// time, ties broken by name for determinism). An entry whose claim
-    /// file is currently locked has an active producer or consumer and
-    /// is skipped. Returns the number of entries evicted.
+    /// by deleting entries oldest-first (by modification time, ties
+    /// broken by name for determinism), so a fresh store goes last.
+    /// Returns the number of entries evicted.
     ///
     /// Eviction is an economy, never a correctness risk: a reader that
-    /// loses its entry mid-run sees a clean miss and recomputes.
+    /// loses its entry mid-run sees a clean miss and recomputes, and a
+    /// pair header whose images were evicted loads as a clean miss too
+    /// ([`DiskCache::load_pair`]).
     ///
     /// # Errors
     ///
@@ -296,9 +415,6 @@ impl DiskCache {
             if total <= budget {
                 break;
             }
-            if self.entry_is_claimed(&path) {
-                continue; // an active producer/consumer owns it
-            }
             if fs::remove_file(&path).is_ok() {
                 total = total.saturating_sub(len);
                 evicted += 1;
@@ -307,25 +423,6 @@ impl DiskCache {
         self.stored.store(total, Ordering::Relaxed);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         Ok(evicted)
-    }
-
-    /// Whether the entry at `path` has a live claim holder (its claim
-    /// file exists and is currently locked).
-    fn entry_is_claimed(&self, entry: &Path) -> bool {
-        let Some(stem) = entry.file_stem().map(|s| s.to_string_lossy().into_owned()) else {
-            return false;
-        };
-        let claim = self.dir.join(format!("claim-{stem}.lock"));
-        let Ok(file) = OpenOptions::new().write(true).open(&claim) else {
-            return false; // no claim file: nobody owns it
-        };
-        match file.try_lock() {
-            Ok(()) => {
-                let _ = File::unlock(&file);
-                false
-            }
-            Err(_) => true,
-        }
     }
 
     /// Stores a payload content-addressed: the entry key is the FNV-1a
@@ -369,70 +466,14 @@ impl DiskCache {
         self.dir.join(format!("claim-{tag}-{key:016x}.lock"))
     }
 
-    /// Claims the right to produce the entry for `(tag, key)` across
-    /// concurrent *processes*. Returns `Some(guard)` when this caller
-    /// won the claim — it should double-check the entry (the previous
-    /// holder may have stored it), compute, store, and drop the guard.
-    /// Returns `None` after **blocking** until the current holder
-    /// released — the caller re-loads, and only re-claims if the entry
-    /// is still missing (the holder died or failed to store).
-    ///
-    /// The claim is an OS file lock, so a `SIGKILL`ed holder releases it
-    /// automatically: a dead producer costs one recompute, never a hang.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error from creating or locking the claim file;
-    /// callers treat a failed claim as "compute it myself" (correctness
-    /// never depends on claims, only at-most-once economy does).
-    pub fn claim(&self, tag: &str, key: u64) -> io::Result<Option<ClaimGuard>> {
-        fs::create_dir_all(&self.dir)?;
-        let path = self.claim_path(tag, key);
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(&path)?;
-        match file.try_lock() {
-            Ok(()) => Ok(Some(ClaimGuard { file, path })),
-            Err(_) => {
-                // Another process holds the claim: wait for it to finish
-                // (or die — the OS releases the lock either way).
-                file.lock()?;
-                let _ = File::unlock(&file);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Non-blocking variant of [`DiskCache::claim`]: returns `None`
-    /// *immediately* when another process holds the claim, instead of
-    /// waiting for it. The sweep workers steal work with this — a
-    /// contended job means someone else is running it, so the worker
-    /// moves on to the next one rather than convoying.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error from creating or locking the claim file.
-    pub fn try_claim(&self, tag: &str, key: u64) -> io::Result<Option<ClaimGuard>> {
-        fs::create_dir_all(&self.dir)?;
-        let path = self.claim_path(tag, key);
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(&path)?;
-        match file.try_lock() {
-            Ok(()) => Ok(Some(ClaimGuard { file, path })),
-            Err(_) => Ok(None),
-        }
-    }
-
-    /// Lease-aware variant of [`DiskCache::try_claim`]: a claim file's
-    /// modification time is its holder's *heartbeat* (stamped on win,
-    /// refreshed via [`ClaimGuard::heartbeat`]). A contended claim whose
-    /// heartbeat is older than `lease` is reported as
-    /// [`ClaimAttempt::Expired`] — the holder is alive but wedged (a
+    /// Claims the *job* `(tag, key)` without blocking. The claim is an OS
+    /// file lock on a `claim-…` file, so a `SIGKILL`ed holder releases it
+    /// with its process. The file's modification time is its holder's
+    /// *heartbeat* (stamped on win, refreshed via [`heartbeat_claim`]). A
+    /// contended claim with a fresh heartbeat is [`ClaimAttempt::Held`],
+    /// so a worker moves on to the next job rather than convoying. A
+    /// contended claim whose heartbeat is older than `lease` is reported
+    /// as [`ClaimAttempt::Expired`] — the holder is alive but wedged (a
     /// `SIGKILL`ed holder releases the OS lock outright and the claim is
     /// simply won), so the caller should steal the work and rely on an
     /// idempotent completion path for correctness.
@@ -455,9 +496,8 @@ impl DiskCache {
             .open(&path)?;
         match file.try_lock() {
             Ok(()) => {
-                let guard = ClaimGuard { file, path };
-                guard.heartbeat(); // a stale file must read as freshly held
-                Ok(ClaimAttempt::Won(guard))
+                heartbeat_claim(&path); // a stale file must read as freshly held
+                Ok(ClaimAttempt::Won(ClaimGuard { file, path }))
             }
             Err(_) => match claim_age(&path) {
                 Some(age) if age > lease => Ok(ClaimAttempt::Expired),
@@ -543,8 +583,9 @@ impl DiskCache {
         }
     }
 
-    /// Removes `.tmp-<stem>-<pid>` leftovers for the entry at `path`
-    /// (stem = file name without the `.bin` extension). Best-effort.
+    /// Removes `.tmp-<stem>-<pid>-<seq>` leftovers ([`atomic_publish`])
+    /// for the entry at `path` (stem = file name without the `.bin`
+    /// extension). Best-effort.
     fn sweep_orphaned_tmp(&self, path: &Path) {
         let Some(stem) = path.file_stem().map(|s| s.to_string_lossy().into_owned()) else {
             return;
@@ -561,6 +602,128 @@ impl DiskCache {
     }
 }
 
+/// Disk-cache entry namespace for compiled pairs.
+const PAIR_TAG: &str = "pair";
+
+/// Disk-cache entry namespace for content-addressed program images
+/// (exact disassembly text, keyed by its own FNV-1a hash). A pair entry
+/// *references* its two images by content address instead of inlining
+/// them, so identical programs — every transform kind's baseline of the
+/// same (benchmark, profile, width), for instance — share one image
+/// entry across every process of the farm.
+const IMAGE_TAG: &str = "image";
+
+/// Serializes a compiled pair's header for the disk cache: the
+/// transformation report plus the content addresses of the two program
+/// images (stored separately under [`IMAGE_TAG`]).
+fn encode_pair_header(pair: &CompiledPair, baseline_key: u64, transformed_key: u64) -> Vec<u8> {
+    let r = &pair.report;
+    let mut out = String::new();
+    out.push_str(&format!(
+        "report {} {} {} {} {}\n",
+        r.forward_branches, r.code_bytes_before, r.code_bytes_after, r.melded, r.meld_added_insts
+    ));
+    for s in &r.converted {
+        out.push_str(&format!(
+            "site {} {} {} {} {} {} {}\n",
+            s.block.0,
+            s.hoisted_taken,
+            s.hoisted_fallthrough,
+            s.slice_insts,
+            s.removed_from_block,
+            s.commit_moves,
+            s.executed
+        ));
+    }
+    for (b, reason) in &r.skipped {
+        out.push_str(&format!("skip {} {}\n", b.0, reason.replace('\n', " ")));
+    }
+    out.push_str(&format!("baseline-image {baseline_key:016x}\n"));
+    out.push_str(&format!("transformed-image {transformed_key:016x}\n"));
+    out.into_bytes()
+}
+
+/// Structurally validates and decodes a disk-cached pair header,
+/// returning the report and the two image content addresses. Any
+/// malformation is an error (the caller quarantines the entry and
+/// recompiles).
+fn decode_pair_header(bytes: &[u8]) -> Result<(TransformReport, u64, u64), String> {
+    let header = std::str::from_utf8(bytes).map_err(|e| format!("not utf-8: {e}"))?;
+    let mut baseline_key = None;
+    let mut transformed_key = None;
+    let mut report = TransformReport::default();
+    let mut saw_report = false;
+    for line in header.lines() {
+        let (tag, rest) = line.split_once(' ').ok_or("malformed header line")?;
+        match tag {
+            "report" => {
+                let f: Vec<&str> = rest.split(' ').collect();
+                if f.len() != 5 {
+                    return Err("malformed report line".into());
+                }
+                let num = |s: &str| s.parse::<u64>().map_err(|e| format!("report field: {e}"));
+                report.forward_branches = num(f[0])? as usize;
+                report.code_bytes_before = num(f[1])?;
+                report.code_bytes_after = num(f[2])?;
+                report.melded = num(f[3])? as usize;
+                report.meld_added_insts = f[4]
+                    .parse::<isize>()
+                    .map_err(|e| format!("report field: {e}"))?;
+                saw_report = true;
+            }
+            "site" => {
+                let f: Vec<&str> = rest.split(' ').collect();
+                if f.len() != 7 {
+                    return Err("malformed site line".into());
+                }
+                let num = |s: &str| s.parse::<u64>().map_err(|e| format!("site field: {e}"));
+                report.converted.push(SiteOutcome {
+                    block: BlockId(f[0].parse().map_err(|e| format!("site block: {e}"))?),
+                    hoisted_taken: num(f[1])? as usize,
+                    hoisted_fallthrough: num(f[2])? as usize,
+                    slice_insts: num(f[3])? as usize,
+                    removed_from_block: num(f[4])? as usize,
+                    commit_moves: num(f[5])? as usize,
+                    executed: num(f[6])?,
+                });
+            }
+            "skip" => {
+                let (block, reason) = rest.split_once(' ').ok_or("malformed skip line")?;
+                report.skipped.push((
+                    BlockId(block.parse().map_err(|e| format!("skip block: {e}"))?),
+                    reason.to_string(),
+                ));
+            }
+            "baseline-image" => {
+                baseline_key = Some(
+                    u64::from_str_radix(rest, 16).map_err(|e| format!("baseline-image: {e}"))?,
+                );
+            }
+            "transformed-image" => {
+                transformed_key = Some(
+                    u64::from_str_radix(rest, 16).map_err(|e| format!("transformed-image: {e}"))?,
+                );
+            }
+            other => return Err(format!("unknown header tag `{other}`")),
+        }
+    }
+    if !saw_report {
+        return Err("missing report line".into());
+    }
+    let baseline_key = baseline_key.ok_or("missing baseline-image line")?;
+    let transformed_key = transformed_key.ok_or("missing transformed-image line")?;
+    Ok((report, baseline_key, transformed_key))
+}
+
+/// Parses a content-addressed program image back into a program and its
+/// pre-decoded form.
+fn decode_image(text: &[u8]) -> Result<(Arc<Program>, Arc<DecodedImage>), String> {
+    let text = std::str::from_utf8(text).map_err(|e| format!("not utf-8: {e}"))?;
+    let program = parse_program(text).map_err(|e| format!("image: {e}"))?;
+    let image = Arc::new(DecodedImage::build(&program));
+    Ok((Arc::new(program), image))
+}
+
 /// The heartbeat age of a claim file (its modification time), or `None`
 /// when the file vanished or the clock is skewed into the future.
 fn claim_age(path: &Path) -> Option<Duration> {
@@ -568,9 +731,8 @@ fn claim_age(path: &Path) -> Option<Duration> {
     SystemTime::now().duration_since(mtime).ok()
 }
 
-/// An exclusive cross-process claim on one cache entry, released (and
-/// its claim file removed, best-effort) on drop. See
-/// [`DiskCache::claim`].
+/// An exclusive cross-process claim on one job, released (and its claim
+/// file removed, best-effort) on drop. See [`DiskCache::try_claim_leased`].
 #[derive(Debug)]
 pub struct ClaimGuard {
     file: File,
@@ -578,21 +740,10 @@ pub struct ClaimGuard {
 }
 
 impl ClaimGuard {
-    /// The claim file path (heartbeats can be refreshed by path from a
-    /// dedicated thread — the lock is advisory, so a plain write is
-    /// safe; see [`DiskCache::try_claim_leased`]).
+    /// The claim file path, for refreshing the lease with
+    /// [`heartbeat_claim`] (from a dedicated thread, say).
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Refreshes the holder's heartbeat: writes a few bytes through the
-    /// held file, bumping the claim file's modification time. A holder
-    /// that stops heartbeating for longer than the lease is treated as
-    /// dead by [`DiskCache::try_claim_leased`]. Best-effort — a failed
-    /// heartbeat only risks a benign steal.
-    pub fn heartbeat(&self) {
-        let _ = (&self.file).write_all(b"hb");
-        let _ = (&self.file).flush();
     }
 }
 
@@ -745,41 +896,6 @@ mod tests {
     }
 
     #[test]
-    fn claim_admits_one_producer_and_releases_waiters() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let cache = temp_cache("claims");
-        let produced = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| loop {
-                    if cache.load_bytes("pair", 77).unwrap().is_some() {
-                        break;
-                    }
-                    if let Some(_guard) = cache.claim("pair", 77).unwrap() {
-                        if cache.load_bytes("pair", 77).unwrap().is_none() {
-                            produced.fetch_add(1, Ordering::Relaxed);
-                            std::thread::sleep(std::time::Duration::from_millis(20));
-                            cache.store_bytes("pair", 77, b"artifact").unwrap();
-                        }
-                        break;
-                    }
-                    // claim() returned after the holder released: re-load.
-                });
-            }
-        });
-        assert_eq!(
-            produced.load(Ordering::Relaxed),
-            1,
-            "exactly one producer computed the artifact"
-        );
-        assert_eq!(
-            cache.load_bytes("pair", 77).unwrap().as_deref(),
-            Some(&b"artifact"[..])
-        );
-        let _ = fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
     fn budget_evicts_oldest_unclaimed_entries() {
         let cache = temp_cache("budget");
         // No budget: nothing is ever evicted.
@@ -814,27 +930,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_skips_claimed_entries() {
-        let dir = temp_cache("budget-claimed").dir().to_path_buf();
-        let cache = DiskCache::with_budget(&dir, Some(10));
-        // Claim first: the store's own budget pass must skip the entry.
-        let _guard = cache.try_claim("pair", 7).unwrap().expect("claim won");
-        cache.store_bytes("pair", 7, &[0u8; 100]).unwrap();
-        cache.enforce_budget().unwrap();
-        assert!(
-            cache.load_bytes("pair", 7).unwrap().is_some(),
-            "claimed entry survives eviction pressure"
-        );
-        drop(_guard);
-        cache.enforce_budget().unwrap();
-        assert!(
-            cache.load_bytes("pair", 7).unwrap().is_none(),
-            "released entry is evicted"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn leased_claims_report_held_then_expired() {
         let cache = temp_cache("lease");
         let long = Duration::from_secs(3600);
@@ -855,7 +950,7 @@ mod tests {
             ClaimAttempt::Expired
         ));
         // A heartbeat refresh makes it held again.
-        guard.heartbeat();
+        heartbeat_claim(guard.path());
         assert!(matches!(
             cache.try_claim_leased("job", 5, short).unwrap(),
             ClaimAttempt::Held
@@ -877,7 +972,10 @@ mod tests {
         let orphan = cache.dir().join(format!("claim-job-{:016x}.lock", 9u64));
         fs::write(&orphan, b"").unwrap();
         // A live claim must survive the sweep.
-        let _held = cache.try_claim("job", 10).unwrap().expect("claim won");
+        let held = cache
+            .try_claim_leased("job", 10, Duration::from_secs(3600))
+            .unwrap();
+        assert!(matches!(held, ClaimAttempt::Won(_)), "claim won: {held:?}");
         std::thread::sleep(Duration::from_millis(30));
         let swept = cache.sweep_stale_claims(Duration::from_millis(10)).unwrap();
         assert_eq!(swept, 1, "only the orphan is swept");
@@ -903,6 +1001,40 @@ mod tests {
         assert_eq!(swept, 0);
         assert!(fresh.exists());
         let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn atomic_publish_replaces_or_leaves_the_old_file() {
+        let dir = temp_cache("publish").dir().to_path_buf();
+        fs::create_dir_all(&dir).unwrap();
+        let tmp_files = || {
+            fs::read_dir(&dir)
+                .unwrap()
+                .flatten()
+                .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
+                .count()
+        };
+        let target = dir.join("status.json");
+        fs::write(&target, b"old").unwrap();
+        atomic_publish(&target, b"new").unwrap();
+        assert_eq!(fs::read(&target).unwrap(), b"new");
+        assert_eq!(tmp_files(), 0);
+
+        // Fails at create: the temp name outgrows the file-name limit.
+        let long = dir.join(format!("{}.json", "x".repeat(249)));
+        fs::write(&long, b"old").unwrap();
+        assert!(atomic_publish(&long, b"new").is_err());
+        assert_eq!(fs::read(&long).unwrap(), b"old", "old file intact");
+
+        // Fails at rename, after the temp file was written and synced:
+        // the target is a non-empty directory.
+        let occupied = dir.join("occupied.out");
+        fs::create_dir_all(&occupied).unwrap();
+        fs::write(occupied.join("old"), b"old").unwrap();
+        assert!(atomic_publish(&occupied, b"new").is_err());
+        assert_eq!(fs::read(occupied.join("old")).unwrap(), b"old");
+        assert_eq!(tmp_files(), 0, "failed publishes leave no temp file");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -32,24 +32,25 @@
 //! [`JobResult::Failed`] with a [`VanguardError`] carrying stage,
 //! benchmark, and seed context. Transient failures are retried once
 //! with backoff; repeat failures are quarantined with a replayable
-//! reproducer. The optional on-disk profile cache
+//! reproducer. The optional on-disk profile and pair cache
 //! ([`crate::DiskCache`], enabled by `VANGUARD_CACHE_DIR`) is
 //! checksummed and crash-safe: corrupt entries are quarantined and
 //! recomputed, never trusted. See DESIGN.md §7.8 for the fault model.
 
-use crate::diskcache::{fnv1a, ClaimGuard, DiskCache};
+use crate::diskcache::{fnv1a, CorruptEntry, DiskCache};
 use crate::error::{ErrorKind, VanguardError};
 use crate::experiment::{Experiment, ExperimentError, ExperimentInput, ExperimentOutcome, RefRun};
 use crate::passes::TransformKind;
-use crate::report::{SiteOutcome, TransformReport};
+use crate::report::TransformReport;
 use crate::transform::TransformOptions;
 use std::collections::HashMap;
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 use vanguard_ir::Profile;
-use vanguard_isa::{parse_program, BlockId, DecodedImage, Program};
+use vanguard_isa::{DecodedImage, Program};
 use vanguard_sim::{MachineConfig, SimError, SimStats, Simulator, StopCause};
 
 pub use vanguard_bpred::LadderRung as PredictorKind;
@@ -265,7 +266,7 @@ pub struct FaultPolicy {
     /// (`VANGUARD_CACHE_DIR`); `None` keeps artifacts in memory only.
     pub cache_dir: Option<PathBuf>,
     /// Byte budget for the on-disk cache (`VANGUARD_CACHE_BUDGET`):
-    /// stores evict unclaimed entries oldest-first to stay under it;
+    /// stores evict entries oldest-first to stay under it;
     /// `None` lets the cache grow without bound.
     pub cache_budget: Option<u64>,
 }
@@ -426,198 +427,6 @@ pub struct CompiledPair {
     pub report: TransformReport,
 }
 
-/// Disk-cache entry namespace for compiled pairs.
-const PAIR_TAG: &str = "pair";
-
-/// Disk-cache entry namespace for content-addressed program images
-/// (exact disassembly text, keyed by its own FNV-1a hash). A pair entry
-/// *references* its two images by content address instead of inlining
-/// them, so identical programs — every transform kind's baseline of the
-/// same (benchmark, profile, width), for instance — share one image
-/// entry across every process of the farm.
-const IMAGE_TAG: &str = "image";
-
-/// Serializes a compiled pair's header for the disk cache: the
-/// transformation report plus the content addresses of the two program
-/// images (stored separately under [`IMAGE_TAG`]).
-fn encode_pair_header(pair: &CompiledPair, baseline_key: u64, transformed_key: u64) -> Vec<u8> {
-    let r = &pair.report;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "report {} {} {} {} {}\n",
-        r.forward_branches, r.code_bytes_before, r.code_bytes_after, r.melded, r.meld_added_insts
-    ));
-    for s in &r.converted {
-        out.push_str(&format!(
-            "site {} {} {} {} {} {} {}\n",
-            s.block.0,
-            s.hoisted_taken,
-            s.hoisted_fallthrough,
-            s.slice_insts,
-            s.removed_from_block,
-            s.commit_moves,
-            s.executed
-        ));
-    }
-    for (b, reason) in &r.skipped {
-        out.push_str(&format!("skip {} {}\n", b.0, reason.replace('\n', " ")));
-    }
-    out.push_str(&format!("baseline-image {baseline_key:016x}\n"));
-    out.push_str(&format!("transformed-image {transformed_key:016x}\n"));
-    out.into_bytes()
-}
-
-/// Structurally validates and decodes a disk-cached pair header,
-/// returning the report and the two image content addresses. Any
-/// malformation is an error (the caller quarantines the entry and
-/// recompiles).
-fn decode_pair_header(bytes: &[u8]) -> Result<(TransformReport, u64, u64), String> {
-    let header = std::str::from_utf8(bytes).map_err(|e| format!("not utf-8: {e}"))?;
-    let mut baseline_key = None;
-    let mut transformed_key = None;
-    let mut report = TransformReport::default();
-    let mut saw_report = false;
-    for line in header.lines() {
-        let (tag, rest) = line.split_once(' ').ok_or("malformed header line")?;
-        match tag {
-            "report" => {
-                let f: Vec<&str> = rest.split(' ').collect();
-                if f.len() != 5 {
-                    return Err("malformed report line".into());
-                }
-                let num = |s: &str| s.parse::<u64>().map_err(|e| format!("report field: {e}"));
-                report.forward_branches = num(f[0])? as usize;
-                report.code_bytes_before = num(f[1])?;
-                report.code_bytes_after = num(f[2])?;
-                report.melded = num(f[3])? as usize;
-                report.meld_added_insts = f[4]
-                    .parse::<isize>()
-                    .map_err(|e| format!("report field: {e}"))?;
-                saw_report = true;
-            }
-            "site" => {
-                let f: Vec<&str> = rest.split(' ').collect();
-                if f.len() != 7 {
-                    return Err("malformed site line".into());
-                }
-                let num = |s: &str| s.parse::<u64>().map_err(|e| format!("site field: {e}"));
-                report.converted.push(SiteOutcome {
-                    block: BlockId(f[0].parse().map_err(|e| format!("site block: {e}"))?),
-                    hoisted_taken: num(f[1])? as usize,
-                    hoisted_fallthrough: num(f[2])? as usize,
-                    slice_insts: num(f[3])? as usize,
-                    removed_from_block: num(f[4])? as usize,
-                    commit_moves: num(f[5])? as usize,
-                    executed: num(f[6])?,
-                });
-            }
-            "skip" => {
-                let (block, reason) = rest.split_once(' ').ok_or("malformed skip line")?;
-                report.skipped.push((
-                    BlockId(block.parse().map_err(|e| format!("skip block: {e}"))?),
-                    reason.to_string(),
-                ));
-            }
-            "baseline-image" => {
-                baseline_key = Some(
-                    u64::from_str_radix(rest, 16).map_err(|e| format!("baseline-image: {e}"))?,
-                );
-            }
-            "transformed-image" => {
-                transformed_key = Some(
-                    u64::from_str_radix(rest, 16).map_err(|e| format!("transformed-image: {e}"))?,
-                );
-            }
-            other => return Err(format!("unknown header tag `{other}`")),
-        }
-    }
-    if !saw_report {
-        return Err("missing report line".into());
-    }
-    let baseline_key = baseline_key.ok_or("missing baseline-image line")?;
-    let transformed_key = transformed_key.ok_or("missing transformed-image line")?;
-    Ok((report, baseline_key, transformed_key))
-}
-
-/// Parses a content-addressed program image back into a program and its
-/// pre-decoded form.
-fn decode_image(text: &[u8]) -> Result<(Arc<Program>, Arc<DecodedImage>), String> {
-    let text = std::str::from_utf8(text).map_err(|e| format!("not utf-8: {e}"))?;
-    let program = parse_program(text).map_err(|e| format!("image: {e}"))?;
-    let image = Arc::new(DecodedImage::build(&program));
-    Ok((Arc::new(program), image))
-}
-
-/// The outcome of a disk-cache pair lookup.
-enum PairLoad {
-    /// Entry present and fully reconstructed.
-    Hit(CompiledPair),
-    /// No entry (or a referenced image was evicted) — compile fresh.
-    Miss,
-    /// Entry or a referenced image failed validation and was
-    /// quarantined — compile fresh and count the corruption.
-    Corrupt,
-}
-
-/// Loads a compiled pair from the disk cache, fetching its two
-/// content-addressed images. A missing image entry (shared images can
-/// be evicted independently of the pair headers that reference them)
-/// degrades to a clean miss; a malformed header or image quarantines
-/// the offending entry.
-fn load_pair(cache: &DiskCache, dk: u64) -> PairLoad {
-    let header = match cache.load_bytes(PAIR_TAG, dk) {
-        Ok(Some(bytes)) => bytes,
-        Ok(None) => return PairLoad::Miss,
-        Err(_) => return PairLoad::Corrupt,
-    };
-    let (report, baseline_key, transformed_key) = match decode_pair_header(&header) {
-        Ok(decoded) => decoded,
-        Err(detail) => {
-            let _ = cache.reject(PAIR_TAG, dk, &detail);
-            return PairLoad::Corrupt;
-        }
-    };
-    let mut images = Vec::with_capacity(2);
-    for (what, key) in [("baseline", baseline_key), ("transformed", transformed_key)] {
-        let text = match cache.load_content(IMAGE_TAG, key) {
-            Ok(Some(text)) => text,
-            Ok(None) => return PairLoad::Miss,
-            Err(_) => return PairLoad::Corrupt,
-        };
-        match decode_image(&text) {
-            Ok(decoded) => images.push(decoded),
-            Err(detail) => {
-                let _ = cache.reject(IMAGE_TAG, key, format!("{what}: {detail}"));
-                return PairLoad::Corrupt;
-            }
-        }
-    }
-    let (transformed, transformed_image) = images.pop().expect("two images");
-    let (baseline, baseline_image) = images.pop().expect("two images");
-    PairLoad::Hit(CompiledPair {
-        baseline,
-        transformed,
-        baseline_image,
-        transformed_image,
-        report,
-    })
-}
-
-/// Stores a compiled pair: both program images content-addressed under
-/// [`IMAGE_TAG`], then the header referencing them under [`PAIR_TAG`].
-/// Image-first ordering means a reader never sees a header whose images
-/// have not landed yet.
-fn store_pair(cache: &DiskCache, dk: u64, pair: &CompiledPair) -> std::io::Result<()> {
-    let baseline_key = cache.store_content(IMAGE_TAG, pair.baseline.disassemble().as_bytes())?;
-    let transformed_key =
-        cache.store_content(IMAGE_TAG, pair.transformed.disassemble().as_bytes())?;
-    cache.store_bytes(
-        PAIR_TAG,
-        dk,
-        &encode_pair_header(pair, baseline_key, transformed_key),
-    )
-}
-
 /// A pipeline stage, for observer events and timing attribution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
@@ -731,7 +540,7 @@ pub struct EngineStats {
     /// the artifact was computed and used but not persisted — the
     /// degrade-to-compute-without-store path under disk pressure.
     pub cache_store_failures: u64,
-    /// Unclaimed disk-cache entries evicted to stay under the
+    /// Disk-cache entries evicted, oldest first, to stay under the
     /// `VANGUARD_CACHE_BUDGET` byte budget.
     pub cache_evictions: u64,
 }
@@ -1114,6 +923,61 @@ impl Engine {
         fnv1a(&bytes)
     }
 
+    /// The one load → compute → store path of the profile and compile
+    /// stages. With a disk cache, a valid entry is served as a disk hit;
+    /// a corrupt one (already quarantined by the cache) is counted and
+    /// recomputed; a computed artifact is stored. Concurrent producers
+    /// of one entry — other threads or processes — may all compute it,
+    /// and their stores race benignly: each publishes the same
+    /// checksummed bytes with [`atomic_publish`](crate::atomic_publish).
+    /// A failed store (full disk) is counted, never an error: the
+    /// artifact is used, just not persisted.
+    fn load_or_compute<T>(
+        &self,
+        stage: Stage,
+        bench: usize,
+        disk_key: impl FnOnce() -> u64,
+        load: impl FnOnce(&DiskCache, u64) -> Result<Option<T>, CorruptEntry>,
+        compute: impl FnOnce() -> T,
+        store: impl FnOnce(&DiskCache, u64, &T) -> io::Result<()>,
+    ) -> T {
+        let (disk_hits, nanos) = match stage {
+            Stage::Profile => (&self.profile_disk_hits, &self.profile_nanos),
+            Stage::Compile => (&self.pair_disk_hits, &self.compile_nanos),
+            Stage::Simulate => unreachable!("simulations are not cached"),
+        };
+        let name = &self.benchmarks[bench].name;
+        let disk = self.disk_cache.as_ref().map(|cache| (cache, disk_key()));
+        if let Some((cache, dk)) = disk {
+            match load(cache, dk) {
+                Ok(Some(hit)) => {
+                    disk_hits.fetch_add(1, Ordering::Relaxed);
+                    for o in &self.observers {
+                        o.stage_completed(stage, name, Duration::ZERO, true);
+                    }
+                    return hit;
+                }
+                Ok(None) => {}
+                Err(_quarantined) => {
+                    self.cache_corrupt.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        let started = Instant::now();
+        let out = compute();
+        let elapsed = started.elapsed();
+        nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        for o in &self.observers {
+            o.stage_completed(stage, name, elapsed, false);
+        }
+        if let Some((cache, dk)) = disk {
+            if store(cache, dk, &out).is_err() {
+                self.cache_store_failures.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        out
+    }
+
     /// Stage 1 — profile: the TRAIN-input profile for a benchmark under
     /// a predictor, computed at most once per [`ProfileKey`].
     ///
@@ -1140,90 +1004,27 @@ impl Engine {
         let result = slot.get_or_init(|| {
             computed = true;
             let input = &self.benchmarks[bench];
-            let disk_key = self
-                .disk_cache
-                .as_ref()
-                .map(|_| self.profile_disk_key(bench, predictor, max_steps));
-            let mut claim: Option<ClaimGuard> = None;
-            if let (Some(cache), Some(dk)) = (&self.disk_cache, disk_key) {
-                // Cross-process claim loop: serve a hit, win the claim
-                // and produce, or block on the producing process and
-                // re-load once it finishes. Claims are an economy (two
-                // workers never recompute the same artifact), not a
-                // correctness mechanism — if claiming fails we just
-                // compute and let the atomic store race benignly.
-                loop {
-                    match cache.load(dk) {
-                        Ok(Some(profile)) => {
-                            self.profile_disk_hits.fetch_add(1, Ordering::Relaxed);
-                            for o in &self.observers {
-                                o.stage_completed(
-                                    Stage::Profile,
-                                    &input.name,
-                                    Duration::ZERO,
-                                    true,
-                                );
-                            }
-                            return Ok(Arc::new(profile));
-                        }
-                        Ok(None) => {}
-                        Err(_corrupt) => {
-                            // Quarantined by the cache; recompute below.
-                            self.cache_corrupt.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    match cache.claim(DiskCache::PROFILE_TAG, dk) {
-                        Ok(Some(guard)) => {
-                            // Double-check: a producer may have landed
-                            // the entry between our miss and the lock.
-                            if let Ok(Some(profile)) = cache.load(dk) {
-                                self.profile_disk_hits.fetch_add(1, Ordering::Relaxed);
-                                for o in &self.observers {
-                                    o.stage_completed(
-                                        Stage::Profile,
-                                        &input.name,
-                                        Duration::ZERO,
-                                        true,
-                                    );
-                                }
-                                return Ok(Arc::new(profile));
-                            }
-                            claim = Some(guard);
-                            break;
-                        }
-                        Ok(None) => continue, // producer finished; re-load
-                        Err(_) => break,      // claims unavailable; compute
-                    }
-                }
-            }
-            let started = Instant::now();
-            let out = vanguard_compiler::profile_program(
-                &input.program,
-                input.train.memory.clone(),
-                &input.train.init_regs,
-                predictor.build(),
-                max_steps,
+            self.load_or_compute(
+                Stage::Profile,
+                bench,
+                || self.profile_disk_key(bench, predictor, max_steps),
+                |cache, dk| cache.load(dk).map(|hit| hit.map(|p| Ok(Arc::new(p)))),
+                || {
+                    vanguard_compiler::profile_program(
+                        &input.program,
+                        input.train.memory.clone(),
+                        &input.train.init_regs,
+                        predictor.build(),
+                        max_steps,
+                    )
+                    .map(Arc::new)
+                    .map_err(ExperimentError::from)
+                },
+                |cache, dk, out| match out {
+                    Ok(profile) => cache.store(dk, profile),
+                    Err(_) => Ok(()), // errors are cached in memory only
+                },
             )
-            .map(Arc::new)
-            .map_err(ExperimentError::from);
-            let elapsed = started.elapsed();
-            self.profile_nanos
-                .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-            for o in &self.observers {
-                o.stage_completed(Stage::Profile, &input.name, elapsed, false);
-            }
-            if let (Some(cache), Some(dk), Ok(profile)) = (&self.disk_cache, disk_key, &out) {
-                // A failed store (full disk) is a future cache miss,
-                // never an error: degrade to compute-without-store.
-                if cache.store(dk, profile).is_err() {
-                    self.cache_store_failures.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            // Release the claim only after the store landed, so waiting
-            // processes re-load and hit instead of recomputing.
-            drop(claim);
-            out
         });
         if computed {
             self.profile_misses.fetch_add(1, Ordering::Relaxed);
@@ -1273,93 +1074,30 @@ impl Engine {
         let mut computed = false;
         let pair = slot.get_or_init(|| {
             computed = true;
-            let input = &self.benchmarks[bench];
-            let disk_key = self.disk_cache.as_ref().map(|_| {
-                self.pair_disk_key(bench, predictor, max_steps, machine.width, &key.options)
-            });
-            let mut claim: Option<ClaimGuard> = None;
-            if let (Some(cache), Some(dk)) = (&self.disk_cache, disk_key) {
-                // Same cross-process claim loop as `profile`: hit, or
-                // win the claim and produce, or wait and re-load.
-                loop {
-                    match load_pair(cache, dk) {
-                        PairLoad::Hit(pair) => {
-                            self.pair_disk_hits.fetch_add(1, Ordering::Relaxed);
-                            for o in &self.observers {
-                                o.stage_completed(
-                                    Stage::Compile,
-                                    &input.name,
-                                    Duration::ZERO,
-                                    true,
-                                );
-                            }
-                            return pair;
-                        }
-                        PairLoad::Miss => {}
-                        PairLoad::Corrupt => {
-                            // Quarantined (header or image); recompile.
-                            self.cache_corrupt.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
+            self.load_or_compute(
+                Stage::Compile,
+                bench,
+                || self.pair_disk_key(bench, predictor, max_steps, machine.width, &key.options),
+                DiskCache::load_pair,
+                || {
+                    let exp = Experiment {
+                        machine,
+                        predictor,
+                        transform: *options,
+                        max_profile_steps: max_steps,
+                    };
+                    let program = &self.benchmarks[bench].program;
+                    let (baseline, transformed, report) = exp.compile_pair(program, &profile);
+                    CompiledPair {
+                        baseline_image: Arc::new(DecodedImage::build(&baseline)),
+                        transformed_image: Arc::new(DecodedImage::build(&transformed)),
+                        baseline: Arc::new(baseline),
+                        transformed: Arc::new(transformed),
+                        report,
                     }
-                    match cache.claim(PAIR_TAG, dk) {
-                        Ok(Some(guard)) => {
-                            // Double-check: a producer may have landed
-                            // the entry between our miss and the lock.
-                            if let PairLoad::Hit(pair) = load_pair(cache, dk) {
-                                self.pair_disk_hits.fetch_add(1, Ordering::Relaxed);
-                                for o in &self.observers {
-                                    o.stage_completed(
-                                        Stage::Compile,
-                                        &input.name,
-                                        Duration::ZERO,
-                                        true,
-                                    );
-                                }
-                                return pair;
-                            }
-                            claim = Some(guard);
-                            break;
-                        }
-                        Ok(None) => continue, // producer finished; re-load
-                        Err(_) => break,      // claims unavailable; compute
-                    }
-                }
-            }
-            let started = Instant::now();
-            let exp = Experiment {
-                machine,
-                predictor,
-                transform: *options,
-                max_profile_steps: max_steps,
-            };
-            let (baseline, transformed, report) = exp.compile_pair(&input.program, &profile);
-            let baseline_image = Arc::new(DecodedImage::build(&baseline));
-            let transformed_image = Arc::new(DecodedImage::build(&transformed));
-            let elapsed = started.elapsed();
-            self.compile_nanos
-                .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-            for o in &self.observers {
-                o.stage_completed(Stage::Compile, &input.name, elapsed, false);
-            }
-            let pair = CompiledPair {
-                baseline: Arc::new(baseline),
-                transformed: Arc::new(transformed),
-                baseline_image,
-                transformed_image,
-                report,
-            };
-            if let (Some(cache), Some(dk)) = (&self.disk_cache, disk_key) {
-                // A failed store (full disk) is a future cache miss,
-                // never an error: degrade to compute-without-store.
-                if store_pair(cache, dk, &pair).is_err() {
-                    self.cache_store_failures.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            // Release the claim only after the store landed, so waiting
-            // processes re-load and hit instead of recompiling.
-            drop(claim);
-            pair
+                },
+                DiskCache::store_pair,
+            )
         });
         if computed {
             self.compile_misses.fetch_add(1, Ordering::Relaxed);
@@ -2034,6 +1772,98 @@ mod tests {
             );
         }
         assert_eq!(second.stats().pair_disk_hits, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn racing_disk_producers_store_valid_entries() {
+        let dir = std::env::temp_dir().join(format!("vanguard-race-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let policy = FaultPolicy {
+            cache_dir: Some(dir.clone()),
+            ..FaultPolicy::default()
+        };
+        let benches = 2;
+        let matrix: Vec<(usize, MachineConfig, TransformKind)> = (0..benches)
+            .flat_map(|bench| {
+                MachineConfig::all_widths()
+                    .into_iter()
+                    .flat_map(move |machine| TransformKind::ALL.map(|kind| (bench, machine, kind)))
+            })
+            .collect();
+        let compile_all = |engine: &Engine| -> Vec<String> {
+            matrix
+                .iter()
+                .map(|&(bench, machine, kind)| {
+                    let opts = TransformOptions {
+                        kind,
+                        ..TransformOptions::default()
+                    };
+                    let pair = engine
+                        .compile_pair(
+                            bench,
+                            PredictorKind::Combined24KB,
+                            machine,
+                            &opts,
+                            1_000_000,
+                        )
+                        .unwrap();
+                    format!(
+                        "{}{}{:?}",
+                        pair.baseline.disassemble(),
+                        pair.transformed.disassemble(),
+                        pair.report.converted
+                    )
+                })
+                .collect()
+        };
+        let disk_engine = || {
+            let (mut engine, _) = engine_with(benches, 1);
+            engine.set_fault_policy(policy.clone());
+            engine
+        };
+        let (memory, _) = engine_with(benches, 1);
+        let reference = compile_all(&memory);
+
+        // Two engines on one cache directory miss every entry at once,
+        // both compute, and both store: the stores race.
+        let racers = [disk_engine(), disk_engine()];
+        let start = std::sync::Barrier::new(racers.len());
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = racers
+                .iter()
+                .map(|engine| {
+                    scope.spawn(|| {
+                        start.wait();
+                        compile_all(engine)
+                    })
+                })
+                .collect();
+            for handle in handles {
+                assert_eq!(handle.join().unwrap(), reference);
+            }
+        });
+        for engine in &racers {
+            let stats = engine.stats();
+            assert_eq!(stats.cache_corrupt, 0, "{stats:?}");
+            assert_eq!(stats.cache_store_failures, 0, "{stats:?}");
+        }
+
+        // A fresh engine is served every profile and pair from disk.
+        let warm = disk_engine();
+        assert_eq!(compile_all(&warm), reference);
+        let stats = warm.stats();
+        assert_eq!(stats.pair_disk_hits as usize, matrix.len(), "{stats:?}");
+        assert_eq!(stats.compile_misses as usize, matrix.len(), "{stats:?}");
+        assert_eq!(stats.profile_disk_hits as usize, benches, "{stats:?}");
+        assert_eq!(stats.profile_misses as usize, benches, "{stats:?}");
+        assert_eq!(stats.cache_corrupt, 0, "{stats:?}");
+        let claims = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().starts_with("claim-"))
+            .count();
+        assert_eq!(claims, 0, "no claim file is left behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -35,7 +35,7 @@
 //!   present in both files, which the merge deduplicates (the snapshot
 //!   wins — the payloads are identical by construction).
 
-use crate::diskcache::fnv1a;
+use crate::diskcache::{atomic_publish, fnv1a};
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read as _, Seek, SeekFrom, Write as _};
@@ -386,7 +386,7 @@ impl Journal {
 
     /// Folds every record (snapshot + tail, deduplicated first-wins by
     /// key to match [`JournalSnapshot::get`]) into the `.snap` snapshot
-    /// via temp + rename, then truncates the tail back to its magic.
+    /// with [`atomic_publish`], then truncates the tail back to its magic.
     /// Caller holds the tail lock. Crash-safe at every step: dying
     /// before the rename leaves the old snapshot + full tail; dying
     /// between rename and truncation leaves records in both files,
@@ -413,22 +413,7 @@ impl Journal {
             out.extend_from_slice(&r.payload);
         }
 
-        let snap_path = self.snapshot_path();
-        let tmp = {
-            let mut os = snap_path.as_os_str().to_os_string();
-            os.push(format!(".tmp-{}", std::process::id()));
-            PathBuf::from(os)
-        };
-        let write_result = (|| {
-            let mut tmp_file = File::create(&tmp)?;
-            tmp_file.write_all(&out)?;
-            tmp_file.sync_all()?;
-            fs::rename(&tmp, &snap_path)
-        })();
-        if write_result.is_err() {
-            let _ = fs::remove_file(&tmp);
-            return write_result;
-        }
+        atomic_publish(&self.snapshot_path(), &out)?;
         // Snapshot is durable; retire the tail down to its magic.
         file.set_len(JOURNAL_MAGIC.len() as u64)?;
         file.sync_all()
