@@ -1111,7 +1111,7 @@ fn compaction_under_kill_class(seed: u64, scratch: &Path) -> ClassReport {
 ///    complete bit-identically, degrading to compute-without-store and
 ///    counting the failures.
 /// 2. **Budget eviction** — a 1-byte `VANGUARD_CACHE_BUDGET`-style
-///    budget evicts every unclaimed entry as it lands. The suite must
+///    budget evicts every entry as it lands. The suite must
 ///    still complete bit-identically, with evictions counted.
 fn cache_enospc_class(scratch: &Path, clean: &[SimStats]) -> ClassReport {
     let mut checks = Vec::new();

@@ -18,9 +18,9 @@
 //!   worker treats a claim whose lease expired as dead and **steals**
 //!   the job — [`Journal::append_new`] dedups under the append lock,
 //!   so even a wedged-then-revived holder can't journal a duplicate;
-//! * compiled pairs and program images are content-addressed in the
-//!   same store, so concurrent workers share artifacts instead of
-//!   recompiling them;
+//! * profiles and compiled pairs are cached in the same store, one
+//!   checksummed entry each, so concurrent workers share artifacts
+//!   instead of recompiling them;
 //! * when a whole worker fleet dies mid-sweep, the parent respawns it
 //!   (up to [`ShardOptions::max_respawns`]) — the new fleet steals the
 //!   dead claims and finishes with no manual `resume`.
@@ -455,7 +455,7 @@ impl Sweep {
             predictor_name(pj.job.predictor),
             pj.job.machine.width,
             self.bench_names
-                .get(self.bench_index(pj.job.bench))
+                .get(pj.job.bench)
                 .map(String::as_str)
                 .unwrap_or("?"),
             pj.job.ref_input,
@@ -465,12 +465,6 @@ impl Sweep {
             },
             payload
         )
-    }
-
-    fn bench_index(&self, bench: usize) -> usize {
-        // Benchmarks are registered in order, so engine ids are plan
-        // indices; keep the mapping explicit in case that ever changes.
-        bench
     }
 
     /// Runs every planned job serially in-process, in plan order — the

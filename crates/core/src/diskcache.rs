@@ -8,10 +8,9 @@
 //! ([`DiskCache::load_pair`] / [`DiskCache::store_pair`]):
 //!
 //! * `profile-<key>.bin` — a [`Profile`] in its own byte encoding;
-//! * `pair-<key>.bin` — a compiled pair's header: its transformation
-//!   report plus the content addresses of its two program images;
-//! * `image-<hash>.bin` — one program's exact disassembly text, keyed by
-//!   its own FNV-1a hash, so identical programs share one entry.
+//! * `pair-<key>.bin` — a compiled pair: its transformation report
+//!   lines, then both programs' exact disassembly text, each behind a
+//!   byte length.
 //!
 //! Every key already folds in the transform variant's stable cache id,
 //! so two transform kinds of the same (benchmark, profile, width) occupy
@@ -34,11 +33,6 @@
 //!   it. Nothing blocks: each store atomically publishes the same bytes,
 //!   so whichever rename lands last wins and every reader sees a whole,
 //!   checksummed entry.
-//! * **Content-addressed payloads** — [`DiskCache::store_content`] keys
-//!   an entry by the FNV-1a hash of its payload, so identical artifacts
-//!   produced anywhere in the farm share one entry, and
-//!   [`DiskCache::load_content`] re-verifies the address against the
-//!   bytes (a mismatch is quarantined like any other corruption).
 //! * **Job claims** — [`DiskCache::try_claim_leased`] gives the sweep's
 //!   workers at-most-once ownership of a *job* (not of an artifact): an
 //!   OS file lock on a `claim-…` file whose modification time is the
@@ -223,18 +217,14 @@ impl DiskCache {
     /// deleted if the move failed), so recomputing and re-storing is
     /// always safe.
     pub fn load(&self, key: u64) -> Result<Option<Profile>, CorruptEntry> {
-        let Some(payload) = self.load_bytes(Self::PROFILE_TAG, key)? else {
+        let Some(payload) = self.load_bytes(PROFILE_TAG, key)? else {
             return Ok(None);
         };
         match Profile::from_bytes(&payload) {
             Ok(profile) => Ok(Some(profile)),
-            Err(detail) => Err(self.reject(Self::PROFILE_TAG, key, detail)),
+            Err(detail) => Err(self.reject(PROFILE_TAG, key, detail)),
         }
     }
-
-    /// The entry namespace for profiles ([`DiskCache::load`] /
-    /// [`DiskCache::store`]).
-    pub const PROFILE_TAG: &'static str = "profile";
 
     /// Loads and validates the raw entry for `(tag, key)`, returning the
     /// checksummed payload. `Ok(None)` is a clean miss.
@@ -246,7 +236,7 @@ impl DiskCache {
     /// quarantined, so recomputing and re-storing is always safe. The
     /// caller is responsible for *structural* validation of the payload
     /// — use [`DiskCache::reject`] when that fails.
-    pub fn load_bytes(&self, tag: &str, key: u64) -> Result<Option<Vec<u8>>, CorruptEntry> {
+    fn load_bytes(&self, tag: &str, key: u64) -> Result<Option<Vec<u8>>, CorruptEntry> {
         let path = self.entry_path(tag, key);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -287,63 +277,36 @@ impl DiskCache {
     /// Returns the I/O error; callers treat a failed store as a cache
     /// miss, never a run failure.
     pub fn store(&self, key: u64, profile: &Profile) -> io::Result<()> {
-        self.store_bytes(Self::PROFILE_TAG, key, &profile.to_bytes())
+        self.store_bytes(PROFILE_TAG, key, &profile.to_bytes())
     }
 
-    /// Loads a compiled pair: its header (`pair-<key>.bin`), then its two
-    /// content-addressed images (`image-<hash>.bin`). Returns `Ok(None)`
-    /// on a clean miss — including a missing image, since shared images
-    /// can be evicted independently of the headers that reference them.
+    /// Loads and validates the compiled pair entry for `key`
+    /// (`pair-<key>.bin`). Returns `Ok(None)` on a clean miss.
     ///
     /// # Errors
     ///
-    /// Returns [`CorruptEntry`] when the header or an image fails
-    /// validation; the offending entry has been quarantined, so
-    /// recompiling and re-storing is always safe.
+    /// Returns [`CorruptEntry`] when the entry exists but fails
+    /// validation — a damaged envelope, a malformed report line, an
+    /// unparseable program, or an entry in any other format; it has been
+    /// quarantined, so recompiling and re-storing is always safe.
     pub fn load_pair(&self, key: u64) -> Result<Option<CompiledPair>, CorruptEntry> {
-        let Some(header) = self.load_bytes(PAIR_TAG, key)? else {
+        let Some(payload) = self.load_bytes(PAIR_TAG, key)? else {
             return Ok(None);
         };
-        let (report, baseline_key, transformed_key) =
-            decode_pair_header(&header).map_err(|detail| self.reject(PAIR_TAG, key, detail))?;
-        let mut images = Vec::with_capacity(2);
-        for (what, image_key) in [("baseline", baseline_key), ("transformed", transformed_key)] {
-            let Some(text) = self.load_content(IMAGE_TAG, image_key)? else {
-                return Ok(None);
-            };
-            images.push(decode_image(&text).map_err(|detail| {
-                self.reject(IMAGE_TAG, image_key, format!("{what}: {detail}"))
-            })?);
-        }
-        let (transformed, transformed_image) = images.pop().expect("two images");
-        let (baseline, baseline_image) = images.pop().expect("two images");
-        Ok(Some(CompiledPair {
-            baseline,
-            transformed,
-            baseline_image,
-            transformed_image,
-            report,
-        }))
+        decode_pair(&payload)
+            .map(Some)
+            .map_err(|detail| self.reject(PAIR_TAG, key, detail))
     }
 
-    /// Stores a compiled pair: both program images content-addressed
-    /// (`image-<hash>.bin`), then the header referencing them
-    /// (`pair-<key>.bin`). Image-first ordering means a reader never sees a
-    /// header whose images have not landed yet.
+    /// Atomically stores the compiled pair entry for `key`: the report
+    /// and both programs in one checksummed file.
     ///
     /// # Errors
     ///
     /// Returns the I/O error; callers treat a failed store as a cache
     /// miss, never a run failure.
     pub fn store_pair(&self, key: u64, pair: &CompiledPair) -> io::Result<()> {
-        let baseline_key = self.store_content(IMAGE_TAG, pair.baseline.disassemble().as_bytes())?;
-        let transformed_key =
-            self.store_content(IMAGE_TAG, pair.transformed.disassemble().as_bytes())?;
-        self.store_bytes(
-            PAIR_TAG,
-            key,
-            &encode_pair_header(pair, baseline_key, transformed_key),
-        )
+        self.store_bytes(PAIR_TAG, key, &encode_pair(pair))
     }
 
     /// Atomically stores a raw payload for `(tag, key)` under the
@@ -353,7 +316,7 @@ impl DiskCache {
     ///
     /// Returns the I/O error; callers treat a failed store as a cache
     /// miss, never a run failure.
-    pub fn store_bytes(&self, tag: &str, key: u64, payload: &[u8]) -> io::Result<()> {
+    fn store_bytes(&self, tag: &str, key: u64, payload: &[u8]) -> io::Result<()> {
         fs::create_dir_all(&self.dir)?;
         let mut entry = Vec::with_capacity(20 + payload.len());
         entry.extend_from_slice(MAGIC);
@@ -381,9 +344,8 @@ impl DiskCache {
     /// Returns the number of entries evicted.
     ///
     /// Eviction is an economy, never a correctness risk: a reader that
-    /// loses its entry mid-run sees a clean miss and recomputes, and a
-    /// pair header whose images were evicted loads as a clean miss too
-    /// ([`DiskCache::load_pair`]).
+    /// loses its entry mid-run sees a clean miss and recomputes. Every
+    /// entry stands alone, so evicting one never strands another.
     ///
     /// # Errors
     ///
@@ -423,43 +385,6 @@ impl DiskCache {
         self.stored.store(total, Ordering::Relaxed);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         Ok(evicted)
-    }
-
-    /// Stores a payload content-addressed: the entry key is the FNV-1a
-    /// hash of the payload itself, so identical artifacts share one
-    /// entry regardless of who produced them. Returns the key. Storing
-    /// an already-present entry is a cheap no-op (the bytes are by
-    /// construction identical).
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error; callers treat a failed store as a future
-    /// cache miss, never a run failure.
-    pub fn store_content(&self, tag: &str, payload: &[u8]) -> io::Result<u64> {
-        let key = fnv1a(payload);
-        if !self.entry_path(tag, key).exists() {
-            self.store_bytes(tag, key, payload)?;
-        }
-        Ok(key)
-    }
-
-    /// Loads a content-addressed entry, re-verifying that the payload
-    /// still hashes to its key (the content address is a second,
-    /// independent checksum: an envelope that validates but no longer
-    /// matches its address is quarantined).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CorruptEntry`] when the entry fails envelope validation
-    /// or its payload no longer hashes to `key`.
-    pub fn load_content(&self, tag: &str, key: u64) -> Result<Option<Vec<u8>>, CorruptEntry> {
-        let Some(payload) = self.load_bytes(tag, key)? else {
-            return Ok(None);
-        };
-        if fnv1a(&payload) != key {
-            return Err(self.reject(tag, key, "content address mismatch"));
-        }
-        Ok(Some(payload))
     }
 
     fn claim_path(&self, tag: &str, key: u64) -> PathBuf {
@@ -552,7 +477,7 @@ impl DiskCache {
     /// Quarantines the entry for `(tag, key)` whose *payload* failed the
     /// caller's structural validation (the envelope was intact, so
     /// [`DiskCache::load_bytes`] returned it as a hit).
-    pub fn reject(&self, tag: &str, key: u64, detail: impl Into<String>) -> CorruptEntry {
+    fn reject(&self, tag: &str, key: u64, detail: impl Into<String>) -> CorruptEntry {
         self.quarantine(&self.entry_path(tag, key), detail.into())
     }
 
@@ -602,21 +527,17 @@ impl DiskCache {
     }
 }
 
+/// Disk-cache entry namespace for profiles.
+const PROFILE_TAG: &str = "profile";
+
 /// Disk-cache entry namespace for compiled pairs.
 const PAIR_TAG: &str = "pair";
 
-/// Disk-cache entry namespace for content-addressed program images
-/// (exact disassembly text, keyed by its own FNV-1a hash). A pair entry
-/// *references* its two images by content address instead of inlining
-/// them, so identical programs — every transform kind's baseline of the
-/// same (benchmark, profile, width), for instance — share one image
-/// entry across every process of the farm.
-const IMAGE_TAG: &str = "image";
-
-/// Serializes a compiled pair's header for the disk cache: the
-/// transformation report plus the content addresses of the two program
-/// images (stored separately under [`IMAGE_TAG`]).
-fn encode_pair_header(pair: &CompiledPair, baseline_key: u64, transformed_key: u64) -> Vec<u8> {
+/// Serializes a compiled pair for the disk cache: the transformation
+/// report as `report`/`site`/`skip` lines, then each program's exact
+/// disassembly behind a `baseline <len>` / `transformed <len>` line that
+/// gives its length in bytes.
+fn encode_pair(pair: &CompiledPair) -> Vec<u8> {
     let r = &pair.report;
     let mut out = String::new();
     out.push_str(&format!(
@@ -638,26 +559,31 @@ fn encode_pair_header(pair: &CompiledPair, baseline_key: u64, transformed_key: u
     for (b, reason) in &r.skipped {
         out.push_str(&format!("skip {} {}\n", b.0, reason.replace('\n', " ")));
     }
-    out.push_str(&format!("baseline-image {baseline_key:016x}\n"));
-    out.push_str(&format!("transformed-image {transformed_key:016x}\n"));
+    for (what, program) in [
+        ("baseline", &pair.baseline),
+        ("transformed", &pair.transformed),
+    ] {
+        let text = program.disassemble();
+        out.push_str(&format!("{what} {}\n", text.len()));
+        out.push_str(&text);
+    }
     out.into_bytes()
 }
 
-/// Structurally validates and decodes a disk-cached pair header,
-/// returning the report and the two image content addresses. Any
-/// malformation is an error (the caller quarantines the entry and
-/// recompiles).
-fn decode_pair_header(bytes: &[u8]) -> Result<(TransformReport, u64, u64), String> {
-    let header = std::str::from_utf8(bytes).map_err(|e| format!("not utf-8: {e}"))?;
-    let mut baseline_key = None;
-    let mut transformed_key = None;
+/// Structurally validates and decodes a disk-cached pair. Any
+/// malformation — including an entry in another format — is an error
+/// (the caller quarantines the entry and recompiles).
+fn decode_pair(bytes: &[u8]) -> Result<CompiledPair, String> {
+    let mut rest = std::str::from_utf8(bytes).map_err(|e| format!("not utf-8: {e}"))?;
     let mut report = TransformReport::default();
     let mut saw_report = false;
-    for line in header.lines() {
-        let (tag, rest) = line.split_once(' ').ok_or("malformed header line")?;
+    while !rest.starts_with("baseline ") {
+        let (line, tail) = rest.split_once('\n').ok_or("missing baseline program")?;
+        rest = tail;
+        let (tag, fields) = line.split_once(' ').ok_or("malformed header line")?;
         match tag {
             "report" => {
-                let f: Vec<&str> = rest.split(' ').collect();
+                let f: Vec<&str> = fields.split(' ').collect();
                 if f.len() != 5 {
                     return Err("malformed report line".into());
                 }
@@ -672,7 +598,7 @@ fn decode_pair_header(bytes: &[u8]) -> Result<(TransformReport, u64, u64), Strin
                 saw_report = true;
             }
             "site" => {
-                let f: Vec<&str> = rest.split(' ').collect();
+                let f: Vec<&str> = fields.split(' ').collect();
                 if f.len() != 7 {
                     return Err("malformed site line".into());
                 }
@@ -688,21 +614,11 @@ fn decode_pair_header(bytes: &[u8]) -> Result<(TransformReport, u64, u64), Strin
                 });
             }
             "skip" => {
-                let (block, reason) = rest.split_once(' ').ok_or("malformed skip line")?;
+                let (block, reason) = fields.split_once(' ').ok_or("malformed skip line")?;
                 report.skipped.push((
                     BlockId(block.parse().map_err(|e| format!("skip block: {e}"))?),
                     reason.to_string(),
                 ));
-            }
-            "baseline-image" => {
-                baseline_key = Some(
-                    u64::from_str_radix(rest, 16).map_err(|e| format!("baseline-image: {e}"))?,
-                );
-            }
-            "transformed-image" => {
-                transformed_key = Some(
-                    u64::from_str_radix(rest, 16).map_err(|e| format!("transformed-image: {e}"))?,
-                );
             }
             other => return Err(format!("unknown header tag `{other}`")),
         }
@@ -710,16 +626,38 @@ fn decode_pair_header(bytes: &[u8]) -> Result<(TransformReport, u64, u64), Strin
     if !saw_report {
         return Err("missing report line".into());
     }
-    let baseline_key = baseline_key.ok_or("missing baseline-image line")?;
-    let transformed_key = transformed_key.ok_or("missing transformed-image line")?;
-    Ok((report, baseline_key, transformed_key))
+    let (baseline, baseline_image) = take_program(&mut rest, "baseline")?;
+    let (transformed, transformed_image) = take_program(&mut rest, "transformed")?;
+    if !rest.is_empty() {
+        return Err("trailing bytes after the transformed program".into());
+    }
+    Ok(CompiledPair {
+        baseline,
+        transformed,
+        baseline_image,
+        transformed_image,
+        report,
+    })
 }
 
-/// Parses a content-addressed program image back into a program and its
-/// pre-decoded form.
-fn decode_image(text: &[u8]) -> Result<(Arc<Program>, Arc<DecodedImage>), String> {
-    let text = std::str::from_utf8(text).map_err(|e| format!("not utf-8: {e}"))?;
-    let program = parse_program(text).map_err(|e| format!("image: {e}"))?;
+/// Takes one `<what> <len>` line and the `len` bytes of disassembly
+/// after it off the front of `rest`, and parses them back into a program
+/// and its pre-decoded form.
+fn take_program(rest: &mut &str, what: &str) -> Result<(Arc<Program>, Arc<DecodedImage>), String> {
+    let (line, tail) = rest
+        .split_once('\n')
+        .ok_or_else(|| format!("missing {what} program"))?;
+    let len = line
+        .strip_prefix(what)
+        .and_then(|l| l.strip_prefix(' '))
+        .ok_or_else(|| format!("missing {what} program"))?
+        .parse::<usize>()
+        .map_err(|e| format!("{what} length: {e}"))?;
+    let text = tail
+        .get(..len)
+        .ok_or_else(|| format!("{what} program truncated"))?;
+    *rest = &tail[len..];
+    let program = parse_program(text).map_err(|e| format!("{what}: {e}"))?;
     let image = Arc::new(DecodedImage::build(&program));
     Ok((Arc::new(program), image))
 }
@@ -793,7 +731,7 @@ mod tests {
     fn truncation_is_detected_and_quarantined() {
         let cache = temp_cache("truncate");
         cache.store(3, &sample_profile()).unwrap();
-        let path = cache.entry_path(DiskCache::PROFILE_TAG, 3);
+        let path = cache.entry_path(PROFILE_TAG, 3);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         let err = cache.load(3).expect_err("truncated entry must not load");
@@ -809,7 +747,7 @@ mod tests {
     fn bitflip_is_detected() {
         let cache = temp_cache("bitflip");
         cache.store(5, &sample_profile()).unwrap();
-        let path = cache.entry_path(DiskCache::PROFILE_TAG, 5);
+        let path = cache.entry_path(PROFILE_TAG, 5);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -831,10 +769,7 @@ mod tests {
         );
         // The same key under another tag is a clean miss — tags are
         // namespaces, so a profile and a pair can never alias.
-        assert!(cache
-            .load_bytes(DiskCache::PROFILE_TAG, 11)
-            .unwrap()
-            .is_none());
+        assert!(cache.load_bytes(PROFILE_TAG, 11).unwrap().is_none());
         assert!(cache.load(11).unwrap().is_none());
         let _ = fs::remove_dir_all(cache.dir());
     }
@@ -870,33 +805,90 @@ mod tests {
         let _ = fs::remove_dir_all(cache.dir());
     }
 
+    /// A real compiled pair of the Figure 6 kernel (one converted site).
+    fn sample_pair() -> CompiledPair {
+        use crate::experiment::{tests::experiment_input, Experiment};
+        let input = experiment_input(200);
+        let exp = Experiment::new(vanguard_sim::MachineConfig::four_wide());
+        let profile = exp.profile(&input).unwrap();
+        let (baseline, transformed, mut report) = exp.compile_pair(&input.program, &profile);
+        report
+            .skipped
+            .push((BlockId(99), "multi word\nreason".into()));
+        CompiledPair {
+            baseline_image: Arc::new(DecodedImage::build(&baseline)),
+            transformed_image: Arc::new(DecodedImage::build(&transformed)),
+            baseline: Arc::new(baseline),
+            transformed: Arc::new(transformed),
+            report,
+        }
+    }
+
+    fn entry_names(cache: &DiskCache) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(cache.dir())
+            .unwrap()
+            .flatten()
+            .filter(|e| e.path().is_file())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn content_addressed_entries_roundtrip_and_self_verify() {
-        let cache = temp_cache("content");
-        let key = cache.store_content("image", b"some program text").unwrap();
-        assert_eq!(key, fnv1a(b"some program text"));
-        assert_eq!(
-            cache.load_content("image", key).unwrap().as_deref(),
-            Some(&b"some program text"[..])
+    fn pair_entries_are_one_file_and_quarantine_any_damage() {
+        let cache = temp_cache("pair");
+        let pair = sample_pair();
+        assert_eq!(pair.report.converted.len(), 1);
+        cache.store_pair(17, &pair).unwrap();
+        assert_eq!(entry_names(&cache), [format!("pair-{:016x}.bin", 17u64)]);
+
+        // Exact round-trip: both programs, and every report line.
+        let back = cache.load_pair(17).unwrap().expect("entry present");
+        assert_eq!(*back.baseline, *pair.baseline);
+        assert_eq!(*back.transformed, *pair.transformed);
+        assert_eq!(encode_pair(&back), encode_pair(&pair));
+        assert!(
+            cache.load_pair(18).unwrap().is_none(),
+            "distinct key misses"
         );
-        // Storing the same content again is a no-op on the same key.
-        assert_eq!(
-            cache.store_content("image", b"some program text").unwrap(),
-            key
+
+        let path = cache.entry_path(PAIR_TAG, 17);
+        let whole = fs::read(&path).unwrap();
+        let damaged = |bytes: &[u8], expect: &str| {
+            fs::write(&path, bytes).unwrap();
+            let err = cache
+                .load_pair(17)
+                .expect_err("damaged entry must not load");
+            assert!(err.path.starts_with(cache.quarantine_dir()), "{err:?}");
+            assert!(err.detail.contains(expect), "{err:?}");
+            assert!(cache.load_pair(17).unwrap().is_none(), "quarantined");
+        };
+        damaged(&whole[..whole.len() - 7], "truncated");
+        let mut flipped = whole.clone();
+        flipped[whole.len() / 2] ^= 0x10;
+        damaged(&flipped, "checksum");
+
+        // An entry in the older header-plus-images format validates as an
+        // envelope but is quarantined, never served.
+        let old = format!(
+            "report 1 64 96 0 0\nbaseline-image {:016x}\ntransformed-image {:016x}\n",
+            1u64, 2u64
         );
-        // An entry whose payload no longer matches its address is
-        // quarantined even though the envelope checksum validates.
-        cache
-            .store_bytes("image", 0x1234, b"address mismatch")
-            .unwrap();
-        let err = cache.load_content("image", 0x1234).unwrap_err();
-        assert!(err.detail.contains("content address"), "{err:?}");
-        assert!(cache.load_content("image", 0x1234).unwrap().is_none());
+        cache.store_bytes(PAIR_TAG, 17, old.as_bytes()).unwrap();
+        let err = cache.load_pair(17).expect_err("old format must not load");
+        assert!(err.detail.contains("baseline-image"), "{err:?}");
+        assert!(err.path.starts_with(cache.quarantine_dir()), "{err:?}");
+        assert!(cache.load_pair(17).unwrap().is_none());
+
+        // Re-storing heals the slot.
+        cache.store_pair(17, &pair).unwrap();
+        assert!(cache.load_pair(17).unwrap().is_some());
         let _ = fs::remove_dir_all(cache.dir());
     }
 
     #[test]
-    fn budget_evicts_oldest_unclaimed_entries() {
+    fn budget_evicts_oldest_entries() {
         let cache = temp_cache("budget");
         // No budget: nothing is ever evicted.
         cache.store_bytes("pair", 1, &[0u8; 100]).unwrap();
@@ -1041,7 +1033,7 @@ mod tests {
     fn bad_magic_is_detected() {
         let cache = temp_cache("magic");
         cache.store(9, &sample_profile()).unwrap();
-        let path = cache.entry_path(DiskCache::PROFILE_TAG, 9);
+        let path = cache.entry_path(PROFILE_TAG, 9);
         let mut bytes = fs::read(&path).unwrap();
         bytes[0] = b'X';
         fs::write(&path, &bytes).unwrap();

@@ -246,7 +246,7 @@ impl JobResult {
 }
 
 /// Fault-tolerance policy of an [`Engine`]: watchdog budgets, retry
-/// behaviour, and quarantine/cache directories.
+/// backoff, and quarantine/cache directories.
 #[derive(Clone, Debug)]
 pub struct FaultPolicy {
     /// Per-job wall-clock budget (`VANGUARD_JOB_TIMEOUT` seconds);
@@ -255,9 +255,8 @@ pub struct FaultPolicy {
     /// Per-job simulated-cycle budget (`--max-cycles`); `None` disables
     /// the cycle watchdog.
     pub max_cycles: Option<u64>,
-    /// Retry a transient failure (worker panic, cache corruption) once.
-    pub retry_transient: bool,
-    /// Backoff before the retry.
+    /// Backoff before the one retry of a transient failure (worker
+    /// panic, cache corruption).
     pub backoff: Duration,
     /// Where to write replayable reproducers for jobs that still fail
     /// after retry (`VANGUARD_QUARANTINE_DIR`); `None` disables.
@@ -276,7 +275,6 @@ impl Default for FaultPolicy {
         FaultPolicy {
             job_timeout: None,
             max_cycles: None,
-            retry_transient: true,
             backoff: Duration::from_millis(50),
             quarantine_dir: None,
             cache_dir: None,
@@ -377,9 +375,9 @@ impl TransformKey {
     }
 
     /// Stable little-endian byte encoding for disk-cache key hashing.
-    /// Leads with the pass's stable [`TransformKind::cache_id`] so two
-    /// variants of the same (benchmark, profile, width) can never share
-    /// a disk entry.
+    /// Leads with the transform kind's stable [`TransformKind::cache_id`]
+    /// so two variants of the same (benchmark, profile, width) can never
+    /// share a disk entry.
     pub fn disk_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 * 5 + 3);
         out.extend_from_slice(&self.kind.cache_id().to_le_bytes());
@@ -887,9 +885,9 @@ impl Engine {
 
     /// Content-addressed disk-cache key of a compiled pair: the profile
     /// identity material plus the machine width and the *full* transform
-    /// key — led by the pass's stable cache id — so two transform
-    /// variants of the same (benchmark, profile, width) can never share
-    /// a disk entry.
+    /// key — led by the transform kind's stable cache id — so two
+    /// transform variants of the same (benchmark, profile, width) can
+    /// never share a disk entry.
     fn pair_disk_key(
         &self,
         bench: usize,
@@ -1191,8 +1189,8 @@ impl Engine {
 
     /// [`Engine::run_job`] inside the full containment boundary: worker
     /// panics (including injected ones) are caught and become
-    /// [`JobResult::Failed`]; transient failures are retried once with
-    /// backoff when the policy allows. Outcome counters are updated
+    /// [`JobResult::Failed`]; transient failures are retried once after
+    /// the policy's backoff. Outcome counters are updated
     /// exactly once, for the final outcome.
     fn run_job_guarded(
         &self,
@@ -1229,7 +1227,7 @@ impl Engine {
             };
             let transient =
                 matches!(&outcome, JobResult::Failed { error, .. } if error.is_transient());
-            if transient && !retried && self.fault_policy.retry_transient {
+            if transient && !retried {
                 retried = true;
                 self.jobs_retried.fetch_add(1, Ordering::Relaxed);
                 let name = &self.benchmarks[job.bench].name;
@@ -1715,33 +1713,14 @@ mod tests {
             );
         }
         assert_eq!(first.stats().pair_disk_hits, 0);
-        // The two variants occupy two distinct disk entries.
-        let pair_entries = std::fs::read_dir(&dir)
+        // The two variants occupy two distinct disk entries, and each
+        // pair is one self-contained file: no separate program images.
+        let names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("pair-")
-            })
-            .count();
-        assert_eq!(pair_entries, 2);
-        // ...but their images are content-addressed and shared: on this
-        // benchmark the meld pass has nothing to meld, so both kinds
-        // produce byte-identical programs and the four image references
-        // collapse to two entries (one baseline, one transformed).
-        let image_entries = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("image-")
-            })
-            .count();
-        assert_eq!(image_entries, 2);
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names.iter().filter(|n| n.starts_with("pair-")).count(), 2);
+        assert!(!names.iter().any(|n| n.starts_with("image-")), "{names:?}");
 
         // A fresh engine (empty in-memory caches) is served from disk,
         // bit-identically per variant.

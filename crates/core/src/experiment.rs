@@ -3,12 +3,11 @@
 use crate::report::TransformReport;
 use crate::transform::TransformOptions;
 use std::fmt;
-use std::sync::Arc;
 use vanguard_compiler::{
     compact_program, layout_program, profile_program, schedule_program, ProfileError, SchedConfig,
 };
 use vanguard_ir::Profile;
-use vanguard_isa::{DecodedImage, Memory, Program, Reg};
+use vanguard_isa::{Memory, Program, Reg};
 use vanguard_sim::{MachineConfig, SimError, SimStats, Simulator};
 
 pub use vanguard_bpred::LadderRung as PredictorKind;
@@ -299,30 +298,6 @@ impl Experiment {
     ) -> Result<SimStats, ExperimentError> {
         let mut sim = Simulator::new(
             program,
-            input.memory.clone(),
-            self.machine,
-            self.predictor.build(),
-        );
-        for &(r, v) in &input.init_regs {
-            sim.set_reg(r, v);
-        }
-        Ok(sim.run()?.stats)
-    }
-
-    /// Simulates a pre-decoded program image over one input on this
-    /// experiment's machine. The hot path of the engine: many simulations
-    /// of the same compiled program share one image.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExperimentError`] on a committed-path fault.
-    pub fn simulate_image(
-        &self,
-        image: &Arc<DecodedImage>,
-        input: &RunInput,
-    ) -> Result<SimStats, ExperimentError> {
-        let mut sim = Simulator::with_image(
-            Arc::clone(image),
             input.memory.clone(),
             self.machine,
             self.predictor.build(),

@@ -57,10 +57,7 @@ pub use experiment::{
 };
 pub use journal::{Journal, JournalRecord, JournalSnapshot};
 pub use lint::{lint_program, lint_variant, LintDiagnostic, LintKind};
-pub use passes::{
-    apply_transform, pass_for, MeldPass, PassContract, PassOptions, PassReport, ShadowPass,
-    StackedPass, TransformKind, TransformPass, VanguardPass,
-};
+pub use passes::{apply_transform, TransformKind};
 pub use report::{CodeSizeReport, SiteOutcome, TransformReport};
 pub use select::{select_candidates, Candidate, SelectOptions};
 pub use slice::{condition_slice, SliceError};

@@ -41,7 +41,7 @@
 //! the fuzz harness and the mutation tests in `tests/lint_mutations.rs`
 //! keep both directions honest.
 
-use crate::passes::{pass_for, PassContract, TransformKind};
+use crate::passes::TransformKind;
 use std::fmt;
 use vanguard_bpred::DBB_ENTRIES;
 use vanguard_ir::{Cfg, DomTree, Liveness, RegSet};
@@ -231,17 +231,16 @@ pub fn lint_program(program: &Program) -> Vec<LintDiagnostic> {
     diags
 }
 
-/// Checks `transformed` against the structural contract of the pass that
-/// produced it ([`crate::PassContract`], selected by `kind`):
+/// Checks `transformed` against the structural contract of the
+/// transform `kind` that produced it:
 ///
-/// * **Decomposition** (vanguard, stacked) — the full §3 contract,
-///   [`lint_program`].
-/// * **Meld** — side-effect equivalence against `original`: no new
+/// * **vanguard, stacked** — the full §3 contract, [`lint_program`].
+/// * **meld** — side-effect equivalence against `original`: no new
 ///   stores, no new conditional branches, and no decomposition
 ///   artifacts (`predict`/`resolve`).
-/// * **ShadowExposure** (shadow) — the §3 contract *plus* resolution
-///   blocks carrying only the pushed-down condition slice: exposing a
-///   shadow branch at decode moves no code.
+/// * **shadow** — the §3 contract *plus* resolution blocks carrying
+///   only the pushed-down condition slice: exposing a shadow branch at
+///   decode moves no code.
 ///
 /// `original` is the pre-transformation program; contracts that are
 /// purely structural ignore it.
@@ -250,10 +249,10 @@ pub fn lint_variant(
     original: &Program,
     transformed: &Program,
 ) -> Vec<LintDiagnostic> {
-    match pass_for(kind).contract() {
-        PassContract::Decomposition => lint_program(transformed),
-        PassContract::Meld => lint_meld(original, transformed),
-        PassContract::ShadowExposure => {
+    match kind {
+        TransformKind::Vanguard | TransformKind::Stacked => lint_program(transformed),
+        TransformKind::Meld => lint_meld(original, transformed),
+        TransformKind::Shadow => {
             let mut diags = lint_program(transformed);
             check_shadow_exposure(transformed, &mut diags);
             diags

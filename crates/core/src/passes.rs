@@ -1,5 +1,5 @@
-//! Pluggable transformation passes: the paper's decomposition plus two
-//! rivals from the related work, behind one [`TransformPass`] trait.
+//! Transformation kinds: the paper's decomposition plus two rivals from
+//! the related work, dispatched by one `match` in [`apply_transform`].
 //!
 //! The Decomposed Branch Transformation is one point in a design space,
 //! and the related work names two natural rivals. Head-to-head cells
@@ -23,10 +23,11 @@
 //!   unpredictable hammocks first, then the decomposition converts the
 //!   predictable remainder.
 //!
-//! Each pass declares a [`PassContract`] the lint dispatches on
-//! ([`crate::lint_variant`]) and a stable [`TransformPass::cache_id`]
-//! the engine folds into its artifact and disk-cache keys, so two
-//! variants of the same (benchmark, profile, width) can never collide.
+//! The lint matches on the same [`TransformKind`] to pick each kind's
+//! structural contract ([`crate::lint_variant`]), and the engine folds
+//! the kind's stable [`TransformKind::cache_id`] into its artifact and
+//! disk-cache keys, so two variants of the same (benchmark, profile,
+//! width) can never collide.
 
 use std::fmt;
 
@@ -35,15 +36,6 @@ use crate::transform::{decompose_branches, TransformOptions};
 use vanguard_compiler::if_convert;
 use vanguard_ir::{BranchDirection, Cfg, Profile};
 use vanguard_isa::Program;
-
-/// Options consumed by a [`TransformPass::apply`] call. One shared knob
-/// set: each pass reads the fields its contract names (`meld_max_side`
-/// for meld/stacked, the selection and hoist knobs for vanguard, the
-/// selection knobs alone for shadow) and ignores the rest.
-pub type PassOptions = TransformOptions;
-
-/// Report produced by a [`TransformPass::apply`] call.
-pub type PassReport = TransformReport;
 
 /// Which transformation compiles the experimental side of a pair.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -103,164 +95,57 @@ impl fmt::Display for TransformKind {
     }
 }
 
-/// The structural contract a pass's output is held to by the lint
-/// ([`crate::lint_variant`] dispatches on this).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PassContract {
-    /// The full §3 decomposition contract ([`crate::lint_program`]):
-    /// predict/resolve pairing, store sinking, non-faulting hoists,
-    /// live-in protection, correction coverage, shadow dominance.
-    Decomposition,
-    /// Side-effect equivalence: melding may never add a store or a
-    /// conditional branch, and must not emit decomposition artifacts
-    /// (`predict`/`resolve`).
-    Meld,
-    /// Decode-model consistency: the §3 contract plus resolution blocks
-    /// carrying *only* the condition slice — exposing a shadow branch
-    /// moves no code.
-    ShadowExposure,
-}
-
-/// A transformation pass over a profiled program: the experimental side
-/// of every compiled pair goes through exactly one of these.
-pub trait TransformPass: fmt::Debug + Send + Sync {
-    /// CLI and report name (matches [`TransformKind::name`]).
-    fn name(&self) -> &'static str;
-    /// Stable cache-key id (matches [`TransformKind::cache_id`]).
-    fn cache_id(&self) -> u64;
-    /// The structural contract the lint holds this pass's output to.
-    fn contract(&self) -> PassContract;
-    /// Applies the pass in place and reports what changed.
-    fn apply(&self, program: &mut Program, profile: &Profile, options: &PassOptions) -> PassReport;
-}
-
-/// The paper's §3 decomposition as a pass.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct VanguardPass;
-
-impl TransformPass for VanguardPass {
-    fn name(&self) -> &'static str {
-        TransformKind::Vanguard.name()
-    }
-    fn cache_id(&self) -> u64 {
-        TransformKind::Vanguard.cache_id()
-    }
-    fn contract(&self) -> PassContract {
-        PassContract::Decomposition
-    }
-    fn apply(&self, program: &mut Program, profile: &Profile, options: &PassOptions) -> PassReport {
-        decompose_branches(program, profile, options)
-    }
-}
-
-/// IR-level branch melding (cmov-style if-conversion) as a pass.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MeldPass;
-
-impl TransformPass for MeldPass {
-    fn name(&self) -> &'static str {
-        TransformKind::Meld.name()
-    }
-    fn cache_id(&self) -> u64 {
-        TransformKind::Meld.cache_id()
-    }
-    fn contract(&self) -> PassContract {
-        PassContract::Meld
-    }
-    fn apply(
-        &self,
-        program: &mut Program,
-        _profile: &Profile,
-        options: &PassOptions,
-    ) -> PassReport {
-        let mut report = TransformReport {
-            code_bytes_before: program.code_bytes(),
-            forward_branches: forward_branch_count(program),
-            ..TransformReport::default()
-        };
-        let stats = if_convert(program, options.meld_max_side);
-        report.melded = stats.converted;
-        report.meld_added_insts = stats.added_insts;
-        report.code_bytes_after = program.code_bytes();
-        report
-    }
-}
-
-/// Decode-time shadow-branch exposure as a pass.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShadowPass;
-
-impl TransformPass for ShadowPass {
-    fn name(&self) -> &'static str {
-        TransformKind::Shadow.name()
-    }
-    fn cache_id(&self) -> u64 {
-        TransformKind::Shadow.cache_id()
-    }
-    fn contract(&self) -> PassContract {
-        PassContract::ShadowExposure
-    }
-    fn apply(&self, program: &mut Program, profile: &Profile, options: &PassOptions) -> PassReport {
-        // Same site selection as vanguard, but zero code motion: with
-        // the hoist budget pinned to 0, resolution blocks carry only
-        // the pushed-down condition slice and the resolve — the
-        // decode-time exposure of the prediction, nothing speculative.
-        let opts = TransformOptions {
-            max_hoist: 0,
-            hoist_loads: false,
-            shadow_temps: false,
-            ..*options
-        };
-        decompose_branches(program, profile, &opts)
-    }
-}
-
-/// The stacked composition: meld, then decompose what survives.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StackedPass;
-
-impl TransformPass for StackedPass {
-    fn name(&self) -> &'static str {
-        TransformKind::Stacked.name()
-    }
-    fn cache_id(&self) -> u64 {
-        TransformKind::Stacked.cache_id()
-    }
-    fn contract(&self) -> PassContract {
-        PassContract::Decomposition
-    }
-    fn apply(&self, program: &mut Program, profile: &Profile, options: &PassOptions) -> PassReport {
-        let code_bytes_before = program.code_bytes();
-        let stats = if_convert(program, options.meld_max_side);
-        // Melded hammocks no longer appear as branch sites, so the
-        // decomposition naturally works on the remainder; block ids are
-        // preserved, keeping the profile's site keys valid.
-        let mut report = decompose_branches(program, profile, options);
-        report.code_bytes_before = code_bytes_before;
-        report.melded = stats.converted;
-        report.meld_added_insts = stats.added_insts;
-        report
-    }
-}
-
-/// The singleton pass implementing a [`TransformKind`].
-pub fn pass_for(kind: TransformKind) -> &'static dyn TransformPass {
-    match kind {
-        TransformKind::Vanguard => &VanguardPass,
-        TransformKind::Meld => &MeldPass,
-        TransformKind::Shadow => &ShadowPass,
-        TransformKind::Stacked => &StackedPass,
-    }
-}
-
-/// Applies the pass selected by `options.kind` — the single dispatch
-/// point every compile pipeline goes through.
+/// Applies the transformation selected by `options.kind` in place and
+/// reports what changed — the single dispatch point every compile
+/// pipeline goes through. Each kind reads the knobs it needs from the
+/// shared option set (`meld_max_side` for meld/stacked, the selection
+/// and hoist knobs for vanguard, the selection knobs alone for shadow)
+/// and ignores the rest.
 pub fn apply_transform(
     program: &mut Program,
     profile: &Profile,
     options: &TransformOptions,
 ) -> TransformReport {
-    pass_for(options.kind).apply(program, profile, options)
+    match options.kind {
+        TransformKind::Vanguard => decompose_branches(program, profile, options),
+        TransformKind::Meld => {
+            let mut report = TransformReport {
+                code_bytes_before: program.code_bytes(),
+                forward_branches: forward_branch_count(program),
+                ..TransformReport::default()
+            };
+            let stats = if_convert(program, options.meld_max_side);
+            report.melded = stats.converted;
+            report.meld_added_insts = stats.added_insts;
+            report.code_bytes_after = program.code_bytes();
+            report
+        }
+        TransformKind::Shadow => {
+            // Same site selection as vanguard, but zero code motion: with
+            // the hoist budget pinned to 0, resolution blocks carry only
+            // the pushed-down condition slice and the resolve — the
+            // decode-time exposure of the prediction, nothing speculative.
+            let opts = TransformOptions {
+                max_hoist: 0,
+                hoist_loads: false,
+                shadow_temps: false,
+                ..*options
+            };
+            decompose_branches(program, profile, &opts)
+        }
+        TransformKind::Stacked => {
+            let code_bytes_before = program.code_bytes();
+            let stats = if_convert(program, options.meld_max_side);
+            // Melded hammocks no longer appear as branch sites, so the
+            // decomposition naturally works on the remainder; block ids are
+            // preserved, keeping the profile's site keys valid.
+            let mut report = decompose_branches(program, profile, options);
+            report.code_bytes_before = code_bytes_before;
+            report.melded = stats.converted;
+            report.meld_added_insts = stats.added_insts;
+            report
+        }
+    }
 }
 
 /// Static forward conditional branches (the PBC denominator) — the same
@@ -377,9 +262,6 @@ mod tests {
         for kind in TransformKind::ALL {
             assert_eq!(TransformKind::parse(kind.name()), Some(kind));
             assert_eq!(kind.to_string(), kind.name());
-            let pass = pass_for(kind);
-            assert_eq!(pass.name(), kind.name());
-            assert_eq!(pass.cache_id(), kind.cache_id());
         }
         assert_eq!(TransformKind::parse("bogus"), None);
         assert_eq!(TransformKind::default(), TransformKind::Vanguard);
@@ -391,23 +273,6 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), TransformKind::ALL.len());
-    }
-
-    #[test]
-    fn contracts_match_the_issue_mapping() {
-        assert_eq!(
-            pass_for(TransformKind::Vanguard).contract(),
-            PassContract::Decomposition
-        );
-        assert_eq!(pass_for(TransformKind::Meld).contract(), PassContract::Meld);
-        assert_eq!(
-            pass_for(TransformKind::Shadow).contract(),
-            PassContract::ShadowExposure
-        );
-        assert_eq!(
-            pass_for(TransformKind::Stacked).contract(),
-            PassContract::Decomposition
-        );
     }
 
     #[test]

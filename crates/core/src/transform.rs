@@ -6,12 +6,12 @@ use crate::slice::condition_slice;
 use vanguard_ir::{BranchDirection, Cfg, Liveness, Profile, RegSet};
 use vanguard_isa::{BasicBlock, BlockId, Inst, Program};
 
-/// Parameters of [`decompose_branches`] — and, since the pass framework,
-/// of every [`crate::passes::TransformPass`]: `kind` selects the pass and
-/// the remaining knobs are read by whichever passes their contract names.
+/// Parameters of [`decompose_branches`] and of every transform kind
+/// ([`crate::apply_transform`]): `kind` selects the transformation and
+/// the remaining knobs are read by whichever kinds use them.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TransformOptions {
-    /// Which transformation pass compiles the experimental variant.
+    /// Which transformation compiles the experimental variant.
     pub kind: crate::passes::TransformKind,
     /// Candidate-selection heuristic (§5: predictability − bias ≥ 5%).
     pub select: SelectOptions,

@@ -197,6 +197,26 @@ fn vanguard_contract_dispatches_to_the_decomposition_lint() {
 }
 
 #[test]
+fn stacked_contract_dispatches_to_the_decomposition_lint() {
+    // Stacked output is held to the §3 lint alone — not to the meld
+    // contract (its predict/resolve would read as residual
+    // decomposition) and not to shadow exposure (its hoisted work would
+    // read as speculative): the same store mutation yields exactly the
+    // sunk-store diagnostic.
+    let (original, mut transformed) = transformed_pair(TransformKind::Stacked);
+    let rt = block_named(&transformed, ".resolve_t");
+    let at = transformed.block(rt).insts().len() - 1;
+    transformed
+        .block_mut(rt)
+        .insts_mut()
+        .insert(at, Inst::store(Reg(4), Reg(11), 0x40));
+    assert_eq!(
+        kinds_of(TransformKind::Stacked, &original, &transformed),
+        vec![LintKind::StoreAboveResolve]
+    );
+}
+
+#[test]
 fn meld_mutation_new_store() {
     // Melding may only predicate ALU work; a store the original never had
     // violates side-effect equivalence.
