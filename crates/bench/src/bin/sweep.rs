@@ -25,12 +25,11 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 use vanguard_bench::sweep::{
-    self, claim_lease_from_env, run_daemon, run_sharded, ShardOptions, Sweep, SweepRequest,
-    SHARDS_ENV,
+    self, run_daemon, run_sharded, ShardOptions, Sweep, SweepRequest, SHARDS_ENV,
 };
 use vanguard_bench::sweepstatus::{now_ms, StatusSnapshot, STATUS_FILE};
 use vanguard_core::engine::FaultPolicy;
-use vanguard_core::{DiskCache, Journal};
+use vanguard_core::Journal;
 
 fn usage() -> ! {
     eprintln!(
@@ -178,14 +177,6 @@ fn main() {
     let merged = if serial {
         sweep.run_serial()
     } else {
-        // Startup self-heal: claims whose holder is gone (lock dead,
-        // lease expired) go to the cache quarantine before workers
-        // start, so a previous crash never wedges this run.
-        match DiskCache::new(&cache_dir).sweep_stale_claims(claim_lease_from_env()) {
-            Ok(0) => {}
-            Ok(n) => eprintln!("[sweep] swept {n} stale claims"),
-            Err(e) => eprintln!("[sweep] stale-claim sweep: {e}"),
-        }
         let journal = Journal::new(&journal_path);
         let mut opts = ShardOptions::new(worker_exe, shards, cache_dir);
         opts.kill_after = kill_after;

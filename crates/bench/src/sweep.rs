@@ -9,10 +9,11 @@
 //!
 //! * every completed job appends one checksummed record (key →
 //!   encoded outcome) to the journal, under an exclusive file lock;
-//! * workers claim jobs with non-blocking OS file locks in the shared
-//!   `VANGUARD_CACHE_DIR` store ([`DiskCache::try_claim_leased`]), so
-//!   two workers never run the same job and a `SIGKILL`ed worker's
-//!   claim evaporates with it;
+//! * workers claim jobs with non-blocking OS file locks on
+//!   `claim-job-<key>.lock` files in the shared `VANGUARD_CACHE_DIR`
+//!   directory (`try_claim_leased`), so two workers never run the
+//!   same job and a `SIGKILL`ed worker's claim evaporates with it: its
+//!   leftover file is unlocked, and the next attempt simply wins it;
 //! * claims carry a *lease* (`VANGUARD_CLAIM_LEASE_MS`): the holder's
 //!   heartbeat thread refreshes the claim file's mtime, and a live
 //!   worker treats a claim whose lease expired as dead and **steals**
@@ -22,8 +23,8 @@
 //!   checksummed entry each, so concurrent workers share artifacts
 //!   instead of recompiling them;
 //! * when a whole worker fleet dies mid-sweep, the parent respawns it
-//!   (up to [`ShardOptions::max_respawns`]) — the new fleet steals the
-//!   dead claims and finishes with no manual `resume`.
+//!   (up to [`ShardOptions::max_respawns`]) — the new fleet wins the
+//!   dead workers' claims and finishes with no manual `resume`.
 //!
 //! The daemon adds poison-request quarantine (a request that repeatedly
 //! crashes its workers moves to `spool/quarantine/` with a replayable
@@ -42,22 +43,19 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs;
+use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, SystemTime};
 use vanguard_core::engine::{
     Engine, FaultPolicy, JobResult, PredictorKind, SimJob, SweepCell, Variant,
     DEFAULT_MAX_PROFILE_STEPS,
 };
 use vanguard_core::journal::COMPACT_BYTES_ENV;
-use vanguard_core::{
-    atomic_publish, heartbeat_claim, ClaimAttempt, DiskCache, Journal, JournalSnapshot,
-    TransformKind, TransformOptions,
-};
+use vanguard_core::{atomic_publish, Journal, JournalSnapshot, TransformKind, TransformOptions};
 use vanguard_sim::{MachineConfig, SimStats};
 use vanguard_workloads::suite;
 
@@ -66,10 +64,6 @@ use crate::{quick_spec, to_experiment_input, BenchScale};
 
 /// First line of a sweep request file.
 pub const REQUEST_MAGIC: &str = "VGS1";
-
-/// Claim-file namespace for in-flight sweep jobs (public so the fault
-/// harness can wedge a claim and prove the lease-steal path).
-pub const JOB_CLAIM_TAG: &str = "job";
 
 /// Env var marking a process as a sweep worker (set by the parent on
 /// the re-exec'd children; checked by [`maybe_run_worker`]).
@@ -115,13 +109,106 @@ pub fn kill_marker(journal: &Path) -> PathBuf {
 
 /// The claim lease from `VANGUARD_CLAIM_LEASE_MS` (default
 /// [`DEFAULT_LEASE_MS`]; zero and garbage fall back to the default).
-pub fn claim_lease_from_env() -> Duration {
+fn claim_lease_from_env() -> Duration {
     let ms = std::env::var(LEASE_ENV)
         .ok()
         .and_then(|v| v.trim().parse::<u64>().ok())
         .filter(|&ms| ms > 0)
         .unwrap_or(DEFAULT_LEASE_MS);
     Duration::from_millis(ms)
+}
+
+/// The outcome of a lease-aware claim attempt ([`try_claim_leased`]).
+#[derive(Debug)]
+pub(crate) enum ClaimAttempt {
+    /// This caller won the claim (and stamped its heartbeat).
+    Won(ClaimGuard),
+    /// Another process holds the claim and its heartbeat is fresh —
+    /// let it work.
+    Held,
+    /// Another process holds the claim but has not refreshed its
+    /// heartbeat within the lease: treat the holder as dead and steal
+    /// the work (the caller must make its side effects idempotent —
+    /// e.g. journal with [`Journal::append_new`]).
+    Expired,
+}
+
+/// An exclusive cross-process claim on one job, released (and its claim
+/// file removed, best-effort) on drop. See [`try_claim_leased`].
+#[derive(Debug)]
+pub(crate) struct ClaimGuard {
+    file: File,
+    path: PathBuf,
+}
+
+impl ClaimGuard {
+    /// The claim file path, for refreshing the lease with
+    /// [`heartbeat_claim`] (from a dedicated thread, say).
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for ClaimGuard {
+    fn drop(&mut self) {
+        let _ = File::unlock(&self.file);
+        let _ = fs::remove_file(&self.path);
+    }
+}
+
+/// Claims job `key` without blocking. The claim is an OS file lock on
+/// `claim-job-<key:016x>.lock` in `dir`, so a `SIGKILL`ed holder
+/// releases it with its process and its leftover file is won by the
+/// next attempt, however old. The file's modification time is its
+/// holder's *heartbeat* (stamped on win, refreshed via
+/// [`heartbeat_claim`]). A contended claim with a fresh heartbeat is
+/// [`ClaimAttempt::Held`], so a worker moves on to the next job rather
+/// than convoying. A contended claim whose heartbeat is older than
+/// `lease` is [`ClaimAttempt::Expired`] — the holder is alive but
+/// wedged — so the caller should steal the work and rely on an
+/// idempotent completion path for correctness.
+///
+/// # Errors
+///
+/// Returns the I/O error from creating or locking the claim file.
+pub(crate) fn try_claim_leased(dir: &Path, key: u64, lease: Duration) -> io::Result<ClaimAttempt> {
+    fs::create_dir_all(dir)?;
+    let path = dir.join(format!("claim-job-{key:016x}.lock"));
+    let file = OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(&path)?;
+    match file.try_lock() {
+        Ok(()) => {
+            heartbeat_claim(&path); // a stale file must read as freshly held
+            Ok(ClaimAttempt::Won(ClaimGuard { file, path }))
+        }
+        Err(_) => match claim_age(&path) {
+            Some(age) if age > lease => Ok(ClaimAttempt::Expired),
+            _ => Ok(ClaimAttempt::Held),
+        },
+    }
+}
+
+/// Refreshes a claim's lease heartbeat: appends two bytes to the claim
+/// file at `path`, bumping its modification time. Callable by path, so a
+/// worker's heartbeat thread needs only the path of the claim it holds
+/// (the lock is advisory, so the holder's own lock never blocks the
+/// write). A holder that stops heartbeating for longer than the lease is
+/// treated as dead by [`try_claim_leased`]. Best-effort — a failed
+/// heartbeat only risks a benign steal.
+fn heartbeat_claim(path: &Path) {
+    if let Ok(mut f) = OpenOptions::new().append(true).open(path) {
+        let _ = f.write_all(b"hb");
+    }
+}
+
+/// The heartbeat age of a claim file (its modification time), or `None`
+/// when the file vanished or the clock is skewed into the future.
+fn claim_age(path: &Path) -> Option<Duration> {
+    let mtime = fs::metadata(path).ok()?.modified().ok()?;
+    SystemTime::now().duration_since(mtime).ok()
 }
 
 /// Stable CLI name of a predictor rung.
@@ -626,7 +713,6 @@ fn worker_main() -> i32 {
         Ok(s) => s,
         Err(e) => return fail(format!("bad sweep: {e}")),
     };
-    let claims = DiskCache::new(&cache_dir);
     let throttle = std::env::var(THROTTLE_ENV)
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
@@ -689,7 +775,7 @@ fn worker_main() -> i32 {
                 continue;
             }
             remaining = true;
-            let guard = match claims.try_claim_leased(JOB_CLAIM_TAG, pj.key, lease) {
+            let guard = match try_claim_leased(&cache_dir, pj.key, lease) {
                 Ok(ClaimAttempt::Won(guard)) => Some(guard),
                 // Lease expired: the holder stopped heartbeating (dead
                 // or wedged). Steal the job — append_new dedups if the
@@ -770,8 +856,8 @@ pub struct ShardOptions {
     /// How many workers the `kill_after` SIGKILL hits. `None` kills the
     /// whole fleet and aborts the run (the classic kill-and-resume
     /// scenario); `Some(k)` kills `k` workers and lets the run
-    /// self-heal — the survivors (or a respawned fleet) steal the dead
-    /// workers' claims once their leases expire.
+    /// self-heal — the survivors (or a respawned fleet) win the dead
+    /// workers' claims at once, since a killed holder's lock dies with it.
     pub kill_count: Option<usize>,
     /// Per-job worker throttle in milliseconds (fault injection needs
     /// the sweep to be observable mid-flight).
@@ -918,8 +1004,8 @@ pub fn run_sharded(
                 break;
             }
             // The whole fleet died with work left and nobody asked for
-            // an abort: respawn. The fresh workers steal the dead
-            // claims once their leases expire.
+            // an abort: respawn. The fresh workers win the dead
+            // workers' claims at once (their locks died with them).
             respawns_left -= 1;
             children = spawn_fleet()?;
         }
@@ -991,12 +1077,10 @@ fn quarantine_request(spool: &Path, req_path: &Path, stem: &str, detail: &str) {
 /// request to `<name>.req.done`. A malformed request yields `<name>.err`
 /// and is retired; a request whose sweep *crashes* is retried, and
 /// quarantined to `spool/quarantine/` with a replayable reproducer
-/// after `VANGUARD_SWEEP_MAX_STRIKES` strikes. On startup, claims whose
-/// holder is gone (lease expired, lock dead) are swept to the cache
-/// quarantine. The daemon continuously publishes
-/// [`status.json`](crate::sweepstatus) into the spool. With `once`,
-/// processes the requests present and returns instead of watching
-/// forever.
+/// after `VANGUARD_SWEEP_MAX_STRIKES` strikes. The daemon continuously
+/// publishes [`status.json`](crate::sweepstatus) into the spool. With
+/// `once`, processes the requests present and returns instead of
+/// watching forever.
 ///
 /// # Errors
 ///
@@ -1012,11 +1096,6 @@ pub fn run_daemon(
 ) -> io::Result<()> {
     fs::create_dir_all(spool)?;
     let cache_dir = spool.join("cache");
-    let lease = claim_lease_from_env();
-    let swept = DiskCache::new(&cache_dir).sweep_stale_claims(lease)?;
-    if swept > 0 {
-        writeln!(stream, "[sweep-daemon] swept {swept} stale claims")?;
-    }
     let max_strikes = std::env::var(MAX_STRIKES_ENV)
         .ok()
         .and_then(|v| v.trim().parse::<u32>().ok())
@@ -1155,6 +1234,71 @@ mod tests {
             kinds: vec![TransformKind::Vanguard],
             ..SweepRequest::ci_quick()
         }
+    }
+
+    #[test]
+    fn leased_claims_report_held_then_expired() {
+        let dir = scratch("lease");
+        let long = Duration::from_secs(3600);
+        let short = Duration::from_millis(30);
+        let won = try_claim_leased(&dir, 5, long).unwrap();
+        let ClaimAttempt::Won(guard) = won else {
+            panic!("uncontended claim is won: {won:?}");
+        };
+        assert_eq!(
+            guard.path(),
+            dir.join(format!("claim-job-{:016x}.lock", 5u64))
+        );
+        // Contended + fresh heartbeat: held.
+        assert!(matches!(
+            try_claim_leased(&dir, 5, long).unwrap(),
+            ClaimAttempt::Held
+        ));
+        // Contended + stale heartbeat: expired (steal).
+        std::thread::sleep(Duration::from_millis(60));
+        assert!(matches!(
+            try_claim_leased(&dir, 5, short).unwrap(),
+            ClaimAttempt::Expired
+        ));
+        // A heartbeat refresh makes it held again.
+        heartbeat_claim(guard.path());
+        assert!(matches!(
+            try_claim_leased(&dir, 5, short).unwrap(),
+            ClaimAttempt::Held
+        ));
+        // Released: the file goes, and the next attempt wins.
+        drop(guard);
+        assert!(matches!(
+            try_claim_leased(&dir, 5, short).unwrap(),
+            ClaimAttempt::Won(_)
+        ));
+
+        // A SIGKILLed holder leaves its claim file behind, unlocked and
+        // with a heartbeat far older than the lease. The next attempt
+        // wins it outright and re-stamps the heartbeat, so such debris
+        // never needs a sweep of its own.
+        let leftover = dir.join(format!("claim-job-{:016x}.lock", 9u64));
+        File::create(&leftover)
+            .unwrap()
+            .set_modified(SystemTime::now() - 2 * long)
+            .unwrap();
+        assert!(claim_age(&leftover).unwrap() > long);
+        let won = try_claim_leased(&dir, 9, long).unwrap();
+        let ClaimAttempt::Won(revived) = won else {
+            panic!("an unlocked leftover claim is won: {won:?}");
+        };
+        assert_eq!(revived.path(), leftover);
+        assert!(
+            claim_age(&leftover).unwrap() < long,
+            "winning refreshes the heartbeat"
+        );
+        assert!(matches!(
+            try_claim_leased(&dir, 9, long).unwrap(),
+            ClaimAttempt::Held
+        ));
+        drop(revived);
+        assert!(!leftover.exists(), "release removes the claim file");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -33,20 +33,22 @@
 //!   it. Nothing blocks: each store atomically publishes the same bytes,
 //!   so whichever rename lands last wins and every reader sees a whole,
 //!   checksummed entry.
-//! * **Job claims** — [`DiskCache::try_claim_leased`] gives the sweep's
-//!   workers at-most-once ownership of a *job* (not of an artifact): an
-//!   OS file lock on a `claim-…` file whose modification time is the
-//!   holder's lease heartbeat ([`heartbeat_claim`]).
+//!
+//! The store holds only what the job matrix produces, so it has no size
+//! budget and never evicts. Only `profile-*.bin` and `pair-*.bin` are
+//! ever read: any other `.bin` file in the directory (such as the
+//! `image-*.bin` entries an older format wrote) is dead weight that can
+//! be deleted by hand. The sweep's `claim-job-*.lock` files share the
+//! directory but belong to the sweep (`vanguard_bench::sweep`).
 
 use crate::engine::CompiledPair;
 use crate::report::{SiteOutcome, TransformReport};
 use std::ffi::OsString;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, SystemTime};
 use vanguard_ir::Profile;
 use vanguard_isa::{parse_program, BlockId, DecodedImage, Program};
 
@@ -111,19 +113,6 @@ pub fn atomic_publish(target: &Path, bytes: &[u8]) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Refreshes a claim's lease heartbeat: appends two bytes to the claim
-/// file at `path`, bumping its modification time. Callable by path, so a
-/// worker's heartbeat thread needs only the path of the claim it holds
-/// (the lock is advisory, so the holder's own lock never blocks the
-/// write). A holder that stops heartbeating for longer than the lease is
-/// treated as dead by [`DiskCache::try_claim_leased`]. Best-effort — a
-/// failed heartbeat only risks a benign steal.
-pub fn heartbeat_claim(path: &Path) {
-    if let Ok(mut f) = OpenOptions::new().append(true).open(path) {
-        let _ = f.write_all(b"hb");
-    }
-}
-
 /// A cache entry that failed validation and was quarantined.
 #[derive(Clone, Debug)]
 pub struct CorruptEntry {
@@ -134,67 +123,21 @@ pub struct CorruptEntry {
     pub detail: String,
 }
 
-/// The outcome of a lease-aware claim attempt
-/// ([`DiskCache::try_claim_leased`]).
-#[derive(Debug)]
-pub enum ClaimAttempt {
-    /// This caller won the claim (and stamped its heartbeat).
-    Won(ClaimGuard),
-    /// Another process holds the claim and its heartbeat is fresh —
-    /// let it work.
-    Held,
-    /// Another process holds the claim but has not refreshed its
-    /// heartbeat within the lease: treat the holder as dead and steal
-    /// the work (the caller must make its side effects idempotent —
-    /// e.g. journal with [`append_new`](crate::Journal::append_new)).
-    Expired,
-}
-
 /// A crash-safe, checksummed artifact cache rooted at a directory.
 #[derive(Clone, Debug)]
 pub struct DiskCache {
     dir: PathBuf,
-    /// Byte budget over the `.bin` entries; exceeding it evicts
-    /// oldest-first ([`DiskCache::enforce_budget`]).
-    budget: Option<u64>,
-    /// Entries evicted under disk pressure (shared across clones).
-    evictions: Arc<AtomicU64>,
-    /// Approximate `.bin` bytes on disk, maintained so an under-budget
-    /// store costs one atomic add instead of a directory scan. Seeded
-    /// to `u64::MAX` so the first store always measures for real
-    /// (pre-existing entries, other writers); every full scan resets
-    /// it to the measured total.
-    stored: Arc<AtomicU64>,
 }
 
 impl DiskCache {
-    /// A cache rooted at `dir` (created lazily on first store), with no
-    /// byte budget.
+    /// A cache rooted at `dir` (created lazily on first store).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self::with_budget(dir, None)
-    }
-
-    /// A cache rooted at `dir` with an optional byte budget
-    /// (`VANGUARD_CACHE_BUDGET`): after every store the `.bin` entries
-    /// are kept under `budget` bytes by evicting entries oldest-first.
-    pub fn with_budget(dir: impl Into<PathBuf>, budget: Option<u64>) -> Self {
-        DiskCache {
-            dir: dir.into(),
-            budget,
-            evictions: Arc::new(AtomicU64::new(0)),
-            stored: Arc::new(AtomicU64::new(u64::MAX)),
-        }
+        DiskCache { dir: dir.into() }
     }
 
     /// The cache root.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Entries evicted under the byte budget so far (shared across
-    /// clones of this handle).
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
     }
 
     /// The quarantine directory for poisoned entries.
@@ -323,155 +266,7 @@ impl DiskCache {
         entry.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         entry.extend_from_slice(&fnv1a(payload).to_le_bytes());
         entry.extend_from_slice(payload);
-        atomic_publish(&self.entry_path(tag, key), &entry)?;
-        if let Some(budget) = self.budget {
-            // Disk-pressure degradation, not an error: a store that
-            // pushed the cache over budget evicts cold entries. The
-            // running estimate keeps the common under-budget store at
-            // one atomic add; only crossing the budget (or the first
-            // store ever) pays for a directory scan.
-            let prev = self.stored.fetch_add(entry.len() as u64, Ordering::Relaxed);
-            if prev.saturating_add(entry.len() as u64) > budget {
-                let _ = self.enforce_budget();
-            }
-        }
-        Ok(())
-    }
-
-    /// Brings the `.bin` entries under the byte budget (if one is set)
-    /// by deleting entries oldest-first (by modification time, ties
-    /// broken by name for determinism), so a fresh store goes last.
-    /// Returns the number of entries evicted.
-    ///
-    /// Eviction is an economy, never a correctness risk: a reader that
-    /// loses its entry mid-run sees a clean miss and recomputes. Every
-    /// entry stands alone, so evicting one never strands another.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error from scanning the cache directory.
-    pub fn enforce_budget(&self) -> io::Result<u64> {
-        let Some(budget) = self.budget else {
-            return Ok(0);
-        };
-        let mut entries: Vec<(SystemTime, PathBuf, u64)> = Vec::new();
-        let mut total = 0u64;
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if path.extension().is_none_or(|x| x != "bin") {
-                continue;
-            }
-            let Ok(meta) = entry.metadata() else { continue };
-            let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-            total += meta.len();
-            entries.push((mtime, path, meta.len()));
-        }
-        if total <= budget {
-            self.stored.store(total, Ordering::Relaxed);
-            return Ok(0);
-        }
-        entries.sort();
-        let mut evicted = 0u64;
-        for (_, path, len) in entries {
-            if total <= budget {
-                break;
-            }
-            if fs::remove_file(&path).is_ok() {
-                total = total.saturating_sub(len);
-                evicted += 1;
-            }
-        }
-        self.stored.store(total, Ordering::Relaxed);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        Ok(evicted)
-    }
-
-    fn claim_path(&self, tag: &str, key: u64) -> PathBuf {
-        self.dir.join(format!("claim-{tag}-{key:016x}.lock"))
-    }
-
-    /// Claims the *job* `(tag, key)` without blocking. The claim is an OS
-    /// file lock on a `claim-…` file, so a `SIGKILL`ed holder releases it
-    /// with its process. The file's modification time is its holder's
-    /// *heartbeat* (stamped on win, refreshed via [`heartbeat_claim`]). A
-    /// contended claim with a fresh heartbeat is [`ClaimAttempt::Held`],
-    /// so a worker moves on to the next job rather than convoying. A
-    /// contended claim whose heartbeat is older than `lease` is reported
-    /// as [`ClaimAttempt::Expired`] — the holder is alive but wedged (a
-    /// `SIGKILL`ed holder releases the OS lock outright and the claim is
-    /// simply won), so the caller should steal the work and rely on an
-    /// idempotent completion path for correctness.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error from creating or locking the claim file.
-    pub fn try_claim_leased(
-        &self,
-        tag: &str,
-        key: u64,
-        lease: Duration,
-    ) -> io::Result<ClaimAttempt> {
-        fs::create_dir_all(&self.dir)?;
-        let path = self.claim_path(tag, key);
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(&path)?;
-        match file.try_lock() {
-            Ok(()) => {
-                heartbeat_claim(&path); // a stale file must read as freshly held
-                Ok(ClaimAttempt::Won(ClaimGuard { file, path }))
-            }
-            Err(_) => match claim_age(&path) {
-                Some(age) if age > lease => Ok(ClaimAttempt::Expired),
-                _ => Ok(ClaimAttempt::Held),
-            },
-        }
-    }
-
-    /// Sweeps stale claim files — lease-expired *and* holder gone (the
-    /// file is unlocked; a live holder's OS lock dies with its process)
-    /// — into `quarantine/`. Run/daemon startup calls this so debris
-    /// from `SIGKILL`ed workers never accumulates. Returns the number of
-    /// claim files swept.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error from scanning the cache directory; a
-    /// missing directory sweeps nothing.
-    pub fn sweep_stale_claims(&self, lease: Duration) -> io::Result<usize> {
-        let entries = match fs::read_dir(&self.dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e),
-        };
-        let mut swept = 0usize;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if !name.starts_with("claim-") || !name.ends_with(".lock") {
-                continue;
-            }
-            let Ok(file) = OpenOptions::new().write(true).open(&path) else {
-                continue;
-            };
-            if file.try_lock().is_err() {
-                continue; // live holder
-            }
-            let stale = claim_age(&path).is_some_and(|age| age > lease);
-            if stale {
-                let qdir = self.quarantine_dir();
-                let _ = fs::create_dir_all(&qdir);
-                if fs::rename(&path, qdir.join(&name)).is_err() {
-                    let _ = fs::remove_file(&path);
-                }
-                swept += 1;
-            }
-            let _ = File::unlock(&file);
-        }
-        Ok(swept)
+        atomic_publish(&self.entry_path(tag, key), &entry)
     }
 
     /// Quarantines the entry for `(tag, key)` whose *payload* failed the
@@ -660,36 +455,6 @@ fn take_program(rest: &mut &str, what: &str) -> Result<(Arc<Program>, Arc<Decode
     let program = parse_program(text).map_err(|e| format!("{what}: {e}"))?;
     let image = Arc::new(DecodedImage::build(&program));
     Ok((Arc::new(program), image))
-}
-
-/// The heartbeat age of a claim file (its modification time), or `None`
-/// when the file vanished or the clock is skewed into the future.
-fn claim_age(path: &Path) -> Option<Duration> {
-    let mtime = fs::metadata(path).ok()?.modified().ok()?;
-    SystemTime::now().duration_since(mtime).ok()
-}
-
-/// An exclusive cross-process claim on one job, released (and its claim
-/// file removed, best-effort) on drop. See [`DiskCache::try_claim_leased`].
-#[derive(Debug)]
-pub struct ClaimGuard {
-    file: File,
-    path: PathBuf,
-}
-
-impl ClaimGuard {
-    /// The claim file path, for refreshing the lease with
-    /// [`heartbeat_claim`] (from a dedicated thread, say).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for ClaimGuard {
-    fn drop(&mut self) {
-        let _ = File::unlock(&self.file);
-        let _ = fs::remove_file(&self.path);
-    }
 }
 
 #[cfg(test)]
@@ -884,114 +649,6 @@ mod tests {
         // Re-storing heals the slot.
         cache.store_pair(17, &pair).unwrap();
         assert!(cache.load_pair(17).unwrap().is_some());
-        let _ = fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
-    fn budget_evicts_oldest_entries() {
-        let cache = temp_cache("budget");
-        // No budget: nothing is ever evicted.
-        cache.store_bytes("pair", 1, &[0u8; 100]).unwrap();
-        assert_eq!(cache.enforce_budget().unwrap(), 0);
-
-        // Entries are ~120 bytes each (20-byte envelope + payload).
-        let cache = DiskCache::with_budget(cache.dir(), Some(300));
-        cache.store_bytes("pair", 2, &[0u8; 100]).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        cache.store_bytes("pair", 3, &[0u8; 100]).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        // This store pushes past 300 bytes; the oldest entry goes.
-        cache.store_bytes("pair", 4, &[0u8; 100]).unwrap();
-        assert!(cache.evictions() >= 1, "evictions = {}", cache.evictions());
-        assert!(
-            cache.load_bytes("pair", 1).unwrap().is_none(),
-            "oldest entry evicted first"
-        );
-        assert!(
-            cache.load_bytes("pair", 4).unwrap().is_some(),
-            "newest entry survives"
-        );
-        let total: u64 = fs::read_dir(cache.dir())
-            .unwrap()
-            .flatten()
-            .filter(|e| e.path().extension().is_some_and(|x| x == "bin"))
-            .map(|e| e.metadata().unwrap().len())
-            .sum();
-        assert!(total <= 300, "cache stays under budget, got {total}");
-        let _ = fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
-    fn leased_claims_report_held_then_expired() {
-        let cache = temp_cache("lease");
-        let long = Duration::from_secs(3600);
-        let short = Duration::from_millis(30);
-        let won = cache.try_claim_leased("job", 5, long).unwrap();
-        let ClaimAttempt::Won(guard) = won else {
-            panic!("uncontended claim is won: {won:?}");
-        };
-        // Contended + fresh heartbeat: held.
-        assert!(matches!(
-            cache.try_claim_leased("job", 5, long).unwrap(),
-            ClaimAttempt::Held
-        ));
-        // Contended + stale heartbeat: expired (steal).
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(matches!(
-            cache.try_claim_leased("job", 5, short).unwrap(),
-            ClaimAttempt::Expired
-        ));
-        // A heartbeat refresh makes it held again.
-        heartbeat_claim(guard.path());
-        assert!(matches!(
-            cache.try_claim_leased("job", 5, short).unwrap(),
-            ClaimAttempt::Held
-        ));
-        // Released: the next attempt wins.
-        drop(guard);
-        assert!(matches!(
-            cache.try_claim_leased("job", 5, short).unwrap(),
-            ClaimAttempt::Won(_)
-        ));
-        let _ = fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
-    fn stale_claims_are_swept_to_quarantine() {
-        let cache = temp_cache("stale-claims");
-        fs::create_dir_all(cache.dir()).unwrap();
-        // An orphaned claim file (holder SIGKILLed: no lock on it).
-        let orphan = cache.dir().join(format!("claim-job-{:016x}.lock", 9u64));
-        fs::write(&orphan, b"").unwrap();
-        // A live claim must survive the sweep.
-        let held = cache
-            .try_claim_leased("job", 10, Duration::from_secs(3600))
-            .unwrap();
-        assert!(matches!(held, ClaimAttempt::Won(_)), "claim won: {held:?}");
-        std::thread::sleep(Duration::from_millis(30));
-        let swept = cache.sweep_stale_claims(Duration::from_millis(10)).unwrap();
-        assert_eq!(swept, 1, "only the orphan is swept");
-        assert!(!orphan.exists());
-        assert!(
-            cache
-                .quarantine_dir()
-                .join(orphan.file_name().unwrap())
-                .exists(),
-            "swept claim preserved in quarantine"
-        );
-        assert!(
-            cache
-                .dir()
-                .join(format!("claim-job-{:016x}.lock", 10u64))
-                .exists(),
-            "live claim untouched"
-        );
-        // A fresh orphan (within its lease) is also left alone.
-        let fresh = cache.dir().join(format!("claim-job-{:016x}.lock", 11u64));
-        fs::write(&fresh, b"").unwrap();
-        let swept = cache.sweep_stale_claims(Duration::from_secs(3600)).unwrap();
-        assert_eq!(swept, 0);
-        assert!(fresh.exists());
         let _ = fs::remove_dir_all(cache.dir());
     }
 

@@ -264,10 +264,6 @@ pub struct FaultPolicy {
     /// Root of the crash-safe on-disk profile cache
     /// (`VANGUARD_CACHE_DIR`); `None` keeps artifacts in memory only.
     pub cache_dir: Option<PathBuf>,
-    /// Byte budget for the on-disk cache (`VANGUARD_CACHE_BUDGET`):
-    /// stores evict entries oldest-first to stay under it;
-    /// `None` lets the cache grow without bound.
-    pub cache_budget: Option<u64>,
 }
 
 impl Default for FaultPolicy {
@@ -278,7 +274,6 @@ impl Default for FaultPolicy {
             backoff: Duration::from_millis(50),
             quarantine_dir: None,
             cache_dir: None,
-            cache_budget: None,
         }
     }
 }
@@ -286,8 +281,7 @@ impl Default for FaultPolicy {
 impl FaultPolicy {
     /// The default policy with the environment overrides applied:
     /// `VANGUARD_JOB_TIMEOUT` (seconds, fractional allowed),
-    /// `VANGUARD_QUARANTINE_DIR`, `VANGUARD_CACHE_DIR`, and
-    /// `VANGUARD_CACHE_BUDGET` (bytes; `0` disables).
+    /// `VANGUARD_QUARANTINE_DIR`, and `VANGUARD_CACHE_DIR`.
     pub fn from_env() -> Self {
         let mut policy = FaultPolicy::default();
         if let Ok(v) = std::env::var("VANGUARD_JOB_TIMEOUT") {
@@ -305,13 +299,6 @@ impl FaultPolicy {
         if let Ok(v) = std::env::var("VANGUARD_CACHE_DIR") {
             if !v.trim().is_empty() {
                 policy.cache_dir = Some(PathBuf::from(v));
-            }
-        }
-        if let Ok(v) = std::env::var("VANGUARD_CACHE_BUDGET") {
-            if let Ok(bytes) = v.trim().parse::<u64>() {
-                if bytes > 0 {
-                    policy.cache_budget = Some(bytes);
-                }
             }
         }
         policy
@@ -538,9 +525,6 @@ pub struct EngineStats {
     /// the artifact was computed and used but not persisted — the
     /// degrade-to-compute-without-store path under disk pressure.
     pub cache_store_failures: u64,
-    /// Disk-cache entries evicted, oldest first, to stay under the
-    /// `VANGUARD_CACHE_BUDGET` byte budget.
-    pub cache_evictions: u64,
 }
 
 impl EngineStats {
@@ -566,8 +550,7 @@ impl EngineStats {
              compile : {:>4} runs, {:>4} cache hits, {:>9.1} ms\n\
              simulate: {:>4} jobs, {:>21.1} ms, {:>7.2} MIPS/worker\n\
              outcomes: {:>4} ok, {} faulted, {} timed out, {} failed, \
-             {} retried, {} corrupt cache entries, {} store failures, \
-             {} evicted",
+             {} retried, {} corrupt cache entries, {} store failures",
             self.profile_misses,
             self.profile_hits,
             ms(self.profile_nanos),
@@ -584,7 +567,6 @@ impl EngineStats {
             self.jobs_retried,
             self.cache_corrupt,
             self.cache_store_failures,
-            self.cache_evictions,
         )
     }
 }
@@ -723,10 +705,7 @@ impl Engine {
     /// [`Engine::set_fault_policy`].
     pub fn with_workers(workers: usize) -> Self {
         let fault_policy = FaultPolicy::from_env();
-        let disk_cache = fault_policy
-            .cache_dir
-            .clone()
-            .map(|dir| DiskCache::with_budget(dir, fault_policy.cache_budget));
+        let disk_cache = fault_policy.cache_dir.clone().map(DiskCache::new);
         Engine {
             workers: workers.max(1),
             benchmarks: Vec::new(),
@@ -765,10 +744,7 @@ impl Engine {
     /// Replaces the fault policy (and rebuilds the disk cache handle
     /// from `policy.cache_dir`).
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
-        self.disk_cache = policy
-            .cache_dir
-            .clone()
-            .map(|dir| DiskCache::with_budget(dir, policy.cache_budget));
+        self.disk_cache = policy.cache_dir.clone().map(DiskCache::new);
         self.fault_policy = policy;
     }
 
@@ -838,11 +814,6 @@ impl Engine {
             jobs_retried: self.jobs_retried.load(Ordering::Relaxed),
             cache_corrupt: self.cache_corrupt.load(Ordering::Relaxed),
             cache_store_failures: self.cache_store_failures.load(Ordering::Relaxed),
-            cache_evictions: self
-                .disk_cache
-                .as_ref()
-                .map(DiskCache::evictions)
-                .unwrap_or(0),
             profile_disk_hits: self.profile_disk_hits.load(Ordering::Relaxed),
             pair_disk_hits: self.pair_disk_hits.load(Ordering::Relaxed),
         }

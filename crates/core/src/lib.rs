@@ -47,9 +47,7 @@ mod slice;
 mod transform;
 mod verify;
 
-pub use diskcache::{
-    atomic_publish, fnv1a, heartbeat_claim, ClaimAttempt, ClaimGuard, CorruptEntry, DiskCache,
-};
+pub use diskcache::{atomic_publish, fnv1a, CorruptEntry, DiskCache};
 pub use error::{ErrorKind, VanguardError};
 pub use experiment::{
     Experiment, ExperimentError, ExperimentInput, ExperimentOutcome, PredictorKind, RefRun,
