@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 use vanguard_bench::fuzz::{
-    kinds_for, run_case_kinds, run_fuzz, shrink_kinds, write_reproducer, FuzzConfig, Inject,
+    kinds_for, run_case_all_gates, run_fuzz, shrink_kinds, write_reproducer, FuzzConfig, Inject,
 };
 use vanguard_core::TransformKind;
 use vanguard_workloads::FuzzSpec;
@@ -104,7 +104,7 @@ fn main() -> ExitCode {
         }
         eprintln!("[fuzz] replaying {spec:?}");
         let kinds = kinds_for(transform);
-        return match run_case_kinds(&spec, inject, &kinds) {
+        return match run_case_all_gates(&spec, inject, &kinds) {
             Ok(sites) => {
                 println!("seed {seed}: PASS ({sites} sites converted)");
                 ExitCode::SUCCESS

@@ -25,9 +25,11 @@
 //!
 //! `--profile-hotloop` additionally runs a low-convergence irregular
 //! kernel under [`Simulator::run_profiled`], reporting per-stage wall
-//! shares (fetch / fused issue+execute / commit / batch-entry) to
-//! stderr and a `hotloop_profile` JSON section — the attribution data
-//! future perf PRs cite.
+//! shares (fetch / fused issue+execute / commit / batch-entry, which
+//! includes idle-cycle fast-forward jumps) to stderr and a
+//! `hotloop_profile` JSON section — the attribution data future perf
+//! PRs cite. Its `cycles` count fast-forwarded cycles too, so they equal
+//! the run's simulated cycles.
 //!
 //! `--check` exits non-zero unless ALL of:
 //!
@@ -358,9 +360,13 @@ fn profile_hotloop() -> Vec<HotloopRun> {
         Box::new(Combined::ptlsim_default()),
     );
     let started = Instant::now();
-    let (_, prof) = sim
+    let (result, prof) = sim
         .run_profiled()
         .expect("irregular kernel simulates cleanly");
+    assert_eq!(
+        prof.cycles, result.stats.cycles,
+        "the profile counts every simulated cycle, skipped ones included"
+    );
     vec![HotloopRun {
         label: "irregular",
         prof,
@@ -471,7 +477,7 @@ fn main() {
             let p = &run.prof;
             let t = p.total_ns().max(1) as f64;
             eprintln!(
-                "[perfbench] hotloop {:<18} fetch {:>4.1}%  issue+exec {:>4.1}%  commit {:>4.1}%  batch-entry {:>4.1}%  ({:.1} ms, {} cycles)",
+                "[perfbench] hotloop {:<18} fetch {:>4.1}%  issue+exec {:>4.1}%  commit {:>4.1}%  batch-entry+skip {:>4.1}%  ({:.1} ms, {} cycles)",
                 run.label,
                 p.fetch_ns as f64 * 100.0 / t,
                 p.issue_ns as f64 * 100.0 / t,

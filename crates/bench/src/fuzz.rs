@@ -2,7 +2,7 @@
 //!
 //! Each case is one seed: [`FuzzSpec::from_seed`] generates a random
 //! kernel, the full [`Experiment`] pipeline profiles and compiles it,
-//! and the compiled pair must then survive three independent gates:
+//! and the compiled pair must then survive four independent gates:
 //!
 //! 1. **Static lint** — [`lint_program`] on both compiled programs
 //!    (zero diagnostics; the §3 structural contract).
@@ -15,6 +15,17 @@
 //! 3. **Simulator parity** — both compiled programs run on the cycle
 //!    simulator, whose committed registers and written words must match
 //!    the interpreter's (the `parity_suite` comparison, per case).
+//! 4. **Fast-forward reference** — both programs are simulated with
+//!    idle-cycle fast-forward on and off ([`Simulator::set_fast_forward`])
+//!    at 2, 4 and 8 wide, the seed picking the I$, the predictor rung and
+//!    an optional cycle limit or watchdog budget; the per-cycle run must
+//!    give the same stop cause, every [`SimStats`] counter, every
+//!    register and every written word. A failure names the first
+//!    differing field and implicates the simulator alone.
+//!
+//! Gates 1–3 are [`run_case`]/[`run_case_kinds`]; gate 4 multiplies the
+//! simulations per program, so only the campaign ([`run_fuzz`]), its
+//! shrinker and `--one` replay add it, through [`run_case_all_gates`].
 //!
 //! A failing case is shrunk by greedy knob reduction to a minimal
 //! reproducer and written to disk with exact replay instructions.
@@ -30,7 +41,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vanguard_bpred::Combined;
+use vanguard_bpred::{ladder, LadderRung};
 use vanguard_core::{
     lint_program, lint_variant, verify_equivalence, Experiment, ExperimentInput, Observables,
     RunInput, TransformKind, TransformOptions,
@@ -38,7 +49,8 @@ use vanguard_core::{
 use vanguard_isa::{
     DecodedImage, InterpConfig, Interpreter, Memory, Program, Reg, StopReason, TakenOracle,
 };
-use vanguard_sim::{MachineConfig, Simulator, StopCause};
+use vanguard_mem::MemConfig;
+use vanguard_sim::{MachineConfig, SimResult, SimStats, Simulator, StopCause};
 use vanguard_workloads::{FuzzCase, FuzzSpec};
 
 /// Interpreter/simulator step budget per run (generated kernels retire
@@ -127,6 +139,19 @@ pub enum CaseFailure {
         /// Description of the first mismatch.
         detail: String,
     },
+    /// The fast-forwarded simulation differed from the per-cycle
+    /// reference run (gate 4): the simulator, not the transform, is
+    /// implicated.
+    FastForward {
+        /// "baseline" or the transform kind.
+        variant: &'static str,
+        /// The first differing field: `stop`, a `SimStats` counter path
+        /// such as `icache_stall_cycles` or `mem.l1d.misses`, a register,
+        /// or `memory`.
+        field: String,
+        /// Fast-forward value vs reference value.
+        detail: String,
+    },
 }
 
 impl fmt::Display for CaseFailure {
@@ -159,6 +184,14 @@ impl fmt::Display for CaseFailure {
                     "simulator/interpreter parity mismatch on {variant}: {detail}"
                 )
             }
+            CaseFailure::FastForward {
+                variant,
+                field,
+                detail,
+            } => write!(
+                f,
+                "fast-forward vs per-cycle reference mismatch on {variant}, {field}: {detail}"
+            ),
         }
     }
 }
@@ -258,24 +291,58 @@ fn interp_state(
     Ok((vals, i.memory().written_words()))
 }
 
-/// Simulator committed state for the same program and input.
-fn sim_state(
+/// One simulator setup: machine, predictor rung, and watchdog budget.
+type Setup = (MachineConfig, LadderRung, Option<u64>);
+
+/// Gate 3's setup: the paper's 4-wide machine and baseline predictor.
+fn parity_setup() -> Setup {
+    (MachineConfig::four_wide(), LadderRung::Combined24KB, None)
+}
+
+/// Gate 4's setups for a case, one per width. The seed picks the I$
+/// (Table 1 or reduced), the predictor rung, and on a quarter of the
+/// seeds a cycle limit or a watchdog budget that stops the run
+/// mid-flight, where a skip past its wake cycle shows as a late stop.
+fn reference_setups(seed: u64) -> Vec<Setup> {
+    let rungs = ladder();
+    let rung = rungs[seed as usize % rungs.len()];
+    MachineConfig::all_widths()
+        .into_iter()
+        .map(|mut config| {
+            if seed % 2 == 1 {
+                config = config.with_reduced_icache();
+            }
+            let mut watchdog = None;
+            match seed / 2 % 8 {
+                3 => config.max_cycles = 3001,
+                7 => watchdog = Some(2777),
+                _ => {}
+            }
+            (config, rung, watchdog)
+        })
+        .collect()
+}
+
+/// Simulates `program` on the case's input under `setup`, with
+/// idle-cycle fast-forward on or off.
+fn simulate(
     program: &Program,
-    memory: Memory,
-    init: &[(Reg, u64)],
-    regs: &[Reg],
-) -> Result<CommittedState, String> {
+    case: &FuzzCase,
+    (config, rung, watchdog): Setup,
+    fast_forward: bool,
+) -> Result<SimResult, String> {
     let image = Arc::new(DecodedImage::build(program));
-    let mut sim = Simulator::with_image(
-        image,
-        memory,
-        MachineConfig::four_wide(),
-        Box::new(Combined::ptlsim_default()),
-    );
-    for &(r, v) in init {
+    let mut sim = Simulator::with_image(image, case.memory.clone(), config, rung.build());
+    sim.set_fast_forward(fast_forward);
+    sim.set_watchdog(watchdog, None);
+    for &(r, v) in &case.init_regs {
         sim.set_reg(r, v);
     }
-    let res = sim.run().map_err(|e| e.to_string())?;
+    sim.run().map_err(|e| e.to_string())
+}
+
+/// Simulator committed state: observable registers and written words.
+fn sim_state(res: &SimResult, regs: &[Reg]) -> Result<CommittedState, String> {
     if res.stop != StopCause::Halted {
         return Err(format!("simulator stopped on {:?}", res.stop));
     }
@@ -283,12 +350,80 @@ fn sim_state(
     Ok((vals, res.memory.written_words()))
 }
 
-/// Gates 2 and 3 for one compiled program under one label.
+/// The first `SimStats` counter two runs disagree on, as a dotted path
+/// (`mem.l1i.misses`), with both values. Read off the pretty `Debug`
+/// form, so a counter added later is compared without listing it here.
+fn first_stats_difference(a: &SimStats, b: &SimStats) -> Option<(String, String)> {
+    let (da, db) = (format!("{a:#?}"), format!("{b:#?}"));
+    let mut path: Vec<&str> = Vec::new();
+    for (la, lb) in da.lines().zip(db.lines()) {
+        let (la, lb) = (la.trim(), lb.trim());
+        if la.starts_with('}') {
+            path.pop();
+            continue;
+        }
+        let name = la.split(':').next().unwrap_or(la);
+        if la.ends_with('{') {
+            // The outermost line is the type name, not a field.
+            path.push(if la.contains(':') { name } else { "" });
+            continue;
+        }
+        if la != lb {
+            let field = path
+                .iter()
+                .chain(std::iter::once(&name))
+                .filter(|p| !p.is_empty())
+                .copied()
+                .collect::<Vec<_>>()
+                .join(".");
+            let value = |l: &str| {
+                l.split(':')
+                    .nth(1)
+                    .unwrap_or("")
+                    .trim_matches([' ', ','])
+                    .to_string()
+            };
+            return Some((field, format!("{} vs {}", value(la), value(lb))));
+        }
+    }
+    None
+}
+
+/// Gate 4: the first field where a fast-forwarded run differs from the
+/// per-cycle reference run of the same program.
+fn first_difference(on: &SimResult, off: &SimResult) -> Option<(String, String)> {
+    if on.stop != off.stop {
+        return Some(("stop".into(), format!("{:?} vs {:?}", on.stop, off.stop)));
+    }
+    if let Some(d) = first_stats_difference(&on.stats, &off.stats) {
+        return Some(d);
+    }
+    if let Some(i) = (0..on.regs.len()).find(|&i| on.regs[i] != off.regs[i]) {
+        return Some((
+            Reg(i as u8).to_string(),
+            format!("{:#x} vs {:#x}", on.regs[i], off.regs[i]),
+        ));
+    }
+    let (wa, wb) = (on.memory.written_words(), off.memory.written_words());
+    if wa != wb {
+        let first = wa.iter().zip(&wb).find(|(a, b)| a != b);
+        let detail = match first {
+            Some(((aa, av), (ba, bv))) => format!("[{aa:#x}] = {av:#x} vs [{ba:#x}] = {bv:#x}"),
+            None => format!("{} vs {} written words", wa.len(), wb.len()),
+        };
+        return Some(("memory".into(), detail));
+    }
+    None
+}
+
+/// Gates 2 and 3 for one compiled program under one label, plus gate 4
+/// when `reference` is set.
 fn runtime_gates(
     variant: &'static str,
     program: &Program,
     case: &FuzzCase,
     obs: &Observables,
+    reference: bool,
 ) -> Result<(), CaseFailure> {
     // Gate 2: interpreter differential under adversarial oracles.
     let divs = verify_equivalence(
@@ -311,8 +446,10 @@ fn runtime_gates(
     // Gate 3: cycle-simulator parity with the interpreter.
     let i = interp_state(program, case.memory.clone(), &case.init_regs, &obs.regs)
         .map_err(|detail| CaseFailure::SimParity { variant, detail })?;
-    let s = sim_state(program, case.memory.clone(), &case.init_regs, &obs.regs)
+    let run = simulate(program, case, parity_setup(), true)
         .map_err(|detail| CaseFailure::SimParity { variant, detail })?;
+    let s =
+        sim_state(&run, &obs.regs).map_err(|detail| CaseFailure::SimParity { variant, detail })?;
     if i.0 != s.0 {
         let r = obs
             .regs
@@ -335,10 +472,40 @@ fn runtime_gates(
             ),
         });
     }
+    if !reference {
+        return Ok(());
+    }
+
+    // Gate 4: at each reference setup, the per-cycle run must match the
+    // fast-forwarded one field for field.
+    for setup in reference_setups(case.spec.seed) {
+        let (config, rung, watchdog) = setup;
+        let at = format!(
+            "{}-wide, {} I$, {}, max_cycles {}, watchdog {watchdog:?}",
+            config.width,
+            if config.mem == MemConfig::table1_default() {
+                "Table 1"
+            } else {
+                "reduced"
+            },
+            rung.label(),
+            config.max_cycles,
+        );
+        let fail = |field: String, detail: String| CaseFailure::FastForward {
+            variant,
+            field,
+            detail: format!("{detail} ({at})"),
+        };
+        let on = simulate(program, case, setup, true).map_err(|d| fail("run".into(), d))?;
+        let off = simulate(program, case, setup, false).map_err(|d| fail("run".into(), d))?;
+        if let Some((field, detail)) = first_difference(&on, &off) {
+            return Err(fail(field, detail));
+        }
+    }
     Ok(())
 }
 
-/// Runs one case through all three gates for every transform pass.
+/// Runs one case through gates 1–3 for every transform pass.
 /// `Ok(sites)` is the largest per-variant count of changed sites
 /// (converted branches + melded hammocks; 0 = every selector declined —
 /// still checked).
@@ -355,6 +522,28 @@ pub fn run_case_kinds(
     spec: &FuzzSpec,
     inject: Option<Inject>,
     kinds: &[TransformKind],
+) -> Result<u64, CaseFailure> {
+    gate_case(spec, inject, kinds, false)
+}
+
+/// [`run_case_kinds`] plus gate 4: every gated program is also
+/// simulated with fast-forward on and off at each reference setup, and
+/// the two runs must match field for field. The entry point of the
+/// campaign, its shrinker and `--one` replay.
+pub fn run_case_all_gates(
+    spec: &FuzzSpec,
+    inject: Option<Inject>,
+    kinds: &[TransformKind],
+) -> Result<u64, CaseFailure> {
+    gate_case(spec, inject, kinds, true)
+}
+
+/// One case through gates 1–3, and gate 4 when `reference` is set.
+fn gate_case(
+    spec: &FuzzSpec,
+    inject: Option<Inject>,
+    kinds: &[TransformKind],
+    reference: bool,
 ) -> Result<u64, CaseFailure> {
     let case: FuzzCase = spec.build();
     let input = ExperimentInput {
@@ -400,7 +589,7 @@ pub fn run_case_kinds(
                     diagnostics: diags.iter().map(|d| d.to_string()).collect(),
                 });
             }
-            runtime_gates("baseline", &baseline, &case, &obs)?;
+            runtime_gates("baseline", &baseline, &case, &obs, reference)?;
         } else if sites == 0 && inject.is_none() {
             // This variant's selector declined every site, so its
             // transformed program is the already-gated baseline.
@@ -415,7 +604,7 @@ pub fn run_case_kinds(
                 diagnostics: diags.iter().map(|d| d.to_string()).collect(),
             });
         }
-        runtime_gates(kind.name(), &transformed, &case, &obs)?;
+        runtime_gates(kind.name(), &transformed, &case, &obs, reference)?;
     }
 
     Ok(max_sites)
@@ -498,7 +687,7 @@ pub fn shrink_kinds(
             if attempts > MAX_SHRINK_ATTEMPTS {
                 return (best, best_failure);
             }
-            if let Err(f) = run_case_kinds(&candidate, inject, kinds) {
+            if let Err(f) = run_case_all_gates(&candidate, inject, kinds) {
                 best = candidate;
                 best_failure = f;
                 reduced = true;
@@ -518,7 +707,8 @@ pub fn failure_kind(failure: &CaseFailure) -> TransformKind {
     let variant = match failure {
         CaseFailure::Lint { variant, .. }
         | CaseFailure::Divergence { variant, .. }
-        | CaseFailure::SimParity { variant, .. } => variant,
+        | CaseFailure::SimParity { variant, .. }
+        | CaseFailure::FastForward { variant, .. } => variant,
         CaseFailure::Profile(_) => "vanguard",
     };
     TransformKind::parse(variant).unwrap_or_default()
@@ -608,7 +798,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzStats {
         let seed = config.start_seed + i;
         let spec = FuzzSpec::from_seed(seed);
         stats.cases_run += 1;
-        match run_case_kinds(&spec, config.inject, &kinds) {
+        match run_case_all_gates(&spec, config.inject, &kinds) {
             Ok(sites) => {
                 if sites > 0 {
                     stats.transformed += 1;
@@ -639,4 +829,27 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzStats {
         }
     }
     stats
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stats_difference_names_the_first_differing_counter() {
+        let a = SimStats::default();
+        assert_eq!(first_stats_difference(&a, &a), None);
+        let mut b = a;
+        b.icache_stall_cycles = 7;
+        b.mem.l1d.misses = 3;
+        assert_eq!(
+            first_stats_difference(&a, &b),
+            Some(("icache_stall_cycles".into(), "0 vs 7".into()))
+        );
+        b.icache_stall_cycles = 0;
+        assert_eq!(
+            first_stats_difference(&a, &b),
+            Some(("mem.l1d.misses".into(), "0 vs 3".into()))
+        );
+    }
 }

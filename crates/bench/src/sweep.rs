@@ -730,18 +730,34 @@ fn worker_main() -> i32 {
     // Heartbeat thread: refreshes this worker's liveness file and the
     // claim it currently holds, every quarter-lease. If this process is
     // SIGKILLed the heartbeats stop, the lease runs out, and a peer
-    // steals the job — that is the self-healing path.
+    // steals the job — that is the self-healing path. The liveness file
+    // stays locked until this function returns, like a claim: a status
+    // scan that wins its lock knows the worker died and removes it.
     let current_claim: Arc<Mutex<Option<PathBuf>>> = Arc::new(Mutex::new(None));
     let hb_path = cache_dir.join(format!("{HEARTBEAT_PREFIX}{}", std::process::id()));
+    let hb_file = match fs::create_dir_all(&cache_dir).and_then(|()| {
+        let file = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(&hb_path)?;
+        file.lock()?;
+        Ok(file)
+    }) {
+        Ok(file) => file,
+        Err(e) => return fail(format!("heartbeat file: {e}")),
+    };
     let stop = Arc::new(AtomicBool::new(false));
     {
         let current = Arc::clone(&current_claim);
-        let hb = hb_path.clone();
+        let hb = hb_file.try_clone();
         let stop = Arc::clone(&stop);
         let period = Duration::from_millis((lease.as_millis() as u64 / 4).max(25));
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
-                let _ = fs::write(&hb, b"hb");
+                if let Ok(hb) = &hb {
+                    let _ = hb.set_modified(SystemTime::now());
+                }
                 if let Ok(slot) = current.lock() {
                     if let Some(path) = slot.as_deref() {
                         heartbeat_claim(path);

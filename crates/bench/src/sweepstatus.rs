@@ -26,7 +26,9 @@ pub const STATUS_SCHEMA: &str = "vanguard-sweep-status-v1";
 pub const STATUS_FILE: &str = "status.json";
 
 /// Prefix of per-worker heartbeat files in the shared cache directory:
-/// `hb-<pid>`, mtime refreshed by the worker's heartbeat thread.
+/// `hb-<pid>`, mtime refreshed by the worker's heartbeat thread. A live
+/// worker holds an OS lock on its file, so the file of a worker that
+/// died without removing it is unlocked.
 pub const HEARTBEAT_PREFIX: &str = "hb-";
 
 /// Milliseconds since the Unix epoch, for `updated_ms` stamps.
@@ -352,7 +354,9 @@ fn quarantined_requests(dir: &Path) -> u64 {
         .unwrap_or(0)
 }
 
-/// Worker `hb-<pid>` files in the cache dir, with mtime ages.
+/// Worker `hb-<pid>` files in the cache dir, with mtime ages. A file
+/// whose lock this scan wins belongs to a dead (say `SIGKILL`ed) worker:
+/// it is removed and not reported.
 fn scan_heartbeats(dir: &Path) -> Vec<ShardBeat> {
     let Ok(entries) = fs::read_dir(dir) else {
         return Vec::new();
@@ -364,6 +368,10 @@ fn scan_heartbeats(dir: &Path) -> Vec<ShardBeat> {
             let name = e.file_name();
             let name = name.to_str()?;
             let pid: u64 = name.strip_prefix(HEARTBEAT_PREFIX)?.parse().ok()?;
+            if fs::File::open(e.path()).ok()?.try_lock().is_ok() {
+                let _ = fs::remove_file(e.path());
+                return None;
+            }
             let mtime = e.metadata().ok()?.modified().ok()?;
             let age = now.duration_since(mtime).unwrap_or_default();
             Some(ShardBeat {
@@ -444,7 +452,9 @@ mod tests {
         let cache = spool.join("cache");
         std::fs::create_dir_all(&cache).unwrap();
         std::fs::write(cache.join("pair-0000000000000001.bin"), [0u8; 64]).unwrap();
-        std::fs::write(cache.join(format!("{HEARTBEAT_PREFIX}123")), b"hb").unwrap();
+        // A live worker holds its heartbeat file locked.
+        let hb = std::fs::File::create(cache.join(format!("{HEARTBEAT_PREFIX}123"))).unwrap();
+        hb.lock().unwrap();
         std::fs::create_dir_all(spool.join("quarantine")).unwrap();
         std::fs::write(spool.join("quarantine/poison.req"), b"VGS1\n").unwrap();
 
@@ -462,6 +472,25 @@ mod tests {
         assert_eq!(parsed.requests_done, 1);
         assert_eq!(parsed.shards.len(), 1);
         assert_eq!(parsed.shards[0].pid, 123);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dead_workers_heartbeat_files_are_removed_not_listed() {
+        let dir = std::env::temp_dir().join(format!("vanguard-status-hb-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A SIGKILLed worker leaves its file behind, unlocked.
+        let dead = dir.join(format!("{HEARTBEAT_PREFIX}111"));
+        std::fs::write(&dead, b"hb").unwrap();
+        let live = std::fs::File::create(dir.join(format!("{HEARTBEAT_PREFIX}222"))).unwrap();
+        live.lock().unwrap();
+
+        let beats = scan_heartbeats(&dir);
+        assert_eq!(beats.iter().map(|b| b.pid).collect::<Vec<_>>(), [222]);
+        assert!(!dead.exists(), "the dead worker's file is removed");
+        assert!(dir.join(format!("{HEARTBEAT_PREFIX}222")).exists());
+        drop(live);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

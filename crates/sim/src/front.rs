@@ -473,6 +473,26 @@ impl FrontEnd {
         }
     }
 
+    /// After a fetch cycle at `cycle - 1` that fetched nothing, the first
+    /// cycle at which fetch can act again without the issue stage
+    /// draining the buffer (`u64::MAX` if none). Until then every cycle
+    /// repeats the idle one: a live stall bumps the I$ counter, a full
+    /// buffer or a halted front end does nothing. The comparison is
+    /// `>=`: a stall that expires exactly at `cycle` still counted at
+    /// `cycle - 1` but not at `cycle`, so `cycle` itself must be ticked
+    /// even when the buffer is full.
+    pub(crate) fn idle_until(&self, cycle: u64) -> u64 {
+        if self.halted {
+            u64::MAX
+        } else if self.stall_until >= cycle {
+            self.stall_until
+        } else if self.buffer.len() < self.config.fetch_buffer {
+            cycle
+        } else {
+            u64::MAX
+        }
+    }
+
     /// True when fetch has stopped at a `halt`.
     pub fn is_halted(&self) -> bool {
         self.halted

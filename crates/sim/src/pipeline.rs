@@ -158,10 +158,12 @@ pub struct HotloopProfile {
     pub issue_ns: u64,
     /// Nanoseconds committing stores (store-buffer drain).
     pub commit_ns: u64,
-    /// Nanoseconds of batch-entry work: stop checks, watchdog polls,
-    /// redirect application, journal compaction.
+    /// Nanoseconds of batch-entry work (stop checks, watchdog polls,
+    /// redirect application, journal compaction) and of idle-cycle
+    /// fast-forward jumps.
     pub other_ns: u64,
-    /// Cycles simulated.
+    /// Cycles simulated, fast-forwarded ones included (equals
+    /// [`SimStats::cycles`]).
     pub cycles: u64,
 }
 
@@ -223,6 +225,9 @@ pub struct Simulator<'t> {
     /// Watchdog wall-clock deadline, checked every 4096 cycles so the
     /// clean-run hot loop never pays a syscall per cycle.
     pub(crate) watchdog_deadline: Option<Instant>,
+    /// Jump over idle cycles instead of ticking them (see
+    /// [`Simulator::set_fast_forward`]).
+    fast_forward: bool,
 }
 
 impl<'t> fmt::Debug for Simulator<'t> {
@@ -279,6 +284,7 @@ impl<'t> Simulator<'t> {
             trace: None,
             watchdog_cycles: u64::MAX,
             watchdog_deadline: None,
+            fast_forward: true,
         }
     }
 
@@ -295,6 +301,14 @@ impl<'t> Simulator<'t> {
     pub fn set_watchdog(&mut self, max_cycles: Option<u64>, deadline: Option<Instant>) {
         self.watchdog_cycles = max_cycles.unwrap_or(u64::MAX);
         self.watchdog_deadline = deadline;
+    }
+
+    /// Turns idle-cycle fast-forward on (the default) or off. Off, the
+    /// run ticks every cycle: the per-cycle reference that tests and the
+    /// fuzzer compare fast-forwarded runs against. Both give the same
+    /// [`SimResult`], statistics included.
+    pub fn set_fast_forward(&mut self, on: bool) {
+        self.fast_forward = on;
     }
 
     /// Runs to completion, delivering [`TraceEvent`]s to `sink`.
@@ -352,6 +366,16 @@ impl<'t> Simulator<'t> {
     /// early. Every cold check therefore fires at exactly the cycles the
     /// per-cycle loop fired it at, so the restructuring is
     /// cycle-for-cycle invisible.
+    ///
+    /// Idle cycles are fast-forwarded: after a cycle that neither fetched
+    /// nor issued, with no redirect pending, every following cycle
+    /// repeats it until the wake cycle [`idle_wake`](Self::idle_wake)
+    /// computes (capped at the batch limit). The loop jumps there and
+    /// adds the idle cycle's stall-counter increments once per skipped
+    /// cycle. Store-buffer drains skipped on the way land at the wake
+    /// cycle instead, which no load can see: loads forward from the
+    /// buffer first, and a squash only drops stores younger than the
+    /// redirecting branch.
     fn run_loop<const PROFILE: bool>(
         &mut self,
         prof: &mut HotloopProfile,
@@ -412,6 +436,8 @@ impl<'t> Simulator<'t> {
                 limit = limit.min(p.redirect_cycle);
             }
             while self.cycle < limit {
+                let active = (self.stats.fetched, self.stats.issued);
+                let stalls = self.stats.stall_counters();
                 // Fetch.
                 self.front
                     .fetch_cycle(self.cycle, &mut self.mem_sys, &mut self.stats);
@@ -452,8 +478,48 @@ impl<'t> Simulator<'t> {
                 if self.halted || self.pending.is_some() {
                     break;
                 }
+                if self.fast_forward && active == (self.stats.fetched, self.stats.issued) {
+                    let wake = self.idle_wake(limit);
+                    if wake > self.cycle {
+                        let skipped = wake - self.cycle;
+                        self.stats.repeat_stalls(stalls, skipped);
+                        self.cycle = wake;
+                        if PROFILE {
+                            prof.cycles += skipped;
+                            let now = Instant::now();
+                            prof.other_ns += (now - mark.expect("profiling")).as_nanos() as u64;
+                            mark = Some(now);
+                        }
+                    }
+                }
             }
         }
+    }
+
+    /// The cycle an idle machine next acts at, capped at `limit`, called
+    /// after the idle cycle `self.cycle - 1`: the earliest of fetch's
+    /// wake ([`FrontEnd::idle_until`]) and the issue head's. A head not
+    /// yet through the front end wakes at its `ready` cycle; one that is
+    /// waits on its latest source operand. Both comparisons are `>=`: a
+    /// head whose `ready` is exactly `self.cycle` counted a front-end
+    /// stall in the idle cycle but is checked for operands next, so that
+    /// cycle must be ticked.
+    fn idle_wake(&self, limit: u64) -> u64 {
+        let cycle = self.cycle;
+        let mut wake = limit.min(self.front.idle_until(cycle));
+        if let Some(m) = self.front.head_meta() {
+            let head = if m.ready >= cycle {
+                m.ready
+            } else {
+                m.srcs
+                    .iter()
+                    .filter(|&&s| s != crate::front::LaneMeta::NO_SRC)
+                    .map(|&s| self.reg_ready[s as usize])
+                    .fold(cycle, u64::max)
+            };
+            wake = wake.min(head);
+        }
+        wake
     }
 
     /// Drains outstanding stores and packages the final architectural
@@ -1334,6 +1400,160 @@ mod tests {
             "stalls {}",
             r.stats.operand_stall_cycles
         );
+    }
+}
+
+#[cfg(test)]
+mod fast_forward_tests {
+    use super::*;
+    use vanguard_bpred::{Combined, DirectionPredictor, PredMeta};
+    use vanguard_isa::parse_program;
+
+    /// Predicts every branch taken, so a branch's first fetch steers
+    /// with a BTB miss: a two-cycle fetch bubble.
+    #[derive(Debug)]
+    struct AlwaysTaken;
+
+    impl DirectionPredictor for AlwaysTaken {
+        fn predict(&mut self, _pc: u64) -> PredMeta {
+            PredMeta::taken_only(true)
+        }
+        fn update(&mut self, _pc: u64, _meta: &PredMeta, _taken: bool) {}
+        fn name(&self) -> &'static str {
+            "always-taken"
+        }
+        fn storage_bits(&self) -> usize {
+            0
+        }
+        fn reset(&mut self) {}
+    }
+
+    /// Head of a four-load DRAM pointer chase (one miss per link).
+    const CHASE: u64 = 0x10_0000;
+
+    fn chase_memory() -> Memory {
+        let mut mem = Memory::new();
+        for link in 0..4u64 {
+            mem.load_words(CHASE + link * CHASE, &[CHASE + (link + 1) * CHASE]);
+        }
+        mem
+    }
+
+    fn simulate(p: &Program, config: MachineConfig, fast_forward: bool) -> SimResult {
+        let mut sim = Simulator::new(p, chase_memory(), config, Box::new(AlwaysTaken));
+        sim.set_fast_forward(fast_forward);
+        sim.run().expect("no fault")
+    }
+
+    /// Runs `p` with fast-forward on and off and requires identical
+    /// results; returns the fast-forwarded one.
+    fn assert_exact(p: &Program, config: MachineConfig) -> SimResult {
+        let on = simulate(p, config, true);
+        let off = simulate(p, config, false);
+        assert_eq!(on.stop, off.stop);
+        assert_eq!(on.stats, off.stats);
+        assert_eq!(on.regs, off.regs);
+        assert_eq!(on.memory.written_words(), off.memory.written_words());
+        on
+    }
+
+    #[test]
+    fn full_buffer_whose_fetch_stall_ends_during_a_head_stall() {
+        // The head waits ~180 cycles on a DRAM load while fetch fills a
+        // small buffer. The entry that fills it is a branch predicted
+        // taken with a BTB miss: fetch stalls two cycles (each counted
+        // as an I$ stall cycle) with the buffer already full. The idle
+        // cycle before the stall expires bumps the I$ counter, the one
+        // at expiry does not, so the skip must not start until then.
+        // The filler length moves the branch across the buffer's last
+        // slot.
+        let mut config = MachineConfig::four_wide();
+        config.fetch_buffer = 6;
+        for filler in 0..8 {
+            let nops = "    nop\n".repeat(filler);
+            let p = parse_program(&format!(
+                "bb0 <entry>:\n    mov r9, #1\n    mov r3, #{CHASE}\n    ld r4, [r3+0]\n    \
+                 add r5, r4, #1\n{nops}    br.nz r9, bb2\n    ; fallthrough -> bb1\n\
+                 bb1 <fall>:\n    halt\nbb2 <taken>:\n    halt\n"
+            ))
+            .unwrap();
+            let r = assert_exact(&p, config);
+            assert!(r.stats.icache_stall_cycles > 0 && r.stats.operand_stall_cycles > 100);
+        }
+    }
+
+    #[test]
+    fn head_becomes_front_end_ready_while_its_operand_is_blocked() {
+        // A DRAM load issues, then a branch predicted taken falls
+        // through, redirecting fetch to `add r5, r4, #1`, which needs the
+        // load. Fetch refills, halts
+        // at the `halt` after the filler, and the head's front-end
+        // latency ends while the load is still in flight: the cycle the
+        // head turns ready switches the stall from front-end to operand,
+        // so it must be ticked. The filler length moves the fetch halt
+        // relative to that cycle.
+        for filler in 0..12 {
+            let nops = "    nop\n".repeat(filler);
+            let p = parse_program(&format!(
+                "bb0 <entry>:\n    mov r9, #0\n    mov r3, #{CHASE}\n    ld r4, [r3+0]\n    \
+                 br.nz r9, bb2\n    ; fallthrough -> bb1\nbb1 <fall>:\n    add r5, r4, #1\n\
+                 {nops}    halt\nbb2 <taken>:\n    halt\n"
+            ))
+            .unwrap();
+            let r = assert_exact(&p, MachineConfig::four_wide());
+            assert_eq!(r.stats.branch_mispredicts, 1);
+            assert!(r.stats.operand_stall_cycles > 100);
+        }
+    }
+
+    #[test]
+    fn budgets_inside_a_dram_chain_stop_at_exactly_the_budget_cycle() {
+        // Four dependent DRAM loads idle the core for ~700 cycles; both
+        // budgets fall inside that stretch, where fast-forward jumps.
+        let p = parse_program(&format!(
+            "bb0 <entry>:\n    mov r1, #{CHASE}\n    ld r1, [r1+0]\n    ld r1, [r1+0]\n    \
+             ld r1, [r1+0]\n    ld r1, [r1+0]\n    halt\n"
+        ))
+        .unwrap();
+        let full = assert_exact(&p, MachineConfig::four_wide());
+        assert!(full.stats.cycles > 520, "cycles {}", full.stats.cycles);
+        let mut config = MachineConfig::four_wide();
+        config.max_cycles = 433;
+        let r = assert_exact(&p, config);
+        assert_eq!((r.stop, r.stats.cycles), (StopCause::CycleLimit, 433));
+        for fast_forward in [true, false] {
+            let mut sim = Simulator::new(
+                &p,
+                chase_memory(),
+                MachineConfig::four_wide(),
+                Box::new(Combined::ptlsim_default()),
+            );
+            sim.set_fast_forward(fast_forward);
+            sim.set_watchdog(Some(517), None);
+            let r = sim.run().unwrap();
+            assert_eq!((r.stop, r.stats.cycles), (StopCause::TimedOut, 517));
+        }
+    }
+
+    #[test]
+    fn run_profiled_matches_run_and_counts_skipped_cycles() {
+        let p = parse_program(&format!(
+            "bb0 <entry>:\n    mov r1, #{CHASE}\n    ld r1, [r1+0]\n    ld r1, [r1+0]\n    \
+             halt\n"
+        ))
+        .unwrap();
+        let new = || {
+            Simulator::new(
+                &p,
+                chase_memory(),
+                MachineConfig::four_wide(),
+                Box::new(Combined::ptlsim_default()),
+            )
+        };
+        let plain = new().run().unwrap();
+        let (profiled, prof) = new().run_profiled().unwrap();
+        assert_eq!(profiled.stats, plain.stats);
+        assert_eq!(prof.cycles, plain.stats.cycles);
     }
 }
 

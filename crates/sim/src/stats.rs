@@ -103,6 +103,37 @@ impl SimStats {
         self.committed() as f64 / 1e6 / secs
     }
 
+    /// The six counters an idle cycle can bump, in a fixed order: I$,
+    /// front-end, operand, branch, resolve, and FU stall cycles.
+    pub(crate) fn stall_counters(&self) -> [u64; 6] {
+        [
+            self.icache_stall_cycles,
+            self.frontend_stall_cycles,
+            self.operand_stall_cycles,
+            self.branch_stall_cycles,
+            self.resolve_stall_cycles,
+            self.fu_stall_cycles,
+        ]
+    }
+
+    /// Repeats `times` more the stall-counter increments made since the
+    /// counters read `before` (one idle cycle's worth), as if that many
+    /// further identical idle cycles had been ticked.
+    pub(crate) fn repeat_stalls(&mut self, before: [u64; 6], times: u64) {
+        let now = self.stall_counters();
+        let counters = [
+            &mut self.icache_stall_cycles,
+            &mut self.frontend_stall_cycles,
+            &mut self.operand_stall_cycles,
+            &mut self.branch_stall_cycles,
+            &mut self.resolve_stall_cycles,
+            &mut self.fu_stall_cycles,
+        ];
+        for ((c, n), b) in counters.into_iter().zip(now).zip(before) {
+            *c += (n - b) * times;
+        }
+    }
+
     /// Overall conditional-prediction accuracy on the committed path.
     pub fn prediction_accuracy(&self) -> f64 {
         let total = self.branches + self.resolves;
