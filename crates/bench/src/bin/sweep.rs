@@ -9,25 +9,17 @@
 //!
 //! # Serial reference run (no workers, no journal):
 //! vanguard-sweep run --request sweep.req --serial
-//!
-//! # Long-running daemon: drop `<name>.req` files into the spool,
-//! # collect `<name>.out` (atomically published) when done:
-//! vanguard-sweep daemon --spool /tmp/sweeps
-//!
-//! # Pretty-print the daemon's status.json (exit 1 when absent):
-//! vanguard-sweep status --spool /tmp/sweeps
 //! ```
 //!
+//! Workers share compiled artifacts and job claims through
+//! `VANGUARD_CACHE_DIR`, by default `sweep-cache/` beside the journal.
 //! Shard count defaults to `VANGUARD_SHARDS` (then 1). Exit codes:
 //! 0 success, 2 usage, 3 interrupted (`--fault-kill-after` tripped),
 //! 4 incomplete (workers exited with jobs still unjournaled).
 
 use std::io::Write as _;
 use std::path::PathBuf;
-use vanguard_bench::sweep::{
-    self, run_daemon, run_sharded, ShardOptions, Sweep, SweepRequest, SHARDS_ENV,
-};
-use vanguard_bench::sweepstatus::{now_ms, StatusSnapshot, STATUS_FILE};
+use vanguard_bench::sweep::{self, run_sharded, ShardOptions, Sweep, SweepRequest, SHARDS_ENV};
 use vanguard_core::engine::FaultPolicy;
 use vanguard_core::Journal;
 
@@ -35,43 +27,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: vanguard-sweep run    --request FILE [--journal FILE] [--out FILE] \
          [--shards N] [--serial] [--fault-kill-after N] [--fault-kill-count N] [--throttle-ms N]\n\
-         \x20      vanguard-sweep resume --request FILE --journal FILE [--out FILE] [--shards N]\n\
-         \x20      vanguard-sweep daemon --spool DIR [--shards N] [--once]\n\
-         \x20      vanguard-sweep status --spool DIR [--stale-ms N]"
+         \x20      vanguard-sweep resume --request FILE --journal FILE [--out FILE] [--shards N]"
     );
     std::process::exit(2);
-}
-
-/// `status` mode: pretty-print the daemon's `status.json`, or report a
-/// stale/absent daemon. Exits 1 when the file is missing or corrupt.
-fn status_main(args: &[String]) -> ! {
-    let Some(spool) = flag_value(args, "--spool").map(PathBuf::from) else {
-        usage();
-    };
-    let stale_ms: u64 = flag_value(args, "--stale-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5_000);
-    let path = spool.join(STATUS_FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "[sweep] no status at {} ({e}); daemon not running?",
-                path.display()
-            );
-            std::process::exit(1);
-        }
-    };
-    let status = match StatusSnapshot::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("[sweep] bad status file {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let age_ms = now_ms().saturating_sub(status.updated_ms);
-    print!("{}", status.format_human(age_ms, stale_ms));
-    std::process::exit(0);
 }
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
@@ -104,21 +62,6 @@ fn main() {
         std::process::exit(1);
     });
 
-    if mode == "status" {
-        status_main(&args);
-    }
-    if mode == "daemon" {
-        let Some(spool) = flag_value(&args, "--spool").map(PathBuf::from) else {
-            usage();
-        };
-        let once = args.iter().any(|a| a == "--once");
-        let mut err = std::io::stderr();
-        if let Err(e) = run_daemon(&spool, &worker_exe, shards, once, &mut err) {
-            eprintln!("[sweep] daemon failed: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
     if mode != "run" && mode != "resume" {
         usage();
     }

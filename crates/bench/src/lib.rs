@@ -30,7 +30,6 @@ mod glue;
 mod progress;
 mod speedups;
 pub mod sweep;
-pub mod sweepstatus;
 
 pub use ablation::{ablation_rows, check_ablation_shape, format_ablation, AblationRow};
 pub use figures::{

@@ -26,11 +26,6 @@
 //!   (up to [`ShardOptions::max_respawns`]) — the new fleet wins the
 //!   dead workers' claims and finishes with no manual `resume`.
 //!
-//! The daemon adds poison-request quarantine (a request that repeatedly
-//! crashes its workers moves to `spool/quarantine/` with a replayable
-//! reproducer after `VANGUARD_SWEEP_MAX_STRIKES` strikes) and publishes
-//! a [`status.json`](crate::sweepstatus) endpoint for pollers.
-//!
 //! The invariant the whole design serves: the merged result of a
 //! sharded run — at any shard count, across any kill/resume split — is
 //! **byte-identical** to a serial single-process run of the same
@@ -38,8 +33,8 @@
 //! job enforce it.
 //!
 //! The module is the library behind the `vanguard-sweep` binary (one-
-//! shot runs, `--resume`, and a request-file-drop daemon) and the
-//! kill-and-resume scenario of [`crate::faultinject`].
+//! shot runs and `resume`) and the kill-and-resume scenario of
+//! [`crate::faultinject`].
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -47,7 +42,6 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
 use vanguard_core::engine::{
@@ -55,11 +49,10 @@ use vanguard_core::engine::{
     DEFAULT_MAX_PROFILE_STEPS,
 };
 use vanguard_core::journal::COMPACT_BYTES_ENV;
-use vanguard_core::{atomic_publish, Journal, JournalSnapshot, TransformKind, TransformOptions};
+use vanguard_core::{Journal, JournalSnapshot, TransformKind, TransformOptions};
 use vanguard_sim::{MachineConfig, SimStats};
 use vanguard_workloads::suite;
 
-use crate::sweepstatus::{DaemonStatus, HEARTBEAT_PREFIX};
 use crate::{quick_spec, to_experiment_input, BenchScale};
 
 /// First line of a sweep request file.
@@ -72,11 +65,12 @@ pub const WORKER_ENV: &str = "VANGUARD_SWEEP_WORKER";
 pub const REQUEST_ENV: &str = "VANGUARD_SWEEP_REQUEST";
 /// Env var carrying the journal path to a worker.
 pub const JOURNAL_ENV: &str = "VANGUARD_SWEEP_JOURNAL";
-/// Env var: per-job sleep in milliseconds before running, so a fault
+/// Env var carrying [`ShardOptions::throttle_ms`] (`--throttle-ms`) to a
+/// worker: a per-job sleep in milliseconds before running, so a fault
 /// injector can reliably observe (and kill) a sweep mid-flight.
 pub const THROTTLE_ENV: &str = "VANGUARD_SWEEP_THROTTLE_MS";
 /// Env var: default worker-process count for the `vanguard-sweep`
-/// binary and the daemon.
+/// binary.
 pub const SHARDS_ENV: &str = "VANGUARD_SHARDS";
 /// Env var: worker executable override for harnesses whose own binary
 /// has no [`maybe_run_worker`] hook (libtest binaries must never
@@ -89,10 +83,6 @@ pub const LEASE_ENV: &str = "VANGUARD_CLAIM_LEASE_MS";
 /// (lease/4) never lapses under load, short enough that a dead shard's
 /// jobs are stolen within a minute.
 pub const DEFAULT_LEASE_MS: u64 = 30_000;
-/// Env var: crashes a spool request survives before quarantine.
-pub const MAX_STRIKES_ENV: &str = "VANGUARD_SWEEP_MAX_STRIKES";
-/// Default strike limit before a crashing request is quarantined.
-pub const DEFAULT_MAX_STRIKES: u32 = 3;
 /// Env var (fault injection): once the journal holds this many records,
 /// workers stop taking jobs and wait for the parent's SIGKILL (released
 /// by the marker file from [`kill_marker`]). Without the hold the fleet
@@ -684,9 +674,9 @@ pub fn maybe_run_worker() {
 /// The worker loop: parse the request from the environment, then steal
 /// unjournaled jobs via non-blocking leased claims until the journal
 /// covers the whole plan. A heartbeat thread keeps the worker's
-/// `hb-<pid>` liveness file and its currently-held claim fresh; claims
-/// whose holder stopped heartbeating for a full lease are stolen, with
-/// [`Journal::append_new`] guaranteeing at most one record per job.
+/// currently-held claim fresh; claims whose holder stopped heartbeating
+/// for a full lease are stolen, with [`Journal::append_new`]
+/// guaranteeing at most one record per job.
 fn worker_main() -> i32 {
     let fail = |msg: String| -> i32 {
         eprintln!("[sweep-worker] {msg}");
@@ -703,12 +693,10 @@ fn worker_main() -> i32 {
         Err(e) => return fail(format!("bad request: {e}")),
     };
     let journal = Journal::new(&journal_path);
-    let mut policy = FaultPolicy::from_env();
-    let cache_dir = policy
-        .cache_dir
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(format!("{journal_path}.cache")));
-    policy.cache_dir = Some(cache_dir.clone());
+    let policy = FaultPolicy::from_env();
+    let Some(cache_dir) = policy.cache_dir.clone() else {
+        return fail("VANGUARD_CACHE_DIR not set".into());
+    };
     let sweep = match Sweep::build(request, policy) {
         Ok(s) => s,
         Err(e) => return fail(format!("bad sweep: {e}")),
@@ -727,56 +715,29 @@ fn worker_main() -> i32 {
         .and_then(|v| v.parse::<usize>().ok());
     let marker = kill_marker(journal.path());
 
-    // Heartbeat thread: refreshes this worker's liveness file and the
-    // claim it currently holds, every quarter-lease. If this process is
-    // SIGKILLed the heartbeats stop, the lease runs out, and a peer
-    // steals the job — that is the self-healing path. The liveness file
-    // stays locked until this function returns, like a claim: a status
-    // scan that wins its lock knows the worker died and removes it.
+    // Heartbeat thread: refreshes the claim this worker currently
+    // holds, every quarter-lease. If this process is SIGKILLed the
+    // heartbeats stop, the lease runs out, and a peer steals the job —
+    // that is the self-healing path. The thread ends with the process:
+    // `maybe_run_worker` exits as soon as this function returns.
     let current_claim: Arc<Mutex<Option<PathBuf>>> = Arc::new(Mutex::new(None));
-    let hb_path = cache_dir.join(format!("{HEARTBEAT_PREFIX}{}", std::process::id()));
-    let hb_file = match fs::create_dir_all(&cache_dir).and_then(|()| {
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(&hb_path)?;
-        file.lock()?;
-        Ok(file)
-    }) {
-        Ok(file) => file,
-        Err(e) => return fail(format!("heartbeat file: {e}")),
-    };
-    let stop = Arc::new(AtomicBool::new(false));
     {
         let current = Arc::clone(&current_claim);
-        let hb = hb_file.try_clone();
-        let stop = Arc::clone(&stop);
         let period = Duration::from_millis((lease.as_millis() as u64 / 4).max(25));
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                if let Ok(hb) = &hb {
-                    let _ = hb.set_modified(SystemTime::now());
+        std::thread::spawn(move || loop {
+            if let Ok(slot) = current.lock() {
+                if let Some(path) = slot.as_deref() {
+                    heartbeat_claim(path);
                 }
-                if let Ok(slot) = current.lock() {
-                    if let Some(path) = slot.as_deref() {
-                        heartbeat_claim(path);
-                    }
-                }
-                std::thread::sleep(period);
             }
+            std::thread::sleep(period);
         });
     }
-    let finish = |code: i32| -> i32 {
-        stop.store(true, Ordering::Relaxed);
-        let _ = fs::remove_file(&hb_path);
-        code
-    };
 
     loop {
         let snapshot = match journal.read() {
             Ok(s) => s,
-            Err(e) => return finish(fail(format!("journal read: {e}"))),
+            Err(e) => return fail(format!("journal read: {e}")),
         };
         if let Some(limit) = hold_limit {
             if snapshot.records.len() >= limit && !marker.exists() {
@@ -799,14 +760,14 @@ fn worker_main() -> i32 {
                 Ok(ClaimAttempt::Expired) => None,
                 // A live worker owns it; steal the next one instead.
                 Ok(ClaimAttempt::Held) => continue,
-                Err(e) => return finish(fail(format!("claim: {e}"))),
+                Err(e) => return fail(format!("claim: {e}")),
             };
             // Re-check under the claim: a previous holder may have
             // journaled this job after our snapshot.
             match journal.read() {
                 Ok(fresh) if fresh.contains(pj.key) => continue,
                 Ok(_) => {}
-                Err(e) => return finish(fail(format!("journal read: {e}"))),
+                Err(e) => return fail(format!("journal read: {e}")),
             }
             if let (Some(g), Ok(mut slot)) = (&guard, current_claim.lock()) {
                 *slot = Some(g.path().to_path_buf());
@@ -824,11 +785,11 @@ fn worker_main() -> i32 {
                 // false = the original holder raced us to the journal;
                 // either way the job is recorded exactly once.
                 Ok(_) => ran = true,
-                Err(e) => return finish(fail(format!("journal append: {e}"))),
+                Err(e) => return fail(format!("journal append: {e}")),
             }
         }
         if !remaining {
-            return finish(0);
+            return 0;
         }
         if !ran {
             // Everything left is claimed by other workers; let them run.
@@ -888,8 +849,6 @@ pub struct ShardOptions {
     /// and the run was not deliberately aborted — the self-healing
     /// backstop for a fully-dead fleet.
     pub max_respawns: usize,
-    /// Live status publisher (daemon mode); `None` skips publishing.
-    pub status: Option<Arc<DaemonStatus>>,
 }
 
 impl ShardOptions {
@@ -911,7 +870,6 @@ impl ShardOptions {
             lease_ms: None,
             compact_bytes: None,
             max_respawns: 2,
-            status: None,
         }
     }
 }
@@ -985,13 +943,7 @@ pub fn run_sharded(
                 writeln!(stream, "{}", sweep.line(pj, &payload))?;
             }
         }
-        if snapshot.records.len() != streamed {
-            streamed = snapshot.records.len();
-            if let Some(status) = &opts.status {
-                status.set_jobs(completed_of(&snapshot) as u64, total as u64);
-                let _ = status.publish();
-            }
-        }
+        streamed = snapshot.records.len();
         if let Some(limit) = opts.kill_after {
             if !kill_fired && snapshot.records.len() >= limit {
                 // SIGKILL, not a graceful shutdown: the point is to
@@ -1031,205 +983,11 @@ pub fn run_sharded(
         let _ = child.wait();
     }
     let snapshot = journal.read()?;
-    let completed = completed_of(&snapshot);
-    if let Some(status) = &opts.status {
-        status.set_jobs(completed as u64, total as u64);
-        let _ = status.publish();
-    }
     Ok(ShardedRun {
-        completed,
+        completed: completed_of(&snapshot),
         total,
         killed,
     })
-}
-
-/// Why a daemon request failed — the distinction drives retry policy.
-#[derive(Debug)]
-enum ServeError {
-    /// The request itself is malformed: reported in `.err`, retired
-    /// immediately, never retried.
-    Bad(String),
-    /// The sweep crashed or came back incomplete: retried on the next
-    /// scan, quarantined after [`MAX_STRIKES_ENV`] strikes.
-    Crashed(String),
-}
-
-/// Reads, increments, and persists the strike count for a request.
-fn bump_strikes(spool: &Path, stem: &str) -> u32 {
-    let path = spool.join(format!("{stem}.strikes"));
-    let strikes = fs::read_to_string(&path)
-        .ok()
-        .and_then(|s| s.trim().parse::<u32>().ok())
-        .unwrap_or(0)
-        + 1;
-    let _ = fs::write(&path, strikes.to_string());
-    strikes
-}
-
-/// Moves a poison request to `spool/quarantine/` with a replayable
-/// reproducer, and clears its strike file.
-fn quarantine_request(spool: &Path, req_path: &Path, stem: &str, detail: &str) {
-    let qdir = spool.join("quarantine");
-    let _ = fs::create_dir_all(&qdir);
-    let dest = qdir.join(format!("{stem}.req"));
-    if fs::rename(req_path, &dest).is_err() && fs::copy(req_path, &dest).is_ok() {
-        let _ = fs::remove_file(req_path);
-    }
-    let text = fs::read_to_string(&dest).unwrap_or_default();
-    let repro = format!(
-        "# Quarantined sweep request `{stem}`\n\
-         # Last failure: {detail}\n\
-         # Replay with:\n\
-         #   vanguard-sweep run --request {} --journal /tmp/{stem}-repro.vgj\n\
-         \n{text}",
-        dest.display()
-    );
-    let _ = fs::write(qdir.join(format!("{stem}.repro.txt")), repro);
-    let _ = fs::remove_file(spool.join(format!("{stem}.strikes")));
-}
-
-/// Daemon mode: watch `spool` for dropped `<name>.req` request files,
-/// run each (sharded), write `<name>.out` atomically, and rename the
-/// request to `<name>.req.done`. A malformed request yields `<name>.err`
-/// and is retired; a request whose sweep *crashes* is retried, and
-/// quarantined to `spool/quarantine/` with a replayable reproducer
-/// after `VANGUARD_SWEEP_MAX_STRIKES` strikes. The daemon continuously
-/// publishes [`status.json`](crate::sweepstatus) into the spool. With
-/// `once`, processes the requests present and returns instead of
-/// watching forever.
-///
-/// # Errors
-///
-/// Returns the I/O error from scanning the spool or publishing the
-/// initial status; per-request failures are reported in `.err` files
-/// and strikes, not returned.
-pub fn run_daemon(
-    spool: &Path,
-    worker_exe: &Path,
-    shards: usize,
-    once: bool,
-    stream: &mut dyn Write,
-) -> io::Result<()> {
-    fs::create_dir_all(spool)?;
-    let cache_dir = spool.join("cache");
-    let max_strikes = std::env::var(MAX_STRIKES_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_MAX_STRIKES);
-    let status = Arc::new(DaemonStatus::new(spool, &cache_dir));
-    status.publish()?;
-    loop {
-        let mut requests: Vec<PathBuf> = fs::read_dir(spool)?
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "req"))
-            .collect();
-        requests.sort();
-        for req_path in &requests {
-            let stem = req_path
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "request".into());
-            writeln!(stream, "[sweep-daemon] request {}", req_path.display())?;
-            status.set_state(&format!("serving {stem}"));
-            status.set_journal(Some(spool.join(format!("{stem}.vgj"))));
-            let _ = status.publish();
-            let outcome =
-                serve_request(req_path, spool, &stem, worker_exe, shards, &status, stream);
-            status.set_state("idle");
-            status.set_journal(None);
-            status.set_jobs(0, 0);
-            match outcome {
-                Ok(()) => {
-                    let _ = fs::rename(req_path, req_path.with_extension("req.done"));
-                    let _ = fs::remove_file(spool.join(format!("{stem}.strikes")));
-                    status.count_request_done();
-                }
-                Err(ServeError::Bad(detail)) => {
-                    let _ = fs::write(spool.join(format!("{stem}.err")), &detail);
-                    let _ = fs::rename(req_path, req_path.with_extension("req.done"));
-                    status.count_request_failed();
-                    writeln!(stream, "[sweep-daemon] request {stem} failed: {detail}")?;
-                }
-                Err(ServeError::Crashed(detail)) => {
-                    let strikes = bump_strikes(spool, &stem);
-                    writeln!(
-                        stream,
-                        "[sweep-daemon] request {stem} crashed \
-                         (strike {strikes}/{max_strikes}): {detail}"
-                    )?;
-                    if strikes >= max_strikes {
-                        quarantine_request(spool, req_path, &stem, &detail);
-                        let _ = fs::write(spool.join(format!("{stem}.err")), &detail);
-                        status.count_request_failed();
-                        writeln!(stream, "[sweep-daemon] request {stem} quarantined")?;
-                    }
-                    // Below the limit: leave the .req for the next scan.
-                }
-            }
-            let _ = status.publish();
-        }
-        if once {
-            status.set_state("exited");
-            let _ = status.publish();
-            return Ok(());
-        }
-        std::thread::sleep(Duration::from_millis(200));
-        let _ = status.publish();
-    }
-}
-
-/// Serves one daemon request end-to-end.
-fn serve_request(
-    req_path: &Path,
-    spool: &Path,
-    stem: &str,
-    worker_exe: &Path,
-    shards: usize,
-    status: &Arc<DaemonStatus>,
-    stream: &mut dyn Write,
-) -> Result<(), ServeError> {
-    let bad = |msg: String| ServeError::Bad(msg);
-    let crashed = |msg: String| ServeError::Crashed(msg);
-    let text = fs::read_to_string(req_path).map_err(|e| bad(format!("read request: {e}")))?;
-    let request = SweepRequest::parse(&text).map_err(|e| bad(format!("parse request: {e}")))?;
-    let cache_dir = spool.join("cache");
-    let policy = FaultPolicy {
-        cache_dir: Some(cache_dir.clone()),
-        ..FaultPolicy::from_env()
-    };
-    let sweep = Sweep::build(request, policy).map_err(|e| bad(format!("build sweep: {e}")))?;
-    let journal = Journal::new(spool.join(format!("{stem}.vgj")));
-    let mut opts = ShardOptions::new(worker_exe, shards, cache_dir);
-    opts.status = Some(Arc::clone(status));
-    // An operator throttle on the daemon reaches its workers (the CI
-    // soak slows jobs down so kills land mid-run); run_sharded strips
-    // the variable from workers unless the options carry it.
-    opts.throttle_ms = std::env::var(THROTTLE_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0);
-    let run =
-        run_sharded(&sweep, &journal, &opts, stream).map_err(|e| crashed(format!("run: {e}")))?;
-    if !run.complete() {
-        return Err(crashed(format!(
-            "sweep incomplete: {} of {} jobs journaled",
-            run.completed, run.total
-        )));
-    }
-    let snapshot = journal
-        .read()
-        .map_err(|e| crashed(format!("journal: {e}")))?;
-    let merged = sweep
-        .merged(&snapshot)
-        .map_err(|missing| crashed(format!("merge missing {} jobs", missing.len())))?;
-    let out_path = spool.join(format!("{stem}.out"));
-    atomic_publish(&out_path, merged.as_bytes())
-        .map_err(|e| crashed(format!("publish output: {e}")))?;
-    writeln!(stream, "[sweep-daemon] wrote {}", out_path.display())
-        .map_err(|e| crashed(format!("stream: {e}")))?;
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,13 +1,10 @@
 //! Integration tests for the `vanguard-sweep` binary: the CI
 //! `sweep-resume` gate's contract, exercised through the real CLI.
 //!
-//! * a sharded run's merged output is byte-identical to `--serial`;
+//! * a sharded run's merged output is byte-identical to `--serial`,
+//!   and its workers leave no per-worker files in the cache directory;
 //! * `--fault-kill-after` interrupts the run (exit 3) leaving a
 //!   partial journal, and `resume` completes it byte-identically;
-//! * the daemon serves spool requests end-to-end (`.out` byte-identical
-//!   to serial), publishes `status.json`, and quarantines a poison
-//!   request with a replayable reproducer after its strikes run out;
-//! * the `status` subcommand reads the published file (exit 1 absent);
 //! * the committed request file `tests/sweeps/ci-quick.req` stays in
 //!   sync with [`SweepRequest::ci_quick`].
 
@@ -15,7 +12,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use vanguard_bench::sweep::SweepRequest;
-use vanguard_bench::sweepstatus::StatusSnapshot;
 
 const SWEEP_EXE: &str = env!("CARGO_BIN_EXE_vanguard-sweep");
 
@@ -72,6 +68,7 @@ fn sharded_run_matches_serial_byte_for_byte() {
     assert!(!serial.is_empty());
 
     let journal = dir.join("sharded.vgj");
+    let cache = dir.join("sharded-cache");
     let (code, sharded) = run_sweep(
         &[
             "run",
@@ -82,10 +79,20 @@ fn sharded_run_matches_serial_byte_for_byte() {
             "--shards",
             "2",
         ],
-        &dir.join("sharded-cache"),
+        &cache,
     );
     assert_eq!(code, 0, "sharded run succeeds");
     assert_eq!(sharded, serial, "sharded merge is byte-identical to serial");
+    let leftovers: Vec<_> = fs::read_dir(&cache)
+        .expect("workers populated the cache directory")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("hb-"))
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "workers leave no per-worker files: {leftovers:?}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -155,126 +162,5 @@ fn kill_and_resume_is_byte_identical() {
         resumed, serial,
         "resumed merge is byte-identical to an uninterrupted serial run"
     );
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn daemon_serves_spool_requests_and_publishes_status() {
-    let dir = scratch("daemon");
-    let request = ci_request_path();
-
-    let (code, serial) = run_sweep(
-        &["run", "--request", request.to_str().unwrap(), "--serial"],
-        &dir.join("serial-cache"),
-    );
-    assert_eq!(code, 0, "serial reference succeeds");
-
-    // `status` before any daemon ran: exit 1, no status file.
-    let spool = dir.join("spool");
-    fs::create_dir_all(&spool).unwrap();
-    let status_args = ["status", "--spool", spool.to_str().unwrap()];
-    let (code, _) = run_sweep(&status_args, &dir.join("unused-cache"));
-    assert_eq!(code, 1, "status without a daemon exits 1");
-
-    // Drop a request and serve it with a single --once pass.
-    fs::copy(&request, spool.join("job.req")).unwrap();
-    let output = Command::new(SWEEP_EXE)
-        .args([
-            "daemon",
-            "--spool",
-            spool.to_str().unwrap(),
-            "--shards",
-            "2",
-            "--once",
-        ])
-        .output()
-        .expect("spawn daemon");
-    assert!(output.status.success(), "daemon --once exits cleanly");
-
-    let out = fs::read(spool.join("job.out")).expect("daemon published job.out");
-    assert_eq!(out, serial, "daemon output is byte-identical to serial");
-    assert!(
-        spool.join("job.req.done").is_file(),
-        "served request renamed to .req.done"
-    );
-    assert!(
-        !spool.join("job.err").exists(),
-        "no error report for a good request"
-    );
-
-    // The published status parses and reflects the served request.
-    let text = fs::read_to_string(spool.join("status.json")).expect("status.json published");
-    let status = StatusSnapshot::parse(&text).expect("status.json parses");
-    assert_eq!(status.state, "exited");
-    assert_eq!(status.requests_done, 1);
-    assert_eq!(status.requests_failed, 0);
-    assert_eq!(status.quarantined, 0);
-
-    // The status subcommand renders it and exits 0.
-    let output = Command::new(SWEEP_EXE)
-        .args(status_args)
-        .output()
-        .expect("spawn status");
-    assert!(
-        output.status.success(),
-        "status exits 0 with a published file"
-    );
-    let rendered = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        rendered.contains("state    : exited"),
-        "rendered: {rendered}"
-    );
-    assert!(
-        rendered.contains("requests : 1 done"),
-        "rendered: {rendered}"
-    );
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn daemon_quarantines_a_poison_request() {
-    let dir = scratch("poison");
-    let spool = dir.join("spool");
-    fs::create_dir_all(&spool).unwrap();
-    fs::copy(ci_request_path(), spool.join("bad.req")).unwrap();
-    // Poison: the request's journal path is occupied by a *directory*,
-    // so every append and read of it crashes the serve.
-    fs::create_dir_all(spool.join("bad.vgj")).unwrap();
-
-    let output = Command::new(SWEEP_EXE)
-        .args(["daemon", "--spool", spool.to_str().unwrap(), "--once"])
-        .env("VANGUARD_SWEEP_MAX_STRIKES", "1")
-        .output()
-        .expect("spawn daemon");
-    assert!(
-        output.status.success(),
-        "a poison request must not kill the daemon: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-
-    let qdir = spool.join("quarantine");
-    assert!(
-        qdir.join("bad.req").is_file(),
-        "request moved to quarantine"
-    );
-    let repro = fs::read_to_string(qdir.join("bad.repro.txt")).expect("reproducer written");
-    assert!(
-        repro.contains("vanguard-sweep run --request"),
-        "repro: {repro}"
-    );
-    assert!(
-        !spool.join("bad.req").exists(),
-        "poison request retired from the spool"
-    );
-    assert!(
-        !spool.join("bad.strikes").exists(),
-        "strike file cleaned up"
-    );
-    assert!(spool.join("bad.err").is_file(), "failure detail reported");
-
-    let text = fs::read_to_string(spool.join("status.json")).expect("status.json published");
-    let status = StatusSnapshot::parse(&text).expect("status.json parses");
-    assert_eq!(status.requests_failed, 1);
-    assert_eq!(status.quarantined, 1);
     let _ = fs::remove_dir_all(&dir);
 }

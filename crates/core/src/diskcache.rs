@@ -663,7 +663,7 @@ mod tests {
                 .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
                 .count()
         };
-        let target = dir.join("status.json");
+        let target = dir.join("entry.bin");
         fs::write(&target, b"old").unwrap();
         atomic_publish(&target, b"new").unwrap();
         assert_eq!(fs::read(&target).unwrap(), b"new");

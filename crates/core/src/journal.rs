@@ -195,8 +195,13 @@ impl Journal {
     /// (resuming from a non-journal would be meaningless → error), the
     /// compaction snapshot is not (a corrupt snapshot degrades into
     /// recomputed work → every byte counted dropped).
+    ///
+    /// An empty file reads as an empty journal: the first appender
+    /// creates the tail and only then writes the magic, under its lock,
+    /// so a concurrent reader can see the file with no bytes yet.
     fn read_file(&self, path: &Path, strict: bool) -> io::Result<JournalSnapshot> {
         let bytes = match fs::read(path) {
+            Ok(b) if b.is_empty() => return Ok(JournalSnapshot::default()),
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(JournalSnapshot::default()),
             Err(e) => return Err(e),
@@ -236,9 +241,9 @@ impl Journal {
     }
 
     /// Reads and validates the journal, transparently merging the
-    /// compaction snapshot (if any) with the tail. A missing file is an
-    /// empty snapshot (a sweep that has not started yet); a present
-    /// tail must open with the `VGJ1` magic.
+    /// compaction snapshot (if any) with the tail. A missing or empty
+    /// file is an empty snapshot (a sweep that has not journaled yet); a
+    /// non-empty tail must open with the `VGJ1` magic.
     ///
     /// The tail is read *before* the snapshot: records only ever move
     /// tail → snapshot (under the append lock), so this ordering means
@@ -247,8 +252,8 @@ impl Journal {
     /// # Errors
     ///
     /// Returns the I/O error, or [`io::ErrorKind::InvalidData`] when the
-    /// tail file exists but does not start with the journal magic (it is
-    /// not a journal — resuming from it would be meaningless).
+    /// tail file is non-empty but does not start with the journal magic
+    /// (it is not a journal — resuming from it would be meaningless).
     pub fn read(&self) -> io::Result<JournalSnapshot> {
         let tail = self.read_file(&self.path, true)?;
         let snap = self.read_file(&self.snapshot_path(), false)?;
@@ -547,6 +552,21 @@ mod tests {
         fs::write(j.path(), b"not a journal at all").unwrap();
         assert_eq!(j.read().unwrap_err().kind(), io::ErrorKind::InvalidData);
         assert!(j.append(1, b"x").is_err());
+        cleanup(&j);
+    }
+
+    /// A tail created by its first appender but without its magic yet
+    /// is an empty journal to a concurrent reader, not a foreign file.
+    #[test]
+    fn empty_tail_reads_as_an_empty_journal() {
+        let j = temp_journal("emptytail");
+        fs::create_dir_all(j.path().parent().unwrap()).unwrap();
+        fs::write(j.path(), b"").unwrap();
+        let snap = j.read().unwrap();
+        assert!(snap.records.is_empty());
+        assert_eq!(snap.dropped_bytes, 0);
+        j.append(1, b"x").unwrap();
+        assert_eq!(j.read().unwrap().records.len(), 1);
         cleanup(&j);
     }
 

@@ -80,8 +80,8 @@ fn bitflipped_cache_entry_is_evicted_and_recomputed() {
 }
 
 /// Disk pressure (every store fails) degrades to compute-without-store,
-/// bit-identically. The other daemon
-/// classes (dead-claim-holder, compaction-under-kill) spawn worker
+/// bit-identically. The sweep-worker classes (kill-and-resume,
+/// dead-claim-holder, compaction-under-kill) spawn worker
 /// *processes* and run through the `faultinject` binary in CI instead:
 /// a libtest binary must never re-exec itself as a worker.
 #[test]
