@@ -9,7 +9,9 @@
 //!
 //! Exit status is non-zero when any class assertion fails or the armed
 //! watchdog costs ≥ 2 % of clean simulate time (the robustness gate CI
-//! applies). Everything is deterministic in `--seed`.
+//! applies). Everything is deterministic in `--seed`. The sweep classes
+//! run the `vanguard-sweep` binary from the same directory, so build
+//! both first (`cargo build --release -p vanguard-bench --bins`).
 
 use std::fmt::Write as _;
 use vanguard_bench::faultinject::{
@@ -38,7 +40,6 @@ fn json_str(s: &str) -> String {
 }
 
 fn main() {
-    vanguard_bench::sweep::maybe_run_worker();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let seed: u64 = args
         .iter()

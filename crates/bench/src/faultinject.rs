@@ -21,16 +21,20 @@
 
 use std::fmt::Write as _;
 use std::fs;
+use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 use std::time::Duration;
 use vanguard_core::engine::{
     Engine, FaultPolicy, JobResult, PredictorKind, SimJob, SweepCell, DEFAULT_MAX_PROFILE_STEPS,
 };
-use vanguard_core::{ExperimentInput, RunInput, TransformOptions};
+use vanguard_core::journal::COMPACT_BYTES_ENV;
+use vanguard_core::{ExperimentInput, Journal, RunInput, TransformOptions};
 use vanguard_isa::{AluOp, CmpKind, CondKind, Inst, Memory, Operand, ProgramBuilder, Reg};
 use vanguard_sim::{MachineConfig, SimError, SimStats};
 use vanguard_workloads::suite;
 
+use crate::sweep::{Sweep, SweepRequest};
 use crate::{quick_spec, to_experiment_input, BenchScale};
 
 /// Benchmarks of the fault suite (a prefix of SPEC2006 INT at quick
@@ -83,20 +87,15 @@ declare_fault_classes! {
     CacheTruncation => "cache-truncation",
     /// A single bit of an on-disk profile cache entry is flipped.
     CacheBitflip => "cache-bitflip",
-    /// A sweep worker *process* is `SIGKILL`ed mid-sweep; the resumed
-    /// sweep must complete off the journal with no job's side effects
-    /// run twice and a merged output byte-identical to an uninterrupted
-    /// serial run, at shard counts 1, 2, and 4.
+    /// A `vanguard-sweep` process aborts (`SIGABRT`) mid-sweep; the
+    /// resumed sweep must complete off the journal with no job's side
+    /// effects run twice and a merged output byte-identical to an
+    /// uninterrupted serial run, at pool sizes 1, 2, and 4.
     KillAndResume => "kill-and-resume",
-    /// A claim holder dies (`SIGKILL`) or wedges (live but silent)
-    /// mid-job; a peer must steal the claim once its lease runs out and
-    /// the sweep must finish in the *same* run — no manual resume, no
-    /// duplicate journal records, byte-identical merged output.
-    DeadClaimHolder => "dead-claim-holder",
-    /// Workers are `SIGKILL`ed while the journal is compacting under a
-    /// tiny threshold; the snapshot + tail must survive the crash and
-    /// the resumed sweep must complete with no duplicate or resurrected
-    /// records and byte-identical merged output.
+    /// A `vanguard-sweep` process aborts while its journal compacts
+    /// under a tiny threshold; the snapshot + tail must survive the
+    /// crash and the resumed sweep must complete with no duplicate or
+    /// resurrected records and byte-identical merged output.
     CompactionUnderKill => "compaction-under-kill",
     /// The artifact cache hits disk pressure: stores fail outright
     /// (simulated `ENOSPC` via a poisoned cache path). The suite
@@ -613,467 +612,189 @@ fn cache_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats])
     }
 }
 
-/// Shard counts the kill-and-resume scenario must hold at.
-const KILL_RESUME_SHARDS: [usize; 3] = [1, 2, 4];
+/// Pool sizes (`VANGUARD_THREADS`) the kill-and-resume scenario must
+/// hold at.
+const KILL_RESUME_THREADS: [usize; 3] = [1, 2, 4];
 
-/// Stages the kill-and-resume class: a quick sweep is run sharded, its
-/// worker processes are `SIGKILL`ed after a seed-chosen number of jobs
-/// journal, and the sweep is resumed off the journal. At every shard
-/// count the contract is the same: the interruption is real (partial
-/// journal), the resume completes, no job's side effects ran twice
-/// (zero duplicate journal records), and the merged output is
-/// byte-identical to an uninterrupted serial single-process run.
-///
-/// Worker processes are spawned from [`sweep::harness_worker_exe`]:
-/// the `faultinject` and `vanguard-sweep` binaries re-exec themselves
-/// (both hook [`sweep::maybe_run_worker`]); test harnesses must point
-/// `VANGUARD_SWEEP_WORKER_EXE` at the `vanguard-sweep` binary instead
-/// (a re-exec'd libtest binary would run the whole test suite).
+/// The serial-reference merged output of the sweep classes' request.
+fn serial_reference() -> Result<String, String> {
+    Sweep::build(SweepRequest::ci_quick(), isolated_policy()).map(|s| s.run_serial())
+}
+
+/// One crash-and-resume round through the real CLI, shared by the two
+/// sweep classes: the `vanguard-sweep` binary beside this executable
+/// runs `run --fault-kill-after kill_after`, then `resume`, on one
+/// journal in `dir`. The child sees none of the caller's `VANGUARD_*`
+/// variables, only `env`, so the caller's environment cannot steer the
+/// gate. Pushes the four checks every round makes, each detail prefixed
+/// with `tag`, and returns the journal's record counts after the crash
+/// and after the resume (`None` when the binary could not run at all).
+fn crash_and_resume(
+    checks: &mut Vec<Check>,
+    tag: &str,
+    dir: &Path,
+    kill_after: usize,
+    env: &[(&str, String)],
+    serial: &str,
+) -> Option<(usize, usize)> {
+    let request = dir.join("request.req");
+    let journal = Journal::new(dir.join("journal.vgj"));
+    let total = serial.lines().count();
+    let sweep = |mode: &str, extra: &[&str]| -> std::io::Result<Output> {
+        let exe = std::env::current_exe()?
+            .with_file_name(format!("vanguard-sweep{}", std::env::consts::EXE_SUFFIX));
+        let mut cmd = Command::new(exe);
+        for (key, _) in std::env::vars_os() {
+            if key.to_string_lossy().starts_with("VANGUARD_") {
+                cmd.env_remove(key);
+            }
+        }
+        cmd.arg(mode)
+            .arg("--request")
+            .arg(&request)
+            .arg("--journal")
+            .arg(journal.path())
+            .args(extra)
+            .envs(env.iter().cloned())
+            .output()
+    };
+    if let Err(e) = fs::create_dir_all(dir)
+        .and_then(|()| fs::write(&request, SweepRequest::ci_quick().render()))
+    {
+        push_check(checks, "sweep request written", false, format!("{tag}{e}"));
+        return None;
+    }
+    let first = match sweep("run", &["--fault-kill-after", &kill_after.to_string()]) {
+        Ok(out) => out,
+        Err(e) => {
+            push_check(
+                checks,
+                "vanguard-sweep binary runs beside this one",
+                false,
+                format!("{tag}{e}"),
+            );
+            return None;
+        }
+    };
+    let killed_at = journal.read().map(|s| s.records.len()).unwrap_or(0);
+    push_check(
+        checks,
+        "SIGABRT mid-sweep leaves a partial journal",
+        first.status.signal() == Some(6) && killed_at < total,
+        format!(
+            "{tag}abort after {kill_after}: {} with {killed_at} of {total} jobs",
+            first.status
+        ),
+    );
+    let second = sweep("resume", &[]);
+    push_check(
+        checks,
+        "resume completes the sweep off the journal",
+        matches!(&second, Ok(out) if out.status.success()),
+        format!("{tag}{:?}", second.as_ref().map(|out| out.status)),
+    );
+    let snapshot = journal.read().unwrap_or_default();
+    let duplicates = snapshot.duplicate_keys();
+    push_check(
+        checks,
+        "no job ran its side effects twice",
+        duplicates.is_empty() && snapshot.records.len() == total,
+        format!(
+            "{tag}{} records of {total}, duplicates {duplicates:?}",
+            snapshot.records.len()
+        ),
+    );
+    let identical = matches!(&second, Ok(out) if out.stdout == serial.as_bytes());
+    push_check(
+        checks,
+        "merged output byte-identical to serial run",
+        identical,
+        format!("{tag}{} bytes expected", serial.len()),
+    );
+    Some((killed_at, snapshot.records.len()))
+}
+
+/// Stages the kill-and-resume class: at each pool size, the
+/// `vanguard-sweep` binary runs a quick sweep and aborts after a
+/// seed-chosen number of journal appends, and a second process resumes
+/// it off the journal. At every pool size the contract is the same: the
+/// crash is real (partial journal), the resume completes, no job's side
+/// effects ran twice (zero duplicate journal records), and the merged
+/// output is byte-identical to an uninterrupted serial run.
 fn kill_and_resume_class(seed: u64, scratch: &Path) -> ClassReport {
-    use crate::sweep::{self, ShardOptions, Sweep, SweepRequest};
-    use vanguard_core::Journal;
-
     let mut checks = Vec::new();
     let mut summary = String::new();
-    let report = |checks, summary| ClassReport {
+    match serial_reference() {
+        Ok(serial) => {
+            let kill_after = 1 + (seed as usize % 2);
+            for threads in KILL_RESUME_THREADS {
+                let dir = scratch.join(format!("kill-resume-{threads}"));
+                let _ = fs::remove_dir_all(&dir);
+                let env = [("VANGUARD_THREADS", threads.to_string())];
+                let tag = format!("threads={threads}: ");
+                match crash_and_resume(&mut checks, &tag, &dir, kill_after, &env, &serial) {
+                    Some((killed, resumed)) => {
+                        let _ = writeln!(summary, "{tag}aborted at {killed}, resumed to {resumed}");
+                    }
+                    None => break,
+                }
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
+        Err(e) => push_check(&mut checks, "serial reference sweep builds", false, e),
+    }
+    ClassReport {
         class: FaultClass::KillAndResume,
         checks,
         summary,
-    };
-    let worker_exe = match sweep::harness_worker_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            push_check(
-                &mut checks,
-                "worker executable resolves",
-                false,
-                e.to_string(),
-            );
-            return report(checks, summary);
-        }
-    };
-    let request = SweepRequest::ci_quick();
-    // The serial reference runs in its own cache directory: the
-    // byte-identity claim must not depend on artifacts the sharded
-    // runs produced.
-    let serial_dir = scratch.join("kill-resume-serial");
-    let _ = fs::remove_dir_all(&serial_dir);
-    let serial_policy = FaultPolicy {
-        cache_dir: Some(serial_dir.join("cache")),
-        ..isolated_policy()
-    };
-    let serial = match Sweep::build(request.clone(), serial_policy) {
-        Ok(sweep) => sweep.run_serial(),
-        Err(e) => {
-            push_check(&mut checks, "serial reference sweep builds", false, e);
-            return report(checks, summary);
-        }
-    };
-
-    for shards in KILL_RESUME_SHARDS {
-        let dir = scratch.join(format!("kill-resume-{shards}"));
-        let _ = fs::remove_dir_all(&dir);
-        let cache_dir = dir.join("cache");
-        let policy = FaultPolicy {
-            cache_dir: Some(cache_dir.clone()),
-            ..isolated_policy()
-        };
-        let sweep_run = match Sweep::build(request.clone(), policy) {
-            Ok(s) => s,
-            Err(e) => {
-                push_check(&mut checks, "sharded sweep builds", false, e);
-                continue;
-            }
-        };
-        let total = sweep_run.plan().len();
-        let journal = Journal::new(dir.join("journal.vgj"));
-        // Seed-chosen kill point, early enough that in-flight jobs
-        // (one per shard, each throttled 40 ms) cannot finish the
-        // sweep before the SIGKILL lands.
-        let kill_after = 1 + (seed as usize % 2);
-        let mut sink = std::io::sink();
-        let mut kill_opts = ShardOptions::new(worker_exe.clone(), shards, cache_dir.clone());
-        kill_opts.kill_after = Some(kill_after);
-        kill_opts.throttle_ms = Some(40);
-        let first = sweep::run_sharded(&sweep_run, &journal, &kill_opts, &mut sink);
-        let partial = match &first {
-            Ok(run) => run.killed && run.completed < total,
-            Err(_) => false,
-        };
-        push_check(
-            &mut checks,
-            "SIGKILL mid-sweep leaves a partial journal",
-            partial,
-            format!("shards={shards}: kill after {kill_after} -> {first:?} of {total} jobs"),
-        );
-        let second = sweep::run_sharded(
-            &sweep_run,
-            &journal,
-            &ShardOptions::new(worker_exe.clone(), shards, cache_dir.clone()),
-            &mut sink,
-        );
-        let resumed = matches!(&second, Ok(run) if run.complete());
-        push_check(
-            &mut checks,
-            "resume completes the sweep off the journal",
-            resumed,
-            format!("shards={shards}: {second:?}"),
-        );
-        let snapshot = match journal.read() {
-            Ok(s) => s,
-            Err(e) => {
-                push_check(
-                    &mut checks,
-                    "journal readable after resume",
-                    false,
-                    format!("shards={shards}: {e}"),
-                );
-                continue;
-            }
-        };
-        let duplicates = snapshot.duplicate_keys();
-        push_check(
-            &mut checks,
-            "no job ran its side effects twice",
-            duplicates.is_empty(),
-            format!(
-                "shards={shards}: {} records, duplicates {duplicates:?}",
-                snapshot.records.len()
-            ),
-        );
-        let merged = sweep_run.merged(&snapshot);
-        let identical = merged.as_deref() == Ok(serial.as_str());
-        push_check(
-            &mut checks,
-            "merged output byte-identical to serial run",
-            identical,
-            match &merged {
-                Ok(m) if identical => format!("shards={shards}: {} bytes", m.len()),
-                Ok(_) => format!("shards={shards}: merged text diverged from serial"),
-                Err(missing) => format!("shards={shards}: merge missing {} jobs", missing.len()),
-            },
-        );
-        let first_completed = first.map(|r| r.completed).unwrap_or(0);
-        let _ = writeln!(
-            summary,
-            "shards={shards}: killed at {first_completed}/{total}, resumed to {}/{total}",
-            snapshot.records.len()
-        );
-        let _ = fs::remove_dir_all(&dir);
     }
-    let _ = fs::remove_dir_all(&serial_dir);
-    report(checks, summary)
 }
 
-/// Builds a serial-reference merged output for the sweep classes, in
-/// its own cache directory so the byte-identity claims never depend on
-/// artifacts a sharded run produced. Returns `Err(check)` with a failed
-/// check when the build fails.
-fn serial_reference(scratch: &Path, tag: &str) -> Result<String, Check> {
-    use crate::sweep::{Sweep, SweepRequest};
-    let serial_dir = scratch.join(format!("{tag}-serial"));
-    let _ = fs::remove_dir_all(&serial_dir);
-    let policy = FaultPolicy {
-        cache_dir: Some(serial_dir.join("cache")),
-        ..isolated_policy()
-    };
-    let out = match Sweep::build(SweepRequest::ci_quick(), policy) {
-        Ok(sweep) => Ok(sweep.run_serial()),
-        Err(e) => Err(Check {
-            name: "serial reference sweep builds",
-            passed: false,
-            detail: e,
-        }),
-    };
-    let _ = fs::remove_dir_all(&serial_dir);
-    out
-}
-
-/// Stages the dead-claim-holder class in two acts:
-///
-/// 1. **Wedged holder** — the harness itself claims a seed-chosen job
-///    and holds the (live) lock without heartbeating for the whole run.
-///    Workers under a 150 ms lease must report the claim `Expired`,
-///    steal the job, and finish the sweep with exactly one record.
-/// 2. **Dead holder** — one of two workers is `SIGKILL`ed mid-sweep.
-///    The OS releases its claim locks outright, the survivor (or a
-///    respawned fleet) takes over, and the *same* `run_sharded` call
-///    completes: no manual resume, no duplicates, byte-identical
-///    output. This is the acceptance scenario of DESIGN.md §7.12.
-fn dead_claim_holder_class(seed: u64, scratch: &Path) -> ClassReport {
-    use crate::sweep::{self, ClaimAttempt, ShardOptions, Sweep, SweepRequest};
-    use vanguard_core::Journal;
-
-    let mut checks = Vec::new();
-    let mut summary = String::new();
-    let report = |checks, summary| ClassReport {
-        class: FaultClass::DeadClaimHolder,
-        checks,
-        summary,
-    };
-    let worker_exe = match sweep::harness_worker_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            push_check(
-                &mut checks,
-                "worker executable resolves",
-                false,
-                e.to_string(),
-            );
-            return report(checks, summary);
-        }
-    };
-    let serial = match serial_reference(scratch, "dead-claim") {
-        Ok(s) => s,
-        Err(check) => {
-            checks.push(check);
-            return report(checks, summary);
-        }
-    };
-
-    // Act 1: a live-but-wedged holder. The harness claim never
-    // heartbeats, so its mtime ages past the 150 ms worker lease.
-    {
-        let dir = scratch.join("dead-claim-wedged");
-        let _ = fs::remove_dir_all(&dir);
-        let cache_dir = dir.join("cache");
-        let policy = FaultPolicy {
-            cache_dir: Some(cache_dir.clone()),
-            ..isolated_policy()
-        };
-        match Sweep::build(SweepRequest::ci_quick(), policy) {
-            Ok(sweep_run) => {
-                let victim = sweep_run.plan()[seed as usize % sweep_run.plan().len()].key;
-                let wedged = sweep::try_claim_leased(&cache_dir, victim, Duration::MAX);
-                push_check(
-                    &mut checks,
-                    "harness wedges a live claim holder",
-                    matches!(wedged, Ok(ClaimAttempt::Won(_))),
-                    format!("victim job {victim:016x}"),
-                );
-                let journal = Journal::new(dir.join("journal.vgj"));
-                let mut opts = ShardOptions::new(worker_exe.clone(), 2, cache_dir.clone());
-                opts.lease_ms = Some(150);
-                opts.throttle_ms = Some(10);
-                let mut sink = std::io::sink();
-                let run = sweep::run_sharded(&sweep_run, &journal, &opts, &mut sink);
-                let healed = matches!(&run, Ok(r) if r.complete() && !r.killed);
-                push_check(
-                    &mut checks,
-                    "lease expiry steals the wedged job in-run",
-                    healed,
-                    format!("{run:?}"),
-                );
-                let snapshot = journal.read().unwrap_or_default();
-                push_check(
-                    &mut checks,
-                    "steal produced no duplicate records",
-                    snapshot.duplicate_keys().is_empty()
-                        && snapshot.records.len() == sweep_run.plan().len(),
-                    format!(
-                        "{} records, duplicates {:?}",
-                        snapshot.records.len(),
-                        snapshot.duplicate_keys()
-                    ),
-                );
-                let merged = sweep_run.merged(&snapshot);
-                push_check(
-                    &mut checks,
-                    "wedged-holder output byte-identical to serial",
-                    merged.as_deref() == Ok(serial.as_str()),
-                    format!("{} bytes expected", serial.len()),
-                );
-                let _ = writeln!(
-                    summary,
-                    "wedged: {}/{} jobs after steal",
-                    snapshot.records.len(),
-                    sweep_run.plan().len()
-                );
-                drop(wedged);
-            }
-            Err(e) => push_check(&mut checks, "wedged-holder sweep builds", false, e),
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    // Act 2: a SIGKILLed holder. kill_count = 1 wounds the fleet
-    // without aborting the parent — the run must self-heal in place.
-    {
-        let dir = scratch.join("dead-claim-killed");
-        let _ = fs::remove_dir_all(&dir);
-        let cache_dir = dir.join("cache");
-        let policy = FaultPolicy {
-            cache_dir: Some(cache_dir.clone()),
-            ..isolated_policy()
-        };
-        match Sweep::build(SweepRequest::ci_quick(), policy) {
-            Ok(sweep_run) => {
-                let journal = Journal::new(dir.join("journal.vgj"));
-                let mut opts = ShardOptions::new(worker_exe.clone(), 2, cache_dir.clone());
-                opts.kill_after = Some(1);
-                opts.kill_count = Some(1);
-                opts.throttle_ms = Some(40);
-                opts.lease_ms = Some(150);
-                let mut sink = std::io::sink();
-                let run = sweep::run_sharded(&sweep_run, &journal, &opts, &mut sink);
-                let healed = matches!(&run, Ok(r) if r.complete() && !r.killed);
-                push_check(
-                    &mut checks,
-                    "SIGKILLed shard self-heals with no resume",
-                    healed,
-                    format!("{run:?}"),
-                );
-                let snapshot = journal.read().unwrap_or_default();
-                push_check(
-                    &mut checks,
-                    "self-heal produced no duplicate records",
-                    snapshot.duplicate_keys().is_empty(),
-                    format!(
-                        "{} records, duplicates {:?}",
-                        snapshot.records.len(),
-                        snapshot.duplicate_keys()
-                    ),
-                );
-                let merged = sweep_run.merged(&snapshot);
-                push_check(
-                    &mut checks,
-                    "self-healed output byte-identical to serial",
-                    merged.as_deref() == Ok(serial.as_str()),
-                    format!("{} bytes expected", serial.len()),
-                );
-                let _ = writeln!(
-                    summary,
-                    "killed: {}/{} jobs after self-heal",
-                    snapshot.records.len(),
-                    sweep_run.plan().len()
-                );
-            }
-            Err(e) => push_check(&mut checks, "killed-holder sweep builds", false, e),
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    report(checks, summary)
-}
-
-/// Stages the compaction-under-kill class: a sharded sweep runs with a
-/// deliberately tiny journal-compaction threshold so snapshots are cut
-/// mid-run, the whole fleet is `SIGKILL`ed, and the resumed sweep (still
-/// compacting) must complete off the snapshot + tail with no duplicate
-/// or resurrected records and a merged output byte-identical to serial.
+/// Stages the compaction-under-kill class: the crash-and-resume round of
+/// [`kill_and_resume_class`] under a deliberately tiny journal-compaction
+/// threshold, so snapshots are cut mid-run and the crash can land during
+/// one. The resumed sweep (still compacting) must complete off the
+/// snapshot + tail with no duplicate or resurrected records and a merged
+/// output byte-identical to serial.
 fn compaction_under_kill_class(seed: u64, scratch: &Path) -> ClassReport {
-    use crate::sweep::{self, ShardOptions, Sweep, SweepRequest};
-    use vanguard_core::Journal;
-
     const COMPACT_BYTES: u64 = 256;
     let mut checks = Vec::new();
     let mut summary = String::new();
-    let report = |checks, summary| ClassReport {
+    let dir = scratch.join("compact-kill");
+    let _ = fs::remove_dir_all(&dir);
+    match serial_reference() {
+        Ok(serial) => {
+            let env = [
+                ("VANGUARD_THREADS", "2".to_string()),
+                (COMPACT_BYTES_ENV, COMPACT_BYTES.to_string()),
+            ];
+            // The 2nd append crosses the threshold and compacts, so the
+            // abort lands right after a compaction, or during the next.
+            let kill_after = 2 + (seed as usize % 2);
+            if let Some((killed, resumed)) =
+                crash_and_resume(&mut checks, "", &dir, kill_after, &env, &serial)
+            {
+                let snapshot = Journal::new(dir.join("journal.vgj")).snapshot_path();
+                push_check(
+                    &mut checks,
+                    "compaction actually fired (snapshot on disk)",
+                    snapshot.is_file(),
+                    snapshot.display().to_string(),
+                );
+                let _ = writeln!(
+                    summary,
+                    "aborted at {killed} (threshold {COMPACT_BYTES} B), resumed to {resumed}"
+                );
+            }
+        }
+        Err(e) => push_check(&mut checks, "serial reference sweep builds", false, e),
+    }
+    let _ = fs::remove_dir_all(&dir);
+    ClassReport {
         class: FaultClass::CompactionUnderKill,
         checks,
         summary,
-    };
-    let worker_exe = match sweep::harness_worker_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            push_check(
-                &mut checks,
-                "worker executable resolves",
-                false,
-                e.to_string(),
-            );
-            return report(checks, summary);
-        }
-    };
-    let serial = match serial_reference(scratch, "compact-kill") {
-        Ok(s) => s,
-        Err(check) => {
-            checks.push(check);
-            return report(checks, summary);
-        }
-    };
-
-    let dir = scratch.join("compact-kill");
-    let _ = fs::remove_dir_all(&dir);
-    let cache_dir = dir.join("cache");
-    let policy = FaultPolicy {
-        cache_dir: Some(cache_dir.clone()),
-        ..isolated_policy()
-    };
-    let sweep_run = match Sweep::build(SweepRequest::ci_quick(), policy) {
-        Ok(s) => s,
-        Err(e) => {
-            push_check(&mut checks, "sharded sweep builds", false, e);
-            return report(checks, summary);
-        }
-    };
-    let total = sweep_run.plan().len();
-    let journal = Journal::new(dir.join("journal.vgj"));
-    let kill_after = 1 + (seed as usize % 2);
-    let mut sink = std::io::sink();
-    let mut kill_opts = ShardOptions::new(worker_exe.clone(), 2, cache_dir.clone());
-    kill_opts.kill_after = Some(kill_after);
-    kill_opts.throttle_ms = Some(40);
-    kill_opts.compact_bytes = Some(COMPACT_BYTES);
-    let first = sweep::run_sharded(&sweep_run, &journal, &kill_opts, &mut sink);
-    let partial = matches!(&first, Ok(run) if run.killed && run.completed < total);
-    push_check(
-        &mut checks,
-        "SIGKILL mid-compaction leaves a partial journal",
-        partial,
-        format!("kill after {kill_after} -> {first:?} of {total} jobs"),
-    );
-    let mut resume_opts = ShardOptions::new(worker_exe, 2, cache_dir);
-    resume_opts.compact_bytes = Some(COMPACT_BYTES);
-    let second = sweep::run_sharded(&sweep_run, &journal, &resume_opts, &mut sink);
-    push_check(
-        &mut checks,
-        "resume completes over the compacted journal",
-        matches!(&second, Ok(run) if run.complete()),
-        format!("{second:?}"),
-    );
-    push_check(
-        &mut checks,
-        "compaction actually fired (snapshot on disk)",
-        journal.snapshot_path().is_file(),
-        journal.snapshot_path().display().to_string(),
-    );
-    match journal.read() {
-        Ok(snapshot) => {
-            let duplicates = snapshot.duplicate_keys();
-            push_check(
-                &mut checks,
-                "no duplicate or resurrected records",
-                duplicates.is_empty() && snapshot.records.len() == total,
-                format!(
-                    "{} records of {total}, duplicates {duplicates:?}",
-                    snapshot.records.len()
-                ),
-            );
-            let merged = sweep_run.merged(&snapshot);
-            push_check(
-                &mut checks,
-                "merged output byte-identical to serial run",
-                merged.as_deref() == Ok(serial.as_str()),
-                format!("{} bytes expected", serial.len()),
-            );
-            let first_completed = first.map(|r| r.completed).unwrap_or(0);
-            let _ = writeln!(
-                summary,
-                "killed at {first_completed}/{total} (threshold {COMPACT_BYTES} B), \
-                 resumed to {}/{total}",
-                snapshot.records.len()
-            );
-        }
-        Err(e) => push_check(
-            &mut checks,
-            "journal readable after resume",
-            false,
-            e.to_string(),
-        ),
     }
-    let _ = fs::remove_dir_all(&dir);
-    report(checks, summary)
 }
 
 /// Stages the cache-ENOSPC class: the cache directory path runs
@@ -1137,7 +858,6 @@ pub fn run_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats
             cache_class(class, seed, scratch, clean)
         }
         FaultClass::KillAndResume => kill_and_resume_class(seed, scratch),
-        FaultClass::DeadClaimHolder => dead_claim_holder_class(seed, scratch),
         FaultClass::CompactionUnderKill => compaction_under_kill_class(seed, scratch),
         FaultClass::CacheEnospc => cache_enospc_class(scratch, clean),
     }

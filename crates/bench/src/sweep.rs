@@ -1,54 +1,37 @@
-//! Sharded, resumable sweep service (DESIGN.md §7.11).
+//! Resumable sweep service (DESIGN.md §7.11).
 //!
 //! A *sweep* is the paper's fig8-shaped grid — suite × widths ×
 //! predictors × transform kinds — flattened to a deterministic list of
 //! [`PlannedJob`]s, each keyed by the engine's content-addressed
-//! [`job_key`](vanguard_core::engine::Engine::job_key). The service
-//! runs that list across `VANGUARD_SHARDS` worker *processes* that
-//! steal work off a shared [`Journal`]:
+//! [`job_key`](vanguard_core::engine::Engine::job_key). One process
+//! runs that list on its engine's worker pool (`VANGUARD_THREADS`)
+//! against a [`Journal`]:
 //!
-//! * every completed job appends one checksummed record (key →
-//!   encoded outcome) to the journal, under an exclusive file lock;
-//! * workers claim jobs with non-blocking OS file locks on
-//!   `claim-job-<key>.lock` files in the shared `VANGUARD_CACHE_DIR`
-//!   directory (`try_claim_leased`), so two workers never run the
-//!   same job and a `SIGKILL`ed worker's claim evaporates with it: its
-//!   leftover file is unlocked, and the next attempt simply wins it;
-//! * claims carry a *lease* (`VANGUARD_CLAIM_LEASE_MS`): the holder's
-//!   heartbeat thread refreshes the claim file's mtime, and a live
-//!   worker treats a claim whose lease expired as dead and **steals**
-//!   the job — [`Journal::append_new`] dedups under the append lock,
-//!   so even a wedged-then-revived holder can't journal a duplicate;
-//! * profiles and compiled pairs are cached in the same store, one
-//!   checksummed entry each, so concurrent workers share artifacts
-//!   instead of recompiling them;
-//! * when a whole worker fleet dies mid-sweep, the parent respawns it
-//!   (up to [`ShardOptions::max_respawns`]) — the new fleet wins the
-//!   dead workers' claims and finishes with no manual `resume`.
+//! * the journal is read once, and every job it already holds is
+//!   skipped — pointing a run at a partial journal *is* the resume path;
+//! * every job that finishes appends one checksummed record (key →
+//!   encoded outcome) with [`Journal::append_new`] the moment it ends,
+//!   so a crash loses at most the jobs still in flight;
+//! * jobs run through the engine's containment boundary, so a panicking
+//!   job is retried and a failing one becomes a journaled outcome.
 //!
-//! The invariant the whole design serves: the merged result of a
-//! sharded run — at any shard count, across any kill/resume split — is
-//! **byte-identical** to a serial single-process run of the same
-//! request. The `kill-and-resume` fault class and the CI `sweep-resume`
-//! job enforce it.
+//! The invariant the whole design serves: the merged result of a run —
+//! at any thread count, across any crash/resume split — is
+//! **byte-identical** to a serial run of the same request. The
+//! `kill-and-resume` fault class and the CI `sweep-resume` job enforce
+//! it.
 //!
-//! The module is the library behind the `vanguard-sweep` binary (one-
-//! shot runs and `resume`) and the kill-and-resume scenario of
-//! [`crate::faultinject`].
+//! The module is the library behind the `vanguard-sweep` binary.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, SystemTime};
+use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use vanguard_core::engine::{
     Engine, FaultPolicy, JobResult, PredictorKind, SimJob, SweepCell, Variant,
     DEFAULT_MAX_PROFILE_STEPS,
 };
-use vanguard_core::journal::COMPACT_BYTES_ENV;
 use vanguard_core::{Journal, JournalSnapshot, TransformKind, TransformOptions};
 use vanguard_sim::{MachineConfig, SimStats};
 use vanguard_workloads::suite;
@@ -57,149 +40,6 @@ use crate::{quick_spec, to_experiment_input, BenchScale};
 
 /// First line of a sweep request file.
 pub const REQUEST_MAGIC: &str = "VGS1";
-
-/// Env var marking a process as a sweep worker (set by the parent on
-/// the re-exec'd children; checked by [`maybe_run_worker`]).
-pub const WORKER_ENV: &str = "VANGUARD_SWEEP_WORKER";
-/// Env var carrying the rendered request text to a worker.
-pub const REQUEST_ENV: &str = "VANGUARD_SWEEP_REQUEST";
-/// Env var carrying the journal path to a worker.
-pub const JOURNAL_ENV: &str = "VANGUARD_SWEEP_JOURNAL";
-/// Env var carrying [`ShardOptions::throttle_ms`] (`--throttle-ms`) to a
-/// worker: a per-job sleep in milliseconds before running, so a fault
-/// injector can reliably observe (and kill) a sweep mid-flight.
-pub const THROTTLE_ENV: &str = "VANGUARD_SWEEP_THROTTLE_MS";
-/// Env var: default worker-process count for the `vanguard-sweep`
-/// binary.
-pub const SHARDS_ENV: &str = "VANGUARD_SHARDS";
-/// Env var: worker executable override for harnesses whose own binary
-/// has no [`maybe_run_worker`] hook (libtest binaries must never
-/// re-exec themselves — that would recursively run the test suite).
-pub const WORKER_EXE_ENV: &str = "VANGUARD_SWEEP_WORKER_EXE";
-/// Env var: claim-lease duration in milliseconds. A claim whose
-/// heartbeat is older than this is treated as dead and its job stolen.
-pub const LEASE_ENV: &str = "VANGUARD_CLAIM_LEASE_MS";
-/// Default claim lease: long enough that a healthy worker's heartbeat
-/// (lease/4) never lapses under load, short enough that a dead shard's
-/// jobs are stolen within a minute.
-pub const DEFAULT_LEASE_MS: u64 = 30_000;
-/// Env var (fault injection): once the journal holds this many records,
-/// workers stop taking jobs and wait for the parent's SIGKILL (released
-/// by the marker file from [`kill_marker`]). Without the hold the fleet
-/// races the parent's poll loop and can finish the sweep before the
-/// kill lands, turning every kill-based gate flaky under load.
-pub const KILL_HOLD_ENV: &str = "VANGUARD_SWEEP_KILL_HOLD";
-
-/// The marker the parent drops next to the journal right before firing
-/// its `kill_after` SIGKILL: held workers (see [`KILL_HOLD_ENV`])
-/// resume when it appears, so wound-mode survivors finish the sweep.
-pub fn kill_marker(journal: &Path) -> PathBuf {
-    PathBuf::from(format!("{}.kill-fired", journal.display()))
-}
-
-/// The claim lease from `VANGUARD_CLAIM_LEASE_MS` (default
-/// [`DEFAULT_LEASE_MS`]; zero and garbage fall back to the default).
-fn claim_lease_from_env() -> Duration {
-    let ms = std::env::var(LEASE_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .unwrap_or(DEFAULT_LEASE_MS);
-    Duration::from_millis(ms)
-}
-
-/// The outcome of a lease-aware claim attempt ([`try_claim_leased`]).
-#[derive(Debug)]
-pub(crate) enum ClaimAttempt {
-    /// This caller won the claim (and stamped its heartbeat).
-    Won(ClaimGuard),
-    /// Another process holds the claim and its heartbeat is fresh —
-    /// let it work.
-    Held,
-    /// Another process holds the claim but has not refreshed its
-    /// heartbeat within the lease: treat the holder as dead and steal
-    /// the work (the caller must make its side effects idempotent —
-    /// e.g. journal with [`Journal::append_new`]).
-    Expired,
-}
-
-/// An exclusive cross-process claim on one job, released (and its claim
-/// file removed, best-effort) on drop. See [`try_claim_leased`].
-#[derive(Debug)]
-pub(crate) struct ClaimGuard {
-    file: File,
-    path: PathBuf,
-}
-
-impl ClaimGuard {
-    /// The claim file path, for refreshing the lease with
-    /// [`heartbeat_claim`] (from a dedicated thread, say).
-    pub(crate) fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for ClaimGuard {
-    fn drop(&mut self) {
-        let _ = File::unlock(&self.file);
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-/// Claims job `key` without blocking. The claim is an OS file lock on
-/// `claim-job-<key:016x>.lock` in `dir`, so a `SIGKILL`ed holder
-/// releases it with its process and its leftover file is won by the
-/// next attempt, however old. The file's modification time is its
-/// holder's *heartbeat* (stamped on win, refreshed via
-/// [`heartbeat_claim`]). A contended claim with a fresh heartbeat is
-/// [`ClaimAttempt::Held`], so a worker moves on to the next job rather
-/// than convoying. A contended claim whose heartbeat is older than
-/// `lease` is [`ClaimAttempt::Expired`] — the holder is alive but
-/// wedged — so the caller should steal the work and rely on an
-/// idempotent completion path for correctness.
-///
-/// # Errors
-///
-/// Returns the I/O error from creating or locking the claim file.
-pub(crate) fn try_claim_leased(dir: &Path, key: u64, lease: Duration) -> io::Result<ClaimAttempt> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("claim-job-{key:016x}.lock"));
-    let file = OpenOptions::new()
-        .create(true)
-        .truncate(false)
-        .write(true)
-        .open(&path)?;
-    match file.try_lock() {
-        Ok(()) => {
-            heartbeat_claim(&path); // a stale file must read as freshly held
-            Ok(ClaimAttempt::Won(ClaimGuard { file, path }))
-        }
-        Err(_) => match claim_age(&path) {
-            Some(age) if age > lease => Ok(ClaimAttempt::Expired),
-            _ => Ok(ClaimAttempt::Held),
-        },
-    }
-}
-
-/// Refreshes a claim's lease heartbeat: appends two bytes to the claim
-/// file at `path`, bumping its modification time. Callable by path, so a
-/// worker's heartbeat thread needs only the path of the claim it holds
-/// (the lock is advisory, so the holder's own lock never blocks the
-/// write). A holder that stops heartbeating for longer than the lease is
-/// treated as dead by [`try_claim_leased`]. Best-effort — a failed
-/// heartbeat only risks a benign steal.
-fn heartbeat_claim(path: &Path) {
-    if let Ok(mut f) = OpenOptions::new().append(true).open(path) {
-        let _ = f.write_all(b"hb");
-    }
-}
-
-/// The heartbeat age of a claim file (its modification time), or `None`
-/// when the file vanished or the clock is skewed into the future.
-fn claim_age(path: &Path) -> Option<Duration> {
-    let mtime = fs::metadata(path).ok()?.modified().ok()?;
-    SystemTime::now().duration_since(mtime).ok()
-}
 
 /// Stable CLI name of a predictor rung.
 pub fn predictor_name(p: PredictorKind) -> &'static str {
@@ -405,7 +245,7 @@ impl SweepRequest {
 /// kind that parameterizes it, keyed for the journal.
 #[derive(Clone, Debug)]
 pub struct PlannedJob {
-    /// Deterministic content-addressed key (journal + claim key).
+    /// Deterministic content-addressed key (the journal key).
     pub key: u64,
     /// The transform kind this job runs under.
     pub kind: TransformKind,
@@ -432,8 +272,8 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Builds the sweep under a fault policy (the policy's `cache_dir`
-    /// is what workers share artifacts and job claims through).
+    /// Builds the sweep under a fault policy (its `cache_dir`, when set,
+    /// persists profiles and compiled pairs across runs).
     ///
     /// # Errors
     ///
@@ -503,11 +343,6 @@ impl Sweep {
         })
     }
 
-    /// The resolved request.
-    pub fn request(&self) -> &SweepRequest {
-        &self.request
-    }
-
     /// The deterministic job plan (merged-output order).
     pub fn plan(&self) -> &[PlannedJob] {
         &self.plan
@@ -545,7 +380,7 @@ impl Sweep {
     }
 
     /// Runs every planned job serially in-process, in plan order — the
-    /// bit-identity reference for any sharded run.
+    /// bit-identity reference for [`Sweep::run_journaled`].
     pub fn run_serial(&self) -> String {
         let mut out = String::new();
         for pj in &self.plan {
@@ -586,6 +421,78 @@ impl Sweep {
             out.push('\n');
         }
         Ok(out)
+    }
+
+    /// Runs every planned job that `journal` does not hold yet on the
+    /// engine's pool — one pool call per transform kind — and appends
+    /// each outcome with [`Journal::append_new`] as soon as its job
+    /// finishes. Returns the merged output in plan order.
+    ///
+    /// `abort_after` is fault injection: after this call's Nth append
+    /// the process dies by [`std::process::abort`], with no unwinding
+    /// and other jobs possibly mid-run or mid-append, leaving a partial
+    /// journal for a later call to resume.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first journal read or append error (the jobs already
+    /// appended stay journaled), or [`io::ErrorKind::InvalidData`] when
+    /// the journal holds duplicate records or misses a planned job.
+    pub fn run_journaled(
+        &self,
+        journal: &Journal,
+        abort_after: Option<usize>,
+    ) -> io::Result<String> {
+        let done = journal.read()?;
+        let appended = AtomicUsize::new(0);
+        let first_error: Mutex<Option<io::Error>> = Mutex::new(None);
+        for &kind in &self.request.kinds {
+            let pending: Vec<&PlannedJob> = self
+                .plan
+                .iter()
+                .filter(|pj| pj.kind == kind && !done.contains(pj.key))
+                .collect();
+            let jobs: Vec<SimJob> = pending.iter().map(|pj| pj.job).collect();
+            self.engine.run_jobs_with(
+                &jobs,
+                &kind_options(kind),
+                DEFAULT_MAX_PROFILE_STEPS,
+                |i, outcome| {
+                    let payload = encode_outcome(outcome);
+                    match journal.append_new(pending[i].key, payload.as_bytes()) {
+                        Ok(true) => {
+                            if Some(appended.fetch_add(1, Ordering::SeqCst) + 1) == abort_after {
+                                std::process::abort();
+                            }
+                        }
+                        Ok(false) => {}
+                        Err(e) => {
+                            first_error
+                                .lock()
+                                .unwrap_or_else(|p| p.into_inner())
+                                .get_or_insert(e);
+                        }
+                    }
+                },
+            );
+        }
+        if let Some(e) = first_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
+            return Err(e);
+        }
+        let snapshot = journal.read()?;
+        let duplicates = snapshot.duplicate_keys();
+        if !duplicates.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("journal has duplicate job records: {duplicates:016x?}"),
+            ));
+        }
+        self.merged(&snapshot).map_err(|missing| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("journal misses {} planned jobs", missing.len()),
+            )
+        })
     }
 }
 
@@ -644,356 +551,11 @@ pub fn encode_outcome(result: &JobResult) -> String {
     }
 }
 
-/// The worker executable for harness-driven sharded runs:
-/// `VANGUARD_SWEEP_WORKER_EXE` when set (test binaries point it at the
-/// real `vanguard-sweep` binary), the current executable otherwise
-/// (binaries with a [`maybe_run_worker`] hook re-exec themselves).
-///
-/// # Errors
-///
-/// Returns the error from resolving the current executable path.
-pub fn harness_worker_exe() -> io::Result<PathBuf> {
-    match std::env::var_os(WORKER_EXE_ENV) {
-        Some(path) => Ok(PathBuf::from(path)),
-        None => std::env::current_exe(),
-    }
-}
-
-/// Re-enters the process as a sweep worker when [`WORKER_ENV`] is set.
-/// Call this at the very top of `main` in every binary that a sweep
-/// parent may spawn (the `vanguard-sweep` and `faultinject` binaries).
-/// Never call it from a libtest binary: a test harness re-exec'd as a
-/// worker would run the whole test suite instead.
-pub fn maybe_run_worker() {
-    if std::env::var(WORKER_ENV).as_deref() != Ok("1") {
-        return;
-    }
-    std::process::exit(worker_main());
-}
-
-/// The worker loop: parse the request from the environment, then steal
-/// unjournaled jobs via non-blocking leased claims until the journal
-/// covers the whole plan. A heartbeat thread keeps the worker's
-/// currently-held claim fresh; claims whose holder stopped heartbeating
-/// for a full lease are stolen, with [`Journal::append_new`]
-/// guaranteeing at most one record per job.
-fn worker_main() -> i32 {
-    let fail = |msg: String| -> i32 {
-        eprintln!("[sweep-worker] {msg}");
-        1
-    };
-    let Ok(request_text) = std::env::var(REQUEST_ENV) else {
-        return fail(format!("{REQUEST_ENV} not set"));
-    };
-    let Ok(journal_path) = std::env::var(JOURNAL_ENV) else {
-        return fail(format!("{JOURNAL_ENV} not set"));
-    };
-    let request = match SweepRequest::parse(&request_text) {
-        Ok(r) => r,
-        Err(e) => return fail(format!("bad request: {e}")),
-    };
-    let journal = Journal::new(&journal_path);
-    let policy = FaultPolicy::from_env();
-    let Some(cache_dir) = policy.cache_dir.clone() else {
-        return fail("VANGUARD_CACHE_DIR not set".into());
-    };
-    let sweep = match Sweep::build(request, policy) {
-        Ok(s) => s,
-        Err(e) => return fail(format!("bad sweep: {e}")),
-    };
-    let throttle = std::env::var(THROTTLE_ENV)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0);
-    let lease = claim_lease_from_env();
-    // Fault injection: once the journal holds this many records, stop
-    // taking jobs and wait to be SIGKILLed (or for the parent's marker
-    // saying the kill already fired). This is what makes kill-based
-    // gates deterministic — the fleet cannot finish before the kill.
-    let hold_limit = std::env::var(KILL_HOLD_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok());
-    let marker = kill_marker(journal.path());
-
-    // Heartbeat thread: refreshes the claim this worker currently
-    // holds, every quarter-lease. If this process is SIGKILLed the
-    // heartbeats stop, the lease runs out, and a peer steals the job —
-    // that is the self-healing path. The thread ends with the process:
-    // `maybe_run_worker` exits as soon as this function returns.
-    let current_claim: Arc<Mutex<Option<PathBuf>>> = Arc::new(Mutex::new(None));
-    {
-        let current = Arc::clone(&current_claim);
-        let period = Duration::from_millis((lease.as_millis() as u64 / 4).max(25));
-        std::thread::spawn(move || loop {
-            if let Ok(slot) = current.lock() {
-                if let Some(path) = slot.as_deref() {
-                    heartbeat_claim(path);
-                }
-            }
-            std::thread::sleep(period);
-        });
-    }
-
-    loop {
-        let snapshot = match journal.read() {
-            Ok(s) => s,
-            Err(e) => return fail(format!("journal read: {e}")),
-        };
-        if let Some(limit) = hold_limit {
-            if snapshot.records.len() >= limit && !marker.exists() {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-        }
-        let mut remaining = false;
-        let mut ran = false;
-        for pj in sweep.plan() {
-            if snapshot.contains(pj.key) {
-                continue;
-            }
-            remaining = true;
-            let guard = match try_claim_leased(&cache_dir, pj.key, lease) {
-                Ok(ClaimAttempt::Won(guard)) => Some(guard),
-                // Lease expired: the holder stopped heartbeating (dead
-                // or wedged). Steal the job — append_new dedups if the
-                // holder somehow revives and finishes too.
-                Ok(ClaimAttempt::Expired) => None,
-                // A live worker owns it; steal the next one instead.
-                Ok(ClaimAttempt::Held) => continue,
-                Err(e) => return fail(format!("claim: {e}")),
-            };
-            // Re-check under the claim: a previous holder may have
-            // journaled this job after our snapshot.
-            match journal.read() {
-                Ok(fresh) if fresh.contains(pj.key) => continue,
-                Ok(_) => {}
-                Err(e) => return fail(format!("journal read: {e}")),
-            }
-            if let (Some(g), Ok(mut slot)) = (&guard, current_claim.lock()) {
-                *slot = Some(g.path().to_path_buf());
-            }
-            if throttle > 0 {
-                std::thread::sleep(Duration::from_millis(throttle));
-            }
-            let payload = sweep.run_job(pj);
-            let appended = journal.append_new(pj.key, payload.as_bytes());
-            if let Ok(mut slot) = current_claim.lock() {
-                *slot = None;
-            }
-            drop(guard);
-            match appended {
-                // false = the original holder raced us to the journal;
-                // either way the job is recorded exactly once.
-                Ok(_) => ran = true,
-                Err(e) => return fail(format!("journal append: {e}")),
-            }
-        }
-        if !remaining {
-            return 0;
-        }
-        if !ran {
-            // Everything left is claimed by other workers; let them run.
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-}
-
-/// The outcome of a sharded parent run.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardedRun {
-    /// Planned jobs with a journal record when the run ended.
-    pub completed: usize,
-    /// Total planned jobs.
-    pub total: usize,
-    /// Whether the run was cut short by `kill_after` (the fault
-    /// injector's `SIGKILL`).
-    pub killed: bool,
-}
-
-impl ShardedRun {
-    /// Whether every planned job is journaled.
-    pub fn complete(&self) -> bool {
-        self.completed == self.total
-    }
-}
-
-/// Options for [`run_sharded`]. Construct with [`ShardOptions::new`]
-/// and override the fault-injection and tuning fields as needed.
-#[derive(Debug)]
-pub struct ShardOptions {
-    /// Worker executable to spawn ([`harness_worker_exe`] resolves it).
-    pub worker_exe: PathBuf,
-    /// Worker-process count (≥ 1).
-    pub shards: usize,
-    /// Shared artifact store + claim directory for the workers.
-    pub cache_dir: PathBuf,
-    /// `SIGKILL` workers once this many jobs are journaled (fault
-    /// injection); `None` runs to completion.
-    pub kill_after: Option<usize>,
-    /// How many workers the `kill_after` SIGKILL hits. `None` kills the
-    /// whole fleet and aborts the run (the classic kill-and-resume
-    /// scenario); `Some(k)` kills `k` workers and lets the run
-    /// self-heal — the survivors (or a respawned fleet) win the dead
-    /// workers' claims at once, since a killed holder's lock dies with it.
-    pub kill_count: Option<usize>,
-    /// Per-job worker throttle in milliseconds (fault injection needs
-    /// the sweep to be observable mid-flight).
-    pub throttle_ms: Option<u64>,
-    /// Claim lease override passed to workers (`VANGUARD_CLAIM_LEASE_MS`);
-    /// `None` inherits the environment.
-    pub lease_ms: Option<u64>,
-    /// Journal compaction threshold override passed to workers
-    /// (`VANGUARD_JOURNAL_COMPACT_BYTES`); `None` inherits.
-    pub compact_bytes: Option<u64>,
-    /// Fleet respawns when every worker exits with the plan incomplete
-    /// and the run was not deliberately aborted — the self-healing
-    /// backstop for a fully-dead fleet.
-    pub max_respawns: usize,
-}
-
-impl ShardOptions {
-    /// Options with the production defaults: no fault injection, no
-    /// throttle, environment-inherited lease/compaction, and two fleet
-    /// respawns.
-    pub fn new(
-        worker_exe: impl Into<PathBuf>,
-        shards: usize,
-        cache_dir: impl Into<PathBuf>,
-    ) -> ShardOptions {
-        ShardOptions {
-            worker_exe: worker_exe.into(),
-            shards,
-            cache_dir: cache_dir.into(),
-            kill_after: None,
-            kill_count: None,
-            throttle_ms: None,
-            lease_ms: None,
-            compact_bytes: None,
-            max_respawns: 2,
-        }
-    }
-}
-
-/// Runs a sweep across worker processes sharing `journal`, streaming
-/// one merged-output line per completed job (completion order) to
-/// `stream`. Already-journaled jobs are never re-run — pointing this at
-/// a partial journal *is* the resume path.
-///
-/// # Errors
-///
-/// Returns the I/O error from spawning workers or reading the journal;
-/// worker job failures are journaled outcomes, not errors.
-pub fn run_sharded(
-    sweep: &Sweep,
-    journal: &Journal,
-    opts: &ShardOptions,
-    stream: &mut dyn Write,
-) -> io::Result<ShardedRun> {
-    let total = sweep.plan().len();
-    let by_key: HashMap<u64, &PlannedJob> = sweep.plan().iter().map(|pj| (pj.key, pj)).collect();
-    let spawn_fleet = || -> io::Result<Vec<Child>> {
-        (0..opts.shards.max(1))
-            .map(|_| {
-                let mut cmd = Command::new(&opts.worker_exe);
-                cmd.env(WORKER_ENV, "1")
-                    .env(REQUEST_ENV, sweep.request().render())
-                    .env(JOURNAL_ENV, journal.path())
-                    .env("VANGUARD_CACHE_DIR", &opts.cache_dir)
-                    .stdin(Stdio::null())
-                    .stdout(Stdio::null());
-                match opts.throttle_ms {
-                    Some(ms) => cmd.env(THROTTLE_ENV, ms.to_string()),
-                    None => cmd.env_remove(THROTTLE_ENV),
-                };
-                if let Some(ms) = opts.lease_ms {
-                    cmd.env(LEASE_ENV, ms.to_string());
-                }
-                if let Some(bytes) = opts.compact_bytes {
-                    cmd.env(COMPACT_BYTES_ENV, bytes.to_string());
-                }
-                match opts.kill_after {
-                    Some(limit) => cmd.env(KILL_HOLD_ENV, limit.to_string()),
-                    None => cmd.env_remove(KILL_HOLD_ENV),
-                };
-                cmd.spawn()
-            })
-            .collect()
-    };
-    let completed_of = |snapshot: &JournalSnapshot| -> usize {
-        sweep
-            .plan()
-            .iter()
-            .filter(|pj| snapshot.contains(pj.key))
-            .count()
-    };
-    let marker = kill_marker(journal.path());
-    if opts.kill_after.is_some() {
-        let _ = fs::remove_file(&marker); // stale marker from a prior run
-    }
-    let mut children = spawn_fleet()?;
-    let mut streamed = 0usize;
-    let mut killed = false;
-    let mut kill_fired = false;
-    let mut respawns_left = opts.max_respawns;
-    loop {
-        let snapshot = journal.read()?;
-        for record in snapshot.records.iter().skip(streamed) {
-            if let Some(pj) = by_key.get(&record.key) {
-                let payload = String::from_utf8_lossy(&record.payload);
-                writeln!(stream, "{}", sweep.line(pj, &payload))?;
-            }
-        }
-        streamed = snapshot.records.len();
-        if let Some(limit) = opts.kill_after {
-            if !kill_fired && snapshot.records.len() >= limit {
-                // SIGKILL, not a graceful shutdown: the point is to
-                // prove the claims + journal survive the worst
-                // interruption. kill_count=None aborts the whole run;
-                // Some(k) wounds the fleet and expects it to self-heal.
-                // The marker releases held survivors (KILL_HOLD_ENV)
-                // so wound mode completes after the kill.
-                let _ = fs::write(&marker, b"kill");
-                let victims = opts
-                    .kill_count
-                    .unwrap_or(children.len())
-                    .min(children.len());
-                for child in children.iter_mut().take(victims) {
-                    let _ = child.kill();
-                }
-                kill_fired = true;
-                killed = opts.kill_count.is_none();
-            }
-        }
-        let all_exited = children
-            .iter_mut()
-            .all(|c| matches!(c.try_wait(), Ok(Some(_))));
-        if all_exited {
-            if killed || completed_of(&snapshot) == total || respawns_left == 0 {
-                break;
-            }
-            // The whole fleet died with work left and nobody asked for
-            // an abort: respawn. The fresh workers win the dead
-            // workers' claims at once (their locks died with them).
-            respawns_left -= 1;
-            children = spawn_fleet()?;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    for child in &mut children {
-        let _ = child.wait();
-    }
-    let snapshot = journal.read()?;
-    Ok(ShardedRun {
-        completed: completed_of(&snapshot),
-        total,
-        killed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::fs;
+    use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("vanguard-sweep-{tag}-{}", std::process::id()));
@@ -1008,71 +570,6 @@ mod tests {
             kinds: vec![TransformKind::Vanguard],
             ..SweepRequest::ci_quick()
         }
-    }
-
-    #[test]
-    fn leased_claims_report_held_then_expired() {
-        let dir = scratch("lease");
-        let long = Duration::from_secs(3600);
-        let short = Duration::from_millis(30);
-        let won = try_claim_leased(&dir, 5, long).unwrap();
-        let ClaimAttempt::Won(guard) = won else {
-            panic!("uncontended claim is won: {won:?}");
-        };
-        assert_eq!(
-            guard.path(),
-            dir.join(format!("claim-job-{:016x}.lock", 5u64))
-        );
-        // Contended + fresh heartbeat: held.
-        assert!(matches!(
-            try_claim_leased(&dir, 5, long).unwrap(),
-            ClaimAttempt::Held
-        ));
-        // Contended + stale heartbeat: expired (steal).
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(matches!(
-            try_claim_leased(&dir, 5, short).unwrap(),
-            ClaimAttempt::Expired
-        ));
-        // A heartbeat refresh makes it held again.
-        heartbeat_claim(guard.path());
-        assert!(matches!(
-            try_claim_leased(&dir, 5, short).unwrap(),
-            ClaimAttempt::Held
-        ));
-        // Released: the file goes, and the next attempt wins.
-        drop(guard);
-        assert!(matches!(
-            try_claim_leased(&dir, 5, short).unwrap(),
-            ClaimAttempt::Won(_)
-        ));
-
-        // A SIGKILLed holder leaves its claim file behind, unlocked and
-        // with a heartbeat far older than the lease. The next attempt
-        // wins it outright and re-stamps the heartbeat, so such debris
-        // never needs a sweep of its own.
-        let leftover = dir.join(format!("claim-job-{:016x}.lock", 9u64));
-        File::create(&leftover)
-            .unwrap()
-            .set_modified(SystemTime::now() - 2 * long)
-            .unwrap();
-        assert!(claim_age(&leftover).unwrap() > long);
-        let won = try_claim_leased(&dir, 9, long).unwrap();
-        let ClaimAttempt::Won(revived) = won else {
-            panic!("an unlocked leftover claim is won: {won:?}");
-        };
-        assert_eq!(revived.path(), leftover);
-        assert!(
-            claim_age(&leftover).unwrap() < long,
-            "winning refreshes the heartbeat"
-        );
-        assert!(matches!(
-            try_claim_leased(&dir, 9, long).unwrap(),
-            ClaimAttempt::Held
-        ));
-        drop(revived);
-        assert!(!leftover.exists(), "release removes the claim file");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1128,7 +625,7 @@ mod tests {
         let sweep = Sweep::build(tiny_request(), policy).unwrap();
         let serial = sweep.run_serial();
 
-        // Journal the jobs out of order, as racing workers would.
+        // Journal the jobs out of order, as pool workers may finish.
         let journal = Journal::new(dir.join("journal.vgj"));
         let mut order: Vec<&PlannedJob> = sweep.plan().iter().collect();
         order.reverse();
@@ -1139,6 +636,31 @@ mod tests {
         }
         let merged = sweep.merged(&journal.read().unwrap()).unwrap();
         assert_eq!(merged, serial, "merged output is order-independent");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journaled_run_resumes_only_the_missing_jobs() {
+        let dir = scratch("resume");
+        let sweep = Sweep::build(tiny_request(), FaultPolicy::default()).unwrap();
+        let serial = sweep.run_serial();
+        let journal = Journal::new(dir.join("journal.vgj"));
+        let half = sweep.plan().len() / 2;
+        for pj in &sweep.plan()[..half] {
+            journal
+                .append(pj.key, sweep.run_job(pj).as_bytes())
+                .unwrap();
+        }
+
+        let resumed = Sweep::build(tiny_request(), FaultPolicy::default()).unwrap();
+        let merged = resumed.run_journaled(&journal, None).unwrap();
+        assert_eq!(
+            resumed.engine.stats().sim_jobs as usize,
+            resumed.plan().len() - half,
+            "only the jobs missing from the journal run"
+        );
+        assert_eq!(merged, serial, "resumed merge is byte-identical to serial");
+        assert!(journal.read().unwrap().duplicate_keys().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 

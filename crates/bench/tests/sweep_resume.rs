@@ -1,16 +1,18 @@
 //! Integration tests for the `vanguard-sweep` binary: the CI
 //! `sweep-resume` gate's contract, exercised through the real CLI.
 //!
-//! * a sharded run's merged output is byte-identical to `--serial`,
-//!   and its workers leave no per-worker files in the cache directory;
-//! * `--fault-kill-after` interrupts the run (exit 3) leaving a
+//! * a journaled `run` is byte-identical to `--serial` at any pool size,
+//!   and without `VANGUARD_CACHE_DIR` it writes nothing but its journal;
+//! * `--fault-kill-after` aborts the process (`SIGABRT`) leaving a
 //!   partial journal, and `resume` completes it byte-identically;
+//! * unknown flags are usage errors;
 //! * the committed request file `tests/sweeps/ci-quick.req` stays in
 //!   sync with [`SweepRequest::ci_quick`].
 
 use std::fs;
+use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, ExitStatus};
 use vanguard_bench::sweep::SweepRequest;
 
 const SWEEP_EXE: &str = env!("CARGO_BIN_EXE_vanguard-sweep");
@@ -31,17 +33,20 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs `vanguard-sweep` with `args`, caching under `cache`, returning
-/// (exit code, stdout). Forwards the child's stderr so a failing
-/// assertion shows *why* the binary exited the way it did.
-fn run_sweep(args: &[&str], cache: &Path) -> (i32, Vec<u8>) {
+/// Runs `vanguard-sweep` with `args` in `dir` on a `threads`-worker pool,
+/// with `VANGUARD_CACHE_DIR` unset, returning (exit status, stdout).
+/// Forwards the child's stderr so a failing assertion shows *why* the
+/// binary exited the way it did.
+fn run_sweep(args: &[&str], dir: &Path, threads: usize) -> (ExitStatus, Vec<u8>) {
     let output = Command::new(SWEEP_EXE)
         .args(args)
-        .env("VANGUARD_CACHE_DIR", cache)
+        .current_dir(dir)
+        .env("VANGUARD_THREADS", threads.to_string())
+        .env_remove("VANGUARD_CACHE_DIR")
         .output()
         .expect("spawn vanguard-sweep");
     eprint!("{}", String::from_utf8_lossy(&output.stderr));
-    (output.status.code().unwrap_or(-1), output.stdout)
+    (output.status, output.stdout)
 }
 
 #[test]
@@ -55,43 +60,37 @@ fn committed_request_matches_ci_quick() {
 }
 
 #[test]
-fn sharded_run_matches_serial_byte_for_byte() {
-    let dir = scratch("sharded");
+fn run_matches_serial_byte_for_byte_at_any_pool_size() {
+    let dir = scratch("run");
     let request = ci_request_path();
     let request = request.to_str().unwrap();
 
-    let (code, serial) = run_sweep(
-        &["run", "--request", request, "--serial"],
-        &dir.join("serial-cache"),
-    );
-    assert_eq!(code, 0, "serial run succeeds");
+    let (status, serial) = run_sweep(&["run", "--request", request, "--serial"], &dir, 1);
+    assert!(status.success(), "serial run succeeds");
     assert!(!serial.is_empty());
 
-    let journal = dir.join("sharded.vgj");
-    let cache = dir.join("sharded-cache");
-    let (code, sharded) = run_sweep(
-        &[
-            "run",
-            "--request",
-            request,
-            "--journal",
-            journal.to_str().unwrap(),
-            "--shards",
-            "2",
-        ],
-        &cache,
-    );
-    assert_eq!(code, 0, "sharded run succeeds");
-    assert_eq!(sharded, serial, "sharded merge is byte-identical to serial");
-    let leftovers: Vec<_> = fs::read_dir(&cache)
-        .expect("workers populated the cache directory")
+    for threads in [1, 4] {
+        let journal = format!("run-{threads}.vgj");
+        let (status, merged) = run_sweep(
+            &["run", "--request", request, "--journal", &journal],
+            &dir,
+            threads,
+        );
+        assert!(status.success(), "run at {threads} threads succeeds");
+        assert_eq!(
+            merged, serial,
+            "run at {threads} threads is byte-identical to serial"
+        );
+    }
+    let leftovers: Vec<String> = fs::read_dir(&dir)
+        .unwrap()
         .flatten()
         .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|name| name.starts_with("hb-"))
+        .filter(|name| name == "sweep-cache" || name.starts_with("claim-job-"))
         .collect();
     assert!(
         leftovers.is_empty(),
-        "workers leave no per-worker files: {leftovers:?}"
+        "a run without VANGUARD_CACHE_DIR writes no cache or claim files: {leftovers:?}"
     );
     let _ = fs::remove_dir_all(&dir);
 }
@@ -102,65 +101,76 @@ fn kill_and_resume_is_byte_identical() {
     let request = ci_request_path();
     let request = request.to_str().unwrap();
 
-    let (code, serial) = run_sweep(
-        &["run", "--request", request, "--serial"],
-        &dir.join("serial-cache"),
-    );
-    assert_eq!(code, 0);
+    let (status, serial) = run_sweep(&["run", "--request", request, "--serial"], &dir, 1);
+    assert!(status.success());
 
-    // Interrupt: SIGKILL the workers after 2 journaled jobs. The
-    // throttle keeps jobs slow enough that the kill lands mid-sweep.
-    let journal = dir.join("killed.vgj");
-    let cache = dir.join("killed-cache");
-    let (code, _) = run_sweep(
+    // Crash: the process aborts right after its 2nd journal append.
+    let (status, _) = run_sweep(
         &[
             "run",
             "--request",
             request,
             "--journal",
-            journal.to_str().unwrap(),
-            "--shards",
-            "2",
+            "killed.vgj",
             "--fault-kill-after",
             "2",
-            "--throttle-ms",
-            "40",
         ],
-        &cache,
+        &dir,
+        2,
     );
-    assert_eq!(code, 3, "--fault-kill-after exits 3 (interrupted)");
-    assert!(journal.exists(), "interrupted run leaves its journal");
+    assert_eq!(
+        status.signal(),
+        Some(6),
+        "--fault-kill-after dies by SIGABRT"
+    );
+    let records = vanguard_core::Journal::new(dir.join("killed.vgj"))
+        .read()
+        .expect("the crashed run leaves a readable journal")
+        .records
+        .len();
+    let planned = String::from_utf8_lossy(&serial).lines().count();
+    assert!(
+        (2..planned).contains(&records),
+        "the crash leaves a partial journal: {records} of {planned} records"
+    );
 
     // Resuming a journal that does not exist is a usage error.
-    let (code, _) = run_sweep(
-        &[
-            "resume",
-            "--request",
-            request,
-            "--journal",
-            dir.join("no-such.vgj").to_str().unwrap(),
-        ],
-        &cache,
+    let (status, _) = run_sweep(
+        &["resume", "--request", request, "--journal", "no-such.vgj"],
+        &dir,
+        2,
     );
-    assert_eq!(code, 2, "resume without a journal exits 2");
+    assert_eq!(status.code(), Some(2), "resume without a journal exits 2");
 
     // Resume off the partial journal: completes, byte-identical.
-    let (code, resumed) = run_sweep(
-        &[
-            "resume",
-            "--request",
-            request,
-            "--journal",
-            journal.to_str().unwrap(),
-            "--shards",
-            "2",
-        ],
-        &cache,
+    let (status, resumed) = run_sweep(
+        &["resume", "--request", request, "--journal", "killed.vgj"],
+        &dir,
+        2,
     );
-    assert_eq!(code, 0, "resume completes");
+    assert!(status.success(), "resume completes");
     assert_eq!(
         resumed, serial,
         "resumed merge is byte-identical to an uninterrupted serial run"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_flag_is_a_usage_error() {
+    let dir = scratch("badflag");
+    let request = ci_request_path();
+    let (status, _) = run_sweep(
+        &[
+            "run",
+            "--request",
+            request.to_str().unwrap(),
+            "--shards",
+            "2",
+        ],
+        &dir,
+        1,
+    );
+    assert_eq!(status.code(), Some(2), "--shards is no longer a flag");
     let _ = fs::remove_dir_all(&dir);
 }

@@ -38,8 +38,7 @@
 //! budget and never evicts. Only `profile-*.bin` and `pair-*.bin` are
 //! ever read: any other `.bin` file in the directory (such as the
 //! `image-*.bin` entries an older format wrote) is dead weight that can
-//! be deleted by hand. The sweep's `claim-job-*.lock` files share the
-//! directory but belong to the sweep (`vanguard_bench::sweep`).
+//! be deleted by hand.
 
 use crate::engine::CompiledPair;
 use crate::report::{SiteOutcome, TransformReport};

@@ -1271,6 +1271,21 @@ impl Engine {
         options: &TransformOptions,
         max_steps: u64,
     ) -> Vec<JobResult> {
+        self.run_jobs_with(jobs, options, max_steps, |_, _| {})
+    }
+
+    /// [`Engine::run_jobs`] with a per-result hook: `on_result(i,
+    /// outcome)` runs on the worker thread that finished job `i`, after
+    /// the observers and quarantine have seen the outcome and before that
+    /// worker takes its next job. The sweep uses it to journal each
+    /// outcome the moment it exists.
+    pub fn run_jobs_with(
+        &self,
+        jobs: &[SimJob],
+        options: &TransformOptions,
+        max_steps: u64,
+        on_result: impl Fn(usize, &JobResult) + Sync,
+    ) -> Vec<JobResult> {
         let n = jobs.len();
         let mut results: Vec<Option<JobResult>> = Vec::new();
         results.resize_with(n, || None);
@@ -1303,6 +1318,7 @@ impl Engine {
                             self.quarantine_job(i, job, other);
                         }
                     }
+                    on_result(i, &outcome);
                     lock_ignore_poison(&results)[i] = Some(outcome);
                 });
             }

@@ -1,20 +1,22 @@
 //! Persistent append-only job journal: the resume backbone of the
 //! sweep service.
 //!
-//! A sweep's workers append one checksummed record per *completed* job,
-//! keyed by the job's deterministic content-addressed key (see
-//! [`Engine::job_key`](crate::engine::Engine::job_key)). An interrupted
-//! sweep — `SIGKILL`ed worker, lost power, cancelled CI run — resumes
-//! from the journal instead of restarting: every key already present is
-//! skipped, and the merged output is reconstructed from the recorded
-//! payloads without re-running a single job.
+//! A sweep appends one checksummed record per *completed* job, keyed by
+//! the job's deterministic content-addressed key (see
+//! [`Engine::job_key`](crate::engine::Engine::job_key)), the moment the
+//! job finishes. An interrupted sweep — crashed process, lost power,
+//! cancelled CI run — resumes from the journal instead of restarting:
+//! every key already present is skipped, and the merged output is
+//! reconstructed from the recorded payloads without re-running a single
+//! job.
 //!
 //! The format is designed around the same crash-safety rules as the
 //! disk cache (DESIGN.md §7.11):
 //!
 //! * **Append-only** — records are only ever added at the tail under an
-//!   exclusive file lock, so concurrent worker *processes* never
-//!   interleave partial records.
+//!   exclusive file lock, so the threads of one sweep — or two sweeps
+//!   pointed at one journal by mistake — never interleave partial
+//!   records.
 //! * **Checksummed** — the file opens with a `VGJ1` magic and every
 //!   record carries an FNV-1a checksum over its key, length, and
 //!   payload. A torn tail (the writer died mid-append) or a flipped
@@ -299,10 +301,9 @@ impl Journal {
 
     /// Appends a record only if no record for `key` exists in the
     /// merged (snapshot + tail) view, checked under the same exclusive
-    /// lock the append itself holds. This is the dedup that lets a live
-    /// worker *steal* a lease-expired claim: even if the original
-    /// holder is wedged rather than dead and later finishes the same
-    /// job, at most one journal record for the key ever lands.
+    /// lock the append itself holds, so at most one record per key ever
+    /// lands: even two sweeps that run the same job on one journal
+    /// cannot tear or duplicate its record.
     ///
     /// Returns whether the record was written (`false` = already
     /// journaled, nothing to do).

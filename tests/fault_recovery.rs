@@ -80,10 +80,10 @@ fn bitflipped_cache_entry_is_evicted_and_recomputed() {
 }
 
 /// Disk pressure (every store fails) degrades to compute-without-store,
-/// bit-identically. The sweep-worker classes (kill-and-resume,
-/// dead-claim-holder, compaction-under-kill) spawn worker
-/// *processes* and run through the `faultinject` binary in CI instead:
-/// a libtest binary must never re-exec itself as a worker.
+/// bit-identically. The sweep classes (kill-and-resume,
+/// compaction-under-kill) run the `vanguard-sweep` binary that sits
+/// beside the running executable, so they run through the `faultinject`
+/// binary in CI instead.
 #[test]
 fn cache_disk_pressure_degrades_without_store() {
     assert_class_contained(FaultClass::CacheEnospc);
