@@ -12,9 +12,10 @@
 //!
 //! 1. **Quick-suite throughput** — runs the full benchmark suite at
 //!    quick scale (the CI figure workload) through the experiment
-//!    engine: one untimed warm-up sweep computes every profile and
-//!    compiled pair, then timed sweeps run against the warm caches (so
-//!    the wall is pure simulation). The report carries per-stage
+//!    engine in timed rounds, each on a fresh engine so every job
+//!    really simulates (an engine serves a repeated job from its
+//!    simulation memo); each job's timing covers its simulation alone,
+//!    not the profile and compile work. The report carries per-stage
 //!    wall-clock, simulated-instruction throughput (committed MIPS per
 //!    worker) and the MIPS trajectory (`history`, appended across runs).
 //! 2. **Memory microbenchmark** — replays one deterministic
@@ -163,78 +164,63 @@ fn memory_microbench() -> MemBenchResult {
 }
 
 struct QuickSuiteResult {
-    /// Engine counters for one timed sweep (warm-up counters
-    /// subtracted), with `sim_nanos` replaced by the per-job
-    /// best-of-rounds sum and profile/compile fields taken from the
-    /// warm-up (the timed sweeps hit those caches by design).
+    /// Engine counters of the first timed round, with `sim_nanos`
+    /// replaced by the per-job best-of-rounds sum.
     stats: EngineStats,
     benchmarks: usize,
     /// Worker-summed per-job best-of-rounds simulate seconds.
     wall: f64,
 }
 
-/// Timed sweep rounds over the warm engine.
+/// Timed sweep rounds, each on a fresh engine.
 const SUITE_ROUNDS: usize = 3;
 
-/// The sweep-delta of the engine counters across one timed sweep:
-/// `after` minus `before` for the per-sweep counters, with the
-/// profile/compile fields left as `after`'s cumulative values (the
-/// caller overrides them from the warm-up snapshot — the timed sweeps
-/// hit those caches by design, so their deltas read zero).
-fn sweep_delta(after: EngineStats, before: &EngineStats) -> EngineStats {
-    let mut d = after;
-    d.sim_jobs -= before.sim_jobs;
-    d.sim_insts -= before.sim_insts;
-    d.sim_nanos -= before.sim_nanos;
-    d.jobs_ok -= before.jobs_ok;
-    d
-}
-
-/// Runs the quick-scale suite on one shared engine: an untimed warm-up
-/// sweep that computes every profile and compiled pair, then
-/// [`SUITE_ROUNDS`] timed sweeps against the warm caches, one job at a
-/// time. `wall` is the worker-summed *per-job* best-of-rounds simulate
-/// time — the best-of-N idiom the memory microbenchmark uses, applied
-/// per job, so a burst of host noise must hit the same job in every
-/// round to bias the MIPS floor.
+/// Runs the quick-scale suite [`SUITE_ROUNDS`] times, one job at a
+/// time, each round on a fresh engine: an engine simulates each
+/// distinct job once and serves repeats from its memo, so a shared
+/// engine would time nothing after the first round. A job's
+/// `sim_elapsed` covers its simulation alone, so the profile and
+/// compile work each fresh engine redoes stays out of the timing.
+/// `wall` is the worker-summed *per-job* best-of-rounds simulate time —
+/// the best-of-N idiom the memory microbenchmark uses, applied per job,
+/// so a burst of host noise must hit the same job in every round to
+/// bias the MIPS floor.
 fn quick_suite() -> QuickSuiteResult {
-    let mut engine = SuiteEngine::new(BenchScale::Quick);
     let specs = suite::all_benchmarks();
-    let mut jobs: Vec<SimJob> = Vec::new();
-    for spec in &specs {
-        let bench = engine.bench_id(spec);
-        for variant in [Variant::Baseline, Variant::Transformed] {
-            jobs.push(SimJob {
-                bench,
-                ref_input: 0,
-                machine: MachineConfig::four_wide(),
-                predictor: PredictorKind::Combined24KB,
-                variant,
-            });
-        }
-    }
-    let _ = engine.run_jobs(&jobs); // warm-up: profiles + compiled pairs
-    let warm = engine.engine().stats();
-
-    let mut best = vec![f64::INFINITY; jobs.len()];
+    let mut best: Vec<f64> = Vec::new();
     let mut stats = EngineStats::default();
     for round in 0..SUITE_ROUNDS {
-        let before = engine.engine().stats();
+        let mut engine = SuiteEngine::new(BenchScale::Quick);
+        let mut jobs: Vec<SimJob> = Vec::new();
+        for spec in &specs {
+            let bench = engine.bench_id(spec);
+            for variant in [Variant::Baseline, Variant::Transformed] {
+                jobs.push(SimJob {
+                    bench,
+                    ref_input: 0,
+                    machine: MachineConfig::four_wide(),
+                    predictor: PredictorKind::Combined24KB,
+                    variant,
+                });
+            }
+        }
+        best.resize(jobs.len(), f64::INFINITY);
         for (j, job) in jobs.iter().enumerate() {
             let run = engine.run_jobs(std::slice::from_ref(job));
             best[j] = best[j].min(run[0].expect_completed().sim_elapsed.as_secs_f64());
         }
+        let round_stats = engine.engine().stats();
+        assert_eq!(
+            (round_stats.sim_jobs, round_stats.sim_memo_hits),
+            (jobs.len() as u64, 0),
+            "timed round {round} must simulate every job"
+        );
         if round == 0 {
-            stats = sweep_delta(engine.engine().stats(), &before);
+            stats = round_stats;
         }
     }
     let wall: f64 = best.iter().sum();
-    // Profile/compile counters happened in the warm-up, and the timing
-    // aggregate comes from the per-job bests rather than one round.
-    stats.profile_misses = warm.profile_misses;
-    stats.profile_nanos = warm.profile_nanos;
-    stats.compile_misses = warm.compile_misses;
-    stats.compile_nanos = warm.compile_nanos;
+    // The timing aggregate comes from the per-job bests, not one round.
     stats.sim_nanos = (wall * 1e9) as u64;
     QuickSuiteResult {
         stats,
@@ -438,7 +424,7 @@ fn main() {
         mem.speedup
     );
 
-    eprintln!("[perfbench] quick-suite sweep (4-wide, Combined24KB, warm-up + timed rounds) ...");
+    eprintln!("[perfbench] quick-suite sweep (4-wide, Combined24KB, {SUITE_ROUNDS} fresh-engine rounds) ...");
     let qs = quick_suite();
     let (stats, benchmarks) = (&qs.stats, qs.benchmarks);
     eprintln!(

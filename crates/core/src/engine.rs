@@ -14,6 +14,8 @@
 //! * memoizes profiles and compiled pairs in an **artifact cache** so
 //!   each is produced at most once per distinct key, shared across
 //!   widths, predictor rungs, and REF inputs;
+//! * memoizes deterministic job outcomes, so each distinct job is
+//!   simulated at most once per engine however many figures read it;
 //! * executes jobs on a [`std::thread::scope`] worker pool, collecting
 //!   results in job-index order so output is **bit-identical** to
 //!   serial execution regardless of worker count (see DESIGN.md §6);
@@ -96,7 +98,9 @@ pub struct JobSuccess {
     /// Simulation statistics.
     pub stats: SimStats,
     /// Wall-clock time of the simulate stage alone (excludes cached or
-    /// shared profile/compile work).
+    /// shared profile/compile work). A result served from the engine's
+    /// simulation memo carries the elapsed time of the run that
+    /// produced it.
     pub sim_elapsed: Duration,
     /// Whether this result came from a retry after a transient failure.
     pub retried: bool,
@@ -482,6 +486,10 @@ pub trait ProgressObserver: Send + Sync {
 /// `profile_misses`/`compile_misses` count actual stage executions —
 /// in any sweep they equal the number of *distinct* cache keys touched,
 /// which is how the at-most-once artifact guarantee is asserted.
+/// Likewise `sim_jobs`, `sim_insts` and `sim_nanos` count only
+/// simulations that actually ran; a job served from the simulation memo
+/// counts in `sim_memo_hits` alone (its result carries the elapsed time
+/// of the run that produced it), so MIPS measures real simulation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Profile-stage executions (distinct profile keys computed).
@@ -494,6 +502,8 @@ pub struct EngineStats {
     pub compile_hits: u64,
     /// Simulate stages executed.
     pub sim_jobs: u64,
+    /// Jobs served from the simulation memo without simulating.
+    pub sim_memo_hits: u64,
     /// Committed simulated instructions, summed over simulate stages.
     pub sim_insts: u64,
     /// Aggregate wall-clock nanoseconds in the profile stage.
@@ -548,7 +558,7 @@ impl EngineStats {
         format!(
             "profile : {:>4} runs, {:>4} cache hits, {:>9.1} ms\n\
              compile : {:>4} runs, {:>4} cache hits, {:>9.1} ms\n\
-             simulate: {:>4} jobs, {:>21.1} ms, {:>7.2} MIPS/worker\n\
+             simulate: {:>4} jobs, {:>5} memo hits, {:>9.1} ms, {:>7.2} MIPS/worker\n\
              outcomes: {:>4} ok, {} faulted, {} timed out, {} failed, \
              {} retried, {} corrupt cache entries, {} store failures",
             self.profile_misses,
@@ -558,6 +568,7 @@ impl EngineStats {
             self.compile_hits,
             ms(self.compile_nanos),
             self.sim_jobs,
+            self.sim_memo_hits,
             ms(self.sim_nanos),
             self.sim_mips(),
             self.jobs_ok,
@@ -585,6 +596,23 @@ pub struct SweepCell {
 
 type ProfileSlot = Arc<OnceLock<Result<Arc<Profile>, ExperimentError>>>;
 type CompileSlot = Arc<OnceLock<CompiledPair>>;
+/// A `Mutex<Option>` rather than a `OnceLock`: a non-deterministic
+/// outcome leaves the slot empty, so the next request simulates again.
+type SimSlot = Arc<Mutex<Option<JobResult>>>;
+
+/// Memo key of one simulation: everything its outcome depends on. The
+/// compile key names the program pair (benchmark, predictor, profile
+/// budget, width, transform options); the full machine, REF input and
+/// variant pick the run; the policy's cycle budget decides where a
+/// cycle-watchdog `TimedOut` lands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct SimKey {
+    compile: CompileKey,
+    machine: MachineConfig,
+    ref_input: usize,
+    variant: Variant,
+    max_cycles: Option<u64>,
+}
 
 /// Locks a mutex, recovering from poisoning: the engine's shared state
 /// (caches, result vectors, injection plans) stays structurally valid
@@ -636,6 +664,7 @@ pub struct Engine {
     observers: Vec<Arc<dyn ProgressObserver>>,
     profiles: Mutex<HashMap<ProfileKey, ProfileSlot>>,
     pairs: Mutex<HashMap<CompileKey, CompileSlot>>,
+    sims: Mutex<HashMap<SimKey, SimSlot>>,
     fault_policy: FaultPolicy,
     disk_cache: Option<DiskCache>,
     /// Deterministic fault-injection plan: job index → remaining panics
@@ -647,6 +676,7 @@ pub struct Engine {
     compile_misses: AtomicU64,
     compile_hits: AtomicU64,
     sim_jobs: AtomicU64,
+    sim_memo_hits: AtomicU64,
     sim_insts: AtomicU64,
     profile_nanos: AtomicU64,
     compile_nanos: AtomicU64,
@@ -712,6 +742,7 @@ impl Engine {
             observers: Vec::new(),
             profiles: Mutex::new(HashMap::new()),
             pairs: Mutex::new(HashMap::new()),
+            sims: Mutex::new(HashMap::new()),
             fault_policy,
             disk_cache,
             panic_plan: Mutex::new(HashMap::new()),
@@ -720,6 +751,7 @@ impl Engine {
             compile_misses: AtomicU64::new(0),
             compile_hits: AtomicU64::new(0),
             sim_jobs: AtomicU64::new(0),
+            sim_memo_hits: AtomicU64::new(0),
             sim_insts: AtomicU64::new(0),
             profile_nanos: AtomicU64::new(0),
             compile_nanos: AtomicU64::new(0),
@@ -755,9 +787,11 @@ impl Engine {
 
     /// Schedules `times` deterministic worker panics on the job at
     /// `index` (raised inside the containment boundary, before the job
-    /// body runs). The fault-injection harness uses this to prove panic
-    /// containment and retry behaviour; with the default policy the
-    /// first panic is retried and the retry succeeds.
+    /// body runs and before its simulation-memo lookup, so a job whose
+    /// result is already memoized still panics). The fault-injection
+    /// harness uses this to prove panic containment and retry
+    /// behaviour; with the default policy the first panic is retried
+    /// and the retry succeeds.
     pub fn inject_worker_panic(&self, index: usize, times: u32) {
         lock_ignore_poison(&self.panic_plan).insert(index, times);
     }
@@ -803,6 +837,7 @@ impl Engine {
             compile_misses: self.compile_misses.load(Ordering::Relaxed),
             compile_hits: self.compile_hits.load(Ordering::Relaxed),
             sim_jobs: self.sim_jobs.load(Ordering::Relaxed),
+            sim_memo_hits: self.sim_memo_hits.load(Ordering::Relaxed),
             sim_insts: self.sim_insts.load(Ordering::Relaxed),
             profile_nanos: self.profile_nanos.load(Ordering::Relaxed),
             compile_nanos: self.compile_nanos.load(Ordering::Relaxed),
@@ -913,7 +948,7 @@ impl Engine {
         let (disk_hits, nanos) = match stage {
             Stage::Profile => (&self.profile_disk_hits, &self.profile_nanos),
             Stage::Compile => (&self.pair_disk_hits, &self.compile_nanos),
-            Stage::Simulate => unreachable!("simulations are not cached"),
+            Stage::Simulate => unreachable!("simulations are memoized in `run_job`, not on disk"),
         };
         let name = &self.benchmarks[bench].name;
         let disk = self.disk_cache.as_ref().map(|cache| (cache, disk_key()));
@@ -1089,7 +1124,54 @@ impl Engine {
     /// returns an error or panics on a guest fault: traps, watchdog
     /// cancellations, and stage failures become the corresponding
     /// [`JobResult`] variant.
+    ///
+    /// Each distinct job simulates at most once per engine: the first
+    /// request computes under a per-key lock while concurrent requests
+    /// for the same job wait, and later requests get the stored result
+    /// unchanged. Only deterministic outcomes are stored — `Completed`,
+    /// `Faulted`, and a `TimedOut` with no wall-clock deadline armed
+    /// (so the cycle budget, part of the key, stopped it). A wall-clock
+    /// `TimedOut` or a `Failed` is returned but never stored.
     pub fn run_job(&self, job: &SimJob, options: &TransformOptions, max_steps: u64) -> JobResult {
+        let key = SimKey {
+            compile: CompileKey {
+                profile: ProfileKey {
+                    bench: job.bench,
+                    predictor: job.predictor,
+                    max_steps,
+                },
+                width: job.machine.width,
+                options: TransformKey::from_options(options),
+            },
+            machine: job.machine,
+            ref_input: job.ref_input,
+            variant: job.variant,
+            max_cycles: self.fault_policy.max_cycles,
+        };
+        let slot = {
+            let mut map = lock_ignore_poison(&self.sims);
+            Arc::clone(map.entry(key).or_default())
+        };
+        let mut memo = lock_ignore_poison(&slot);
+        if let Some(hit) = memo.as_ref() {
+            self.sim_memo_hits.fetch_add(1, Ordering::Relaxed);
+            return hit.clone();
+        }
+        let outcome = self.simulate(job, options, max_steps);
+        let deterministic = match &outcome {
+            JobResult::Completed(_) | JobResult::Faulted { .. } => true,
+            JobResult::TimedOut { .. } => self.fault_policy.job_timeout.is_none(),
+            JobResult::Failed { .. } => false,
+        };
+        if deterministic {
+            *memo = Some(outcome.clone());
+        }
+        outcome
+    }
+
+    /// The body of [`Engine::run_job`] behind the memo: compile (cached)
+    /// and one simulation.
+    fn simulate(&self, job: &SimJob, options: &TransformOptions, max_steps: u64) -> JobResult {
         let input = &self.benchmarks[job.bench];
         let pair =
             match self.compile_pair(job.bench, job.predictor, job.machine, options, max_steps) {
@@ -1449,6 +1531,8 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::experiment::tests::experiment_input;
+    use crate::experiment::RunInput;
+    use vanguard_isa::{Inst, Memory, ProgramBuilder, Reg};
 
     fn engine_with(n: usize, workers: usize) -> (Engine, Vec<usize>) {
         let mut engine = Engine::with_workers(workers);
@@ -1516,11 +1600,13 @@ mod tests {
         assert_eq!(stats.profile_misses, 1, "{stats:?}");
         assert_eq!(stats.compile_misses, 3, "{stats:?}");
         assert_eq!(stats.sim_jobs, 6, "{stats:?}");
-        // Re-running the same cells is all hits.
+        // Re-running the same cells is all hits, simulations included.
         engine.run_cells(&cells, &opts, 1_000_000).unwrap();
         let stats = engine.stats();
         assert_eq!(stats.profile_misses, 1, "{stats:?}");
         assert_eq!(stats.compile_misses, 3, "{stats:?}");
+        assert_eq!(stats.sim_jobs, 6, "{stats:?}");
+        assert_eq!(stats.sim_memo_hits, 6, "{stats:?}");
     }
 
     #[test]
@@ -1602,6 +1688,150 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.jobs_failed, 1, "{stats:?}");
         assert_eq!(stats.jobs_retried, 1, "{stats:?}");
+    }
+
+    /// A one-REF benchmark that profiles cleanly on TRAIN but commits a
+    /// load from an unmapped address on REF.
+    fn trap_victim() -> ExperimentInput {
+        let mut pb = ProgramBuilder::new();
+        let main = pb.block("main");
+        pb.push(main, Inst::load(Reg(21), Reg(20), 0));
+        pb.push(main, Inst::Halt);
+        pb.set_entry(main);
+        let mut mapped = Memory::new();
+        mapped.map_region(0x1000, 4096);
+        ExperimentInput {
+            name: "trap".into(),
+            program: pb.finish().unwrap(),
+            train: RunInput {
+                memory: mapped,
+                init_regs: vec![(Reg(20), 0x1000)],
+            },
+            refs: vec![RunInput {
+                memory: Memory::new(),
+                init_regs: vec![(Reg(20), 0xdead_0000)],
+            }],
+            seed: None,
+        }
+    }
+
+    /// A serial engine with `input` registered under `policy`, and the
+    /// baseline 4-wide job on its one REF input.
+    fn single_job(input: ExperimentInput, policy: FaultPolicy) -> (Engine, SimJob) {
+        let mut engine = Engine::with_workers(1);
+        engine.set_fault_policy(policy);
+        let bench = engine.add_benchmark(input);
+        let job = SimJob {
+            bench,
+            ref_input: 0,
+            machine: MachineConfig::four_wide(),
+            predictor: PredictorKind::Combined24KB,
+            variant: Variant::Baseline,
+        };
+        (engine, job)
+    }
+
+    #[test]
+    fn repeated_job_is_served_from_the_memo_unchanged() {
+        let opts = TransformOptions::default();
+        let (engine, job) = single_job(experiment_input(400), FaultPolicy::default());
+        let first = engine.run_job(&job, &opts, 1_000_000);
+        let after_first = engine.stats();
+        let second = engine.run_job(&job, &opts, 1_000_000);
+        assert!(first.is_completed(), "{first:?}");
+        // Debug covers every field, `sim_elapsed` included.
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+        let stats = engine.stats();
+        assert_eq!(stats.sim_jobs, 1, "{stats:?}");
+        assert_eq!(stats.sim_memo_hits, 1, "{stats:?}");
+        assert_eq!(stats.sim_insts, after_first.sim_insts, "{stats:?}");
+        assert_eq!(stats.sim_nanos, after_first.sim_nanos, "{stats:?}");
+        assert!(
+            stats.summary().contains("    1 memo hits"),
+            "{}",
+            stats.summary()
+        );
+    }
+
+    #[test]
+    fn guest_trap_is_served_from_the_memo() {
+        let opts = TransformOptions::default();
+        let (engine, job) = single_job(trap_victim(), FaultPolicy::default());
+        let first = engine.run_job(&job, &opts, 1_000_000);
+        let second = engine.run_job(&job, &opts, 1_000_000);
+        assert!(matches!(first, JobResult::Faulted { .. }), "{first:?}");
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+        let stats = engine.stats();
+        assert_eq!((stats.sim_jobs, stats.sim_memo_hits), (1, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn cycle_budget_timeout_is_memoized_per_budget() {
+        let opts = TransformOptions::default();
+        let budget = |cycles| FaultPolicy {
+            max_cycles: Some(cycles),
+            ..FaultPolicy::default()
+        };
+        let (mut engine, job) = single_job(experiment_input(400), budget(1_000));
+        let cycles = |r: &JobResult| match r {
+            JobResult::TimedOut { cycles, .. } => *cycles,
+            other => panic!("expected a timeout, got {other:?}"),
+        };
+        let first = engine.run_job(&job, &opts, 1_000_000);
+        let again = engine.run_job(&job, &opts, 1_000_000);
+        assert_eq!(format!("{first:?}"), format!("{again:?}"));
+        let stats = engine.stats();
+        assert_eq!((stats.sim_jobs, stats.sim_memo_hits), (1, 1), "{stats:?}");
+
+        // A different budget is a different job: it simulates again.
+        engine.set_fault_policy(budget(2_000));
+        let longer = engine.run_job(&job, &opts, 1_000_000);
+        assert!(cycles(&longer) > cycles(&first), "{longer:?} vs {first:?}");
+        engine.run_job(&job, &opts, 1_000_000);
+        let stats = engine.stats();
+        assert_eq!((stats.sim_jobs, stats.sim_memo_hits), (2, 2), "{stats:?}");
+    }
+
+    #[test]
+    fn wall_clock_timeout_is_never_memoized() {
+        let opts = TransformOptions::default();
+        // A deadline that has passed when the simulation starts trips at
+        // its first deadline check, cycle 0.
+        let policy = FaultPolicy {
+            job_timeout: Some(Duration::ZERO),
+            ..FaultPolicy::default()
+        };
+        let (engine, job) = single_job(experiment_input(400), policy);
+        for _ in 0..2 {
+            let outcome = engine.run_job(&job, &opts, 1_000_000);
+            assert!(matches!(outcome, JobResult::TimedOut { .. }), "{outcome:?}");
+        }
+        let stats = engine.stats();
+        assert_eq!((stats.sim_jobs, stats.sim_memo_hits), (2, 0), "{stats:?}");
+    }
+
+    #[test]
+    fn injected_panic_fires_before_the_memo_lookup() {
+        let opts = TransformOptions::default();
+        let (engine, ids) = engine_with(1, 1);
+        let jobs = engine.jobs_for_cells(&[SweepCell {
+            bench: ids[0],
+            machine: MachineConfig::four_wide(),
+            predictor: PredictorKind::Combined24KB,
+        }]);
+        let first = engine.run_jobs(&jobs, &opts, 1_000_000);
+        // Job 0 is memoized now; its injected panic must still fire.
+        engine.inject_worker_panic(0, 1);
+        let second = engine.run_jobs(&jobs, &opts, 1_000_000);
+        assert!(second[0].retried());
+        for (a, b) in first.iter().zip(&second) {
+            assert_eq!(a.expect_completed().stats, b.expect_completed().stats);
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.jobs_retried, 1, "{stats:?}");
+        assert_eq!(stats.jobs_failed, 0, "{stats:?}");
+        assert_eq!(stats.sim_jobs as usize, jobs.len(), "{stats:?}");
+        assert_eq!(stats.sim_memo_hits as usize, jobs.len(), "{stats:?}");
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //!   longest valid prefix; anything after the first malformed record is
 //!   reported as [`JournalSnapshot::dropped_bytes`] and the jobs it
 //!   might have described are simply recomputed. A corrupt journal
-//!   degrades a resume into extra work, never into wrong results.
+//!   degrades a resume into extra work, never into wrong results. The
+//!   next append cuts the dropped bytes off under its lock before it
+//!   writes, so records appended after a torn tail stay readable.
 //! * **Bounded growth** — when the tail file exceeds a threshold
 //!   (`VANGUARD_JOURNAL_COMPACT_BYTES`; `0` disables), an append folds
 //!   every record into a sibling `.snap` snapshot (same `VGJ1` format,
@@ -282,8 +284,10 @@ impl Journal {
     /// (creating the file with its magic on first use). The record is
     /// written with a single `write_all` and synced, so a reader — or a
     /// resume after a crash — sees either the whole record or a torn
-    /// tail it will drop. If the tail then exceeds the compaction
-    /// threshold, it is compacted (best-effort) before the lock drops.
+    /// tail it will drop; a torn tail left by an earlier writer is cut
+    /// back to the valid prefix first. If the tail then exceeds the
+    /// compaction threshold, it is compacted (best-effort) before the
+    /// lock drops.
     ///
     /// # Errors
     ///
@@ -291,7 +295,9 @@ impl Journal {
     /// not journaled" and the job will be re-run on resume.
     pub fn append(&self, key: u64, payload: &[u8]) -> io::Result<()> {
         let mut file = self.open_locked()?;
-        let result = self.append_locked(&mut file, key, payload);
+        let result = self
+            .read_tail_locked(&mut file)
+            .and_then(|_| self.append_locked(&mut file, key, payload));
         if result.is_ok() {
             self.maybe_compact_locked(&mut file);
         }
@@ -315,22 +321,7 @@ impl Journal {
     pub fn append_new(&self, key: u64, payload: &[u8]) -> io::Result<bool> {
         let mut file = self.open_locked()?;
         let result = (|| {
-            let mut bytes = Vec::new();
-            file.seek(SeekFrom::Start(0))?;
-            file.read_to_end(&mut bytes)?;
-            let journaled = if bytes.is_empty() {
-                false
-            } else {
-                if bytes.len() < JOURNAL_MAGIC.len()
-                    || &bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC
-                {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{} is not a VGJ1 journal", self.path.display()),
-                    ));
-                }
-                parse_body(&bytes[JOURNAL_MAGIC.len()..]).contains(key)
-            };
+            let journaled = self.read_tail_locked(&mut file)?.contains(key);
             if journaled || self.read_file(&self.snapshot_path(), false)?.contains(key) {
                 return Ok(false);
             }
@@ -342,8 +333,42 @@ impl Journal {
         result
     }
 
+    /// Parses the locked tail into its valid records and cuts a torn or
+    /// corrupt tail back to the valid prefix (synced), so the next record
+    /// lands right after the last valid one instead of after bytes every
+    /// reader drops. An empty tail gets its magic and reads as an empty
+    /// journal.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error, or [`io::ErrorKind::InvalidData`] for a
+    /// non-journal tail file.
+    fn read_tail_locked(&self, file: &mut File) -> io::Result<JournalSnapshot> {
+        let mut bytes = Vec::new();
+        file.seek(SeekFrom::Start(0))?;
+        file.read_to_end(&mut bytes)?;
+        if bytes.is_empty() {
+            file.write_all(JOURNAL_MAGIC)?;
+            return Ok(JournalSnapshot::default());
+        }
+        if bytes.len() < JOURNAL_MAGIC.len() || &bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{} is not a VGJ1 journal", self.path.display()),
+            ));
+        }
+        let tail = parse_body(&bytes[JOURNAL_MAGIC.len()..]);
+        if tail.dropped_bytes > 0 {
+            file.set_len(bytes.len() as u64 - tail.dropped_bytes)?;
+            file.sync_all()?;
+        }
+        Ok(tail)
+    }
+
+    /// Writes one record at the end of a tail that
+    /// [`Journal::read_tail_locked`] has validated (the file is opened
+    /// for append, so every write lands at its end).
     fn append_locked(&self, file: &mut File, key: u64, payload: &[u8]) -> io::Result<()> {
-        self.ensure_magic_locked(file)?;
         let mut record = Vec::with_capacity(RECORD_HEADER + payload.len());
         record.extend_from_slice(&key.to_le_bytes());
         record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -351,28 +376,6 @@ impl Journal {
         record.extend_from_slice(payload);
         file.write_all(&record)?;
         file.sync_all()
-    }
-
-    /// Writes the magic into an empty tail, or verifies it on an
-    /// existing one, leaving the cursor at the end of the file.
-    fn ensure_magic_locked(&self, file: &mut File) -> io::Result<()> {
-        let end = file.seek(SeekFrom::End(0))?;
-        if end == 0 {
-            file.write_all(JOURNAL_MAGIC)?;
-        } else {
-            // Refuse to append to a non-journal file.
-            let mut magic = [0u8; 4];
-            file.seek(SeekFrom::Start(0))?;
-            file.read_exact(&mut magic)?;
-            if &magic != JOURNAL_MAGIC {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{} is not a VGJ1 journal", self.path.display()),
-                ));
-            }
-            file.seek(SeekFrom::End(0))?;
-        }
-        Ok(())
     }
 
     /// Compacts if the tail has outgrown the threshold. Best-effort:
@@ -398,15 +401,11 @@ impl Journal {
     /// between rename and truncation leaves records in both files,
     /// which [`Journal::read`] deduplicates.
     fn compact_locked(&self, file: &mut File) -> io::Result<()> {
-        self.ensure_magic_locked(file)?;
-        let mut bytes = Vec::new();
-        file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut bytes)?;
-        let tail = parse_body(&bytes[JOURNAL_MAGIC.len()..]);
+        let tail = self.read_tail_locked(file)?;
         let snap = self.read_file(&self.snapshot_path(), false)?;
         let merged = Self::merge(snap, tail);
 
-        let mut out = Vec::with_capacity(bytes.len() + JOURNAL_MAGIC.len());
+        let mut out = Vec::new();
         out.extend_from_slice(JOURNAL_MAGIC);
         let mut seen: HashSet<u64> = HashSet::new();
         for r in &merged.records {
@@ -498,15 +497,33 @@ mod tests {
         assert_eq!(snap.records.len(), 1);
         assert_eq!(snap.records[0].key, 1);
         assert!(snap.dropped_bytes > 0);
-        // Appending after a torn tail still works; the torn bytes stay
-        // dead (the reader drops everything after the first bad record).
+        // The next append cuts the torn bytes off first, so its record
+        // is readable right after the last valid one.
         j.append(3, b"third").unwrap();
         let snap = j.read().unwrap();
-        assert_eq!(
-            snap.records.len(),
-            1,
-            "records after a torn tail stay dropped"
+        let keys: Vec<u64> = snap.records.iter().map(|r| r.key).collect();
+        assert_eq!(keys, [1, 3], "records after a torn tail stay readable");
+        assert_eq!(snap.dropped_bytes, 0);
+        cleanup(&j);
+    }
+
+    #[test]
+    fn append_new_rewrites_a_record_its_torn_tail_lost() {
+        let j = temp_journal("tornnew");
+        assert!(j.append_new(1, b"first").unwrap());
+        assert!(j.append_new(2, b"second").unwrap());
+        let bytes = fs::read(j.path()).unwrap();
+        // Tear key 2's record: it was never durably journaled.
+        fs::write(j.path(), &bytes[..bytes.len() - 3]).unwrap();
+        assert!(
+            j.append_new(2, b"second").unwrap(),
+            "torn record is rewritten"
         );
+        assert!(!j.append_new(2, b"second").unwrap(), "and then journaled");
+        let snap = j.read().unwrap();
+        assert_eq!(snap.records.len(), 2);
+        assert_eq!(snap.get(2), Some(&b"second"[..]));
+        assert_eq!(snap.dropped_bytes, 0);
         cleanup(&j);
     }
 

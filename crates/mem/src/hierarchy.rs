@@ -39,7 +39,7 @@ pub struct Access {
 }
 
 /// Hierarchy configuration (defaults to Table 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MemConfig {
     /// L1 instruction cache.
     pub l1i: CacheConfig,

@@ -3,7 +3,7 @@
 use vanguard_mem::MemConfig;
 
 /// Configuration of the simulated in-order superscalar.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MachineConfig {
     /// Fetch/decode/dispatch width (the paper varies 2/4/8).
     pub width: usize,

@@ -1,16 +1,17 @@
 //! The engine's headline guarantee (DESIGN.md §6): outcomes from the
 //! parallel, artifact-cached engine are **bit-identical** to strictly
-//! serial staged execution, and cache keys never collide across distinct
-//! sweep coordinates.
+//! serial staged execution, each distinct job simulates at most once per
+//! engine, and cache keys never collide across distinct sweep
+//! coordinates.
 
 use proptest::prelude::*;
 use vanguard_bench::{quick_spec, to_experiment_input, BenchScale};
 use vanguard_core::engine::{
-    CompileKey, Engine, PredictorKind, ProfileKey, SweepCell, TransformKey,
+    CompileKey, Engine, PredictorKind, ProfileKey, SimJob, SweepCell, TransformKey,
     DEFAULT_MAX_PROFILE_STEPS,
 };
 use vanguard_core::{Experiment, ExperimentOutcome, RefRun, TransformOptions};
-use vanguard_sim::MachineConfig;
+use vanguard_sim::{MachineConfig, SimStats};
 use vanguard_workloads::suite;
 
 fn two_benchmark_inputs() -> Vec<vanguard_core::ExperimentInput> {
@@ -141,6 +142,73 @@ fn suite_sweep_computes_each_artifact_once() {
     let stats = engine.stats();
     assert_eq!(stats.profile_misses, 2, "{stats:?}");
     assert_eq!(stats.compile_misses, 6, "{stats:?}");
+}
+
+/// The simulation memo under concurrency: a job list in which every job
+/// appears three times in a row (so at 4 workers the copies race for
+/// one key) simulates each distinct job exactly once, serves the rest
+/// from the memo, and every result equals a fresh engine's run of that
+/// job alone.
+#[test]
+fn repeated_jobs_simulate_once_at_any_worker_count() {
+    let inputs = two_benchmark_inputs();
+    let options = TransformOptions::default();
+    let engine_with_inputs = |workers: usize| {
+        let mut engine = Engine::with_workers(workers);
+        let ids: Vec<usize> = inputs
+            .iter()
+            .map(|input| engine.add_benchmark(input.clone()))
+            .collect();
+        (engine, ids)
+    };
+    let (probe, ids) = engine_with_inputs(1);
+    let cells: Vec<SweepCell> = ids
+        .iter()
+        .flat_map(|&bench| {
+            [MachineConfig::two_wide(), MachineConfig::four_wide()]
+                .into_iter()
+                .map(move |machine| SweepCell {
+                    bench,
+                    machine,
+                    predictor: PredictorKind::Combined24KB,
+                })
+        })
+        .collect();
+    let distinct = probe.jobs_for_cells(&cells);
+    let reference: Vec<SimStats> = distinct
+        .iter()
+        .map(|job| {
+            let (fresh, _) = engine_with_inputs(1);
+            fresh
+                .run_job(job, &options, DEFAULT_MAX_PROFILE_STEPS)
+                .expect_completed()
+                .stats
+        })
+        .collect();
+    let tripled: Vec<SimJob> = distinct.iter().flat_map(|&job| [job; 3]).collect();
+    for workers in [1, 4] {
+        let (engine, _) = engine_with_inputs(workers);
+        let results = engine.run_jobs(&tripled, &options, DEFAULT_MAX_PROFILE_STEPS);
+        let stats = engine.stats();
+        assert_eq!(
+            stats.sim_jobs as usize,
+            distinct.len(),
+            "{workers}w: {stats:?}"
+        );
+        assert_eq!(
+            stats.sim_memo_hits as usize,
+            tripled.len() - distinct.len(),
+            "{workers}w: {stats:?}"
+        );
+        for (i, result) in results.iter().enumerate() {
+            assert_eq!(result.job(), &tripled[i]);
+            assert_eq!(
+                result.expect_completed().stats,
+                reference[i / 3],
+                "{workers}w: job {i} differs from a fresh engine's run"
+            );
+        }
+    }
 }
 
 /// The wall-clock acceptance criterion: 4 workers beat serial by >2× on

@@ -130,11 +130,14 @@ proptest! {
             assert_eq!(snap.records.len(), expected, "cut at byte {cut}");
             assert_eq!(snap.dropped_bytes as usize, cut - offsets[expected]);
             assert_valid_prefix(&snap.records, &jobs);
-            // The truncated journal still accepts appends and the new
-            // record is visible (the dead tail stays dropped).
+            // The truncated journal still accepts appends: the append
+            // cuts the torn tail off, so the new record lands right
+            // after the whole ones and is visible.
             journal.append(0xfeed, b"resumed").unwrap();
             let after = journal.read().unwrap();
-            assert!(after.records.len() <= expected + 1);
+            assert_eq!(after.records.len(), expected + 1, "cut at byte {cut}");
+            assert_eq!(after.records.last().unwrap().key, 0xfeed);
+            assert_eq!(after.dropped_bytes, 0);
         }
         let _ = fs::remove_dir_all(&dir);
     }
