@@ -21,6 +21,11 @@
 //! paper's high-opportunity benchmarks leading the low-opportunity ones —
 //! and exits non-zero on any violation.
 //!
+//! Exit codes: 0 success, 2 usage, 3 shape violation. An unknown flag, or
+//! a `--max-cycles`/`--transform` with a missing or malformed value,
+//! exits 2 with a usage line before any workload is built; an unknown
+//! item exits 2 after the known items ran.
+//!
 //! All items share one experiment engine: profiles and compiled pairs
 //! are computed once per distinct (benchmark, predictor, width) and
 //! reused across figures, and simulations run on a worker pool sized by
@@ -40,49 +45,50 @@ use vanguard_bench::{
 use vanguard_core::TransformKind;
 use vanguard_workloads::suite;
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: figures [ITEM...] [--quick] [--verbose] [--assert-shape] [--max-cycles N] \
+         [--transform vanguard|meld|shadow|stacked]\n\
+         \x20      items: all table1 fig2 fig3 fig8 fig9 fig10 fig11 fig12 fig13 table2 fig14 \
+         sensitivity icache ablation"
+    );
+    std::process::exit(2);
+}
+
+/// A flag's value, parsed; a missing or malformed value is a usage error.
+fn flag_value<T>(value: Option<&String>, parse: impl FnOnce(&str) -> Option<T>) -> T {
+    value.and_then(|v| parse(v)).unwrap_or_else(|| usage())
+}
+
 fn main() {
     let mut bad_item = false;
     let mut shape_violated = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let verbose = args.iter().any(|a| a == "--verbose");
-    let assert_shape = args.iter().any(|a| a == "--assert-shape");
+    let (mut quick, mut verbose, mut assert_shape) = (false, false, false);
     // `--max-cycles N` arms the engine's per-job cycle-budget watchdog:
     // a wedged simulation becomes a TimedOut outcome instead of hanging
     // the run (`VANGUARD_JOB_TIMEOUT` is the wall-clock equivalent).
-    let max_cycles: Option<u64> = args
-        .iter()
-        .position(|a| a == "--max-cycles")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
-    // `--transform <kind>` swaps the pass used by every non-ablation
-    // item (vanguard | meld | shadow | stacked).
-    let transform: Option<TransformKind> = args
-        .iter()
-        .position(|a| a == "--transform")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| match TransformKind::parse(v) {
-            Some(kind) => kind,
-            None => {
-                eprintln!("unknown transform kind: {v} (want vanguard|meld|shadow|stacked)");
-                std::process::exit(2);
-            }
-        });
+    let mut max_cycles: Option<u64> = None;
+    // `--transform <kind>` swaps the pass used by every non-ablation item.
+    let mut transform: Option<TransformKind> = None;
+    let mut what: Vec<&str> = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--verbose" => verbose = true,
+            "--assert-shape" => assert_shape = true,
+            "--max-cycles" => max_cycles = Some(flag_value(it.next(), |v| v.parse().ok())),
+            "--transform" => transform = Some(flag_value(it.next(), TransformKind::parse)),
+            flag if flag.starts_with("--") => usage(),
+            item => what.push(item),
+        }
+    }
     let scale = if quick {
         BenchScale::Quick
     } else {
         BenchScale::Full
     };
-    let mut what: Vec<&str> = args
-        .iter()
-        .enumerate()
-        // Skip flags and the value slots of `--max-cycles`/`--transform`.
-        .filter(|(i, a)| {
-            !a.starts_with("--")
-                && (*i == 0 || (args[i - 1] != "--max-cycles" && args[i - 1] != "--transform"))
-        })
-        .map(|(_, a)| a.as_str())
-        .collect();
     if what.is_empty() || what.contains(&"all") {
         what = vec![
             "table1",

@@ -9,7 +9,7 @@ use vanguard_core::engine::{
     DEFAULT_MAX_PROFILE_STEPS,
 };
 use vanguard_core::{
-    ExperimentError, ExperimentInput, ExperimentOutcome, RunInput, TransformKind, TransformOptions,
+    ExperimentInput, ExperimentOutcome, RunInput, TransformKind, TransformOptions, VanguardError,
 };
 use vanguard_ir::Profile;
 use vanguard_sim::MachineConfig;
@@ -180,7 +180,7 @@ impl SuiteEngine {
         &mut self,
         spec: &BenchmarkSpec,
         predictor: PredictorKind,
-    ) -> Result<Arc<Profile>, ExperimentError> {
+    ) -> Result<Arc<Profile>, VanguardError> {
         let id = self.bench_id(spec);
         self.engine
             .profile(id, predictor, DEFAULT_MAX_PROFILE_STEPS)
@@ -193,10 +193,7 @@ impl SuiteEngine {
     /// # Errors
     ///
     /// Returns the first (by job index) profiling or simulation error.
-    pub fn run_cells(
-        &self,
-        cells: &[SweepCell],
-    ) -> Result<Vec<ExperimentOutcome>, ExperimentError> {
+    pub fn run_cells(&self, cells: &[SweepCell]) -> Result<Vec<ExperimentOutcome>, VanguardError> {
         self.run_cells_with(cells, &self.transform)
     }
 
@@ -210,7 +207,7 @@ impl SuiteEngine {
         &self,
         cells: &[SweepCell],
         options: &TransformOptions,
-    ) -> Result<Vec<ExperimentOutcome>, ExperimentError> {
+    ) -> Result<Vec<ExperimentOutcome>, VanguardError> {
         self.engine
             .run_cells(cells, options, DEFAULT_MAX_PROFILE_STEPS)
     }

@@ -11,16 +11,18 @@
 //!
 //! * enumerates a sweep as a flat list of [`SimJob`]s keyed by
 //!   `(benchmark, input, machine, predictor, variant)`;
-//! * memoizes profiles and compiled pairs in an **artifact cache** so
-//!   each is produced at most once per distinct key, shared across
-//!   widths, predictor rungs, and REF inputs;
-//! * memoizes deterministic job outcomes, so each distinct job is
-//!   simulated at most once per engine however many figures read it;
+//! * memoizes profiles and compiled pairs so each is produced at most
+//!   once per distinct key, shared across widths, predictor rungs, and
+//!   REF inputs, and memoizes deterministic job outcomes so each
+//!   distinct job is simulated at most once per engine however many
+//!   figures read it — three per-key memos of one type behind one
+//!   get-or-compute helper (see DESIGN.md §6);
 //! * executes jobs on a [`std::thread::scope`] worker pool, collecting
 //!   results in job-index order so output is **bit-identical** to
 //!   serial execution regardless of worker count (see DESIGN.md §6);
 //! * reports per-job and per-stage progress (with wall-clock timings
-//!   and cache hit/miss accounting) through [`ProgressObserver`].
+//!   and cache hit/miss accounting) through [`ProgressObserver`], and
+//!   keeps its counters in one [`EngineStats`] block ([`Engine::stats`]).
 //!
 //! Worker count defaults to the machine's available parallelism and can
 //! be overridden with the `VANGUARD_THREADS` environment variable.
@@ -32,24 +34,28 @@
 //! watchdog cancellations (see [`FaultPolicy`]) become
 //! [`JobResult::TimedOut`], and worker panics become
 //! [`JobResult::Failed`] with a [`VanguardError`] carrying stage,
-//! benchmark, and seed context. Transient failures are retried once
+//! benchmark, and seed context. [`VanguardError`] is the engine's one
+//! error type: [`Engine::profile`], [`Engine::compile_pair`] and
+//! [`Engine::run_cells`] return it too. Worker panics are retried once
 //! with backoff; repeat failures are quarantined with a replayable
 //! reproducer. The optional on-disk profile and pair cache
 //! ([`crate::DiskCache`], enabled by `VANGUARD_CACHE_DIR`) is
-//! checksummed and crash-safe: corrupt entries are quarantined and
-//! recomputed, never trusted. See DESIGN.md §7.8 for the fault model.
+//! checksummed and crash-safe: corrupt entries are quarantined, counted
+//! and recomputed, never trusted and never an error. See DESIGN.md §7.8
+//! for the fault model.
 
 use crate::diskcache::{fnv1a, CorruptEntry, DiskCache};
 use crate::error::{ErrorKind, VanguardError};
-use crate::experiment::{Experiment, ExperimentError, ExperimentInput, ExperimentOutcome, RefRun};
+use crate::experiment::{profile_error, Experiment, ExperimentInput, ExperimentOutcome, RefRun};
 use crate::passes::TransformKind;
 use crate::report::TransformReport;
 use crate::transform::TransformOptions;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use vanguard_ir::Profile;
 use vanguard_isa::{DecodedImage, Program};
@@ -104,14 +110,6 @@ pub struct JobSuccess {
     pub sim_elapsed: Duration,
     /// Whether this result came from a retry after a transient failure.
     pub retried: bool,
-}
-
-impl JobSuccess {
-    /// Host-side throughput of this job: millions of committed simulated
-    /// instructions per wall-clock second of its simulate stage.
-    pub fn sim_mips(&self) -> f64 {
-        self.stats.mips(self.sim_elapsed)
-    }
 }
 
 /// Outcome of one [`SimJob`] — the engine's containment boundary. A
@@ -473,8 +471,9 @@ pub trait ProgressObserver: Send + Sync {
         let _ = (index, job, bench_name);
     }
 
-    /// A profile or compile artifact was produced (`cached == false`)
-    /// or served from the cache (`cached == true`). Simulate stages
+    /// A profile or compile artifact was produced (`cached == false`),
+    /// or a stage's result — a simulation's included — was served from
+    /// a memo or the disk cache (`cached == true`). Simulations that run
     /// report through [`ProgressObserver::job_finished`] instead.
     fn stage_completed(&self, stage: Stage, bench_name: &str, elapsed: Duration, cached: bool) {
         let _ = (stage, bench_name, elapsed, cached);
@@ -540,7 +539,13 @@ pub struct EngineStats {
 impl EngineStats {
     /// Host-side simulation throughput: millions of committed simulated
     /// instructions per worker-summed wall-clock second of the simulate
-    /// stage (i.e. per-worker MIPS, independent of the pool size).
+    /// stage (per-worker MIPS).
+    ///
+    /// The denominator is wall time, so it includes time a worker sits
+    /// descheduled: with more workers than host cores (`VANGUARD_THREADS`
+    /// above the core count) the figure drops although no simulation got
+    /// slower — on a 2-core host, `figures all --quick` reads 9.34 at one
+    /// worker and 4.02 at four.
     pub fn sim_mips(&self) -> f64 {
         if self.sim_nanos == 0 {
             return 0.0;
@@ -550,7 +555,10 @@ impl EngineStats {
 
     /// Renders the per-stage timing/cache summary (one line per stage,
     /// plus an outcome line counting ok / faulted / timed-out / failed /
-    /// retried jobs and quarantined cache entries).
+    /// retried jobs and quarantined cache entries). The `simulate:`
+    /// line's MIPS/worker is [`EngineStats::sim_mips`]: it divides by
+    /// worker-summed wall time, descheduled time included, so it drops
+    /// when the pool oversubscribes the host's cores.
     pub fn summary(&self) -> String {
         fn ms(nanos: u64) -> f64 {
             nanos as f64 / 1e6
@@ -580,6 +588,19 @@ impl EngineStats {
             self.cache_store_failures,
         )
     }
+
+    /// Counts one memo lookup of `stage`. A simulate miss counts nothing
+    /// here: `sim_jobs` counts the simulations that actually ran.
+    fn count_lookup(&mut self, stage: Stage, hit: bool) {
+        match (stage, hit) {
+            (Stage::Profile, true) => self.profile_hits += 1,
+            (Stage::Profile, false) => self.profile_misses += 1,
+            (Stage::Compile, true) => self.compile_hits += 1,
+            (Stage::Compile, false) => self.compile_misses += 1,
+            (Stage::Simulate, true) => self.sim_memo_hits += 1,
+            (Stage::Simulate, false) => {}
+        }
+    }
 }
 
 /// One cell of a sweep matrix: a benchmark evaluated end-to-end (all
@@ -594,11 +615,29 @@ pub struct SweepCell {
     pub predictor: PredictorKind,
 }
 
-type ProfileSlot = Arc<OnceLock<Result<Arc<Profile>, ExperimentError>>>;
-type CompileSlot = Arc<OnceLock<CompiledPair>>;
-/// A `Mutex<Option>` rather than a `OnceLock`: a non-deterministic
-/// outcome leaves the slot empty, so the next request simulates again.
-type SimSlot = Arc<Mutex<Option<JobResult>>>;
+/// The per-key memo of one stage: each key's slot holds `None` until a
+/// result is kept. A slot stays locked while its result is computed, so
+/// concurrent requests for one key wait on that single computation. A
+/// panic, or a result the caller chooses not to keep, leaves the slot
+/// empty, and the next request computes again. See [`Engine::memoized`].
+struct Memo<K, T> {
+    stage: Stage,
+    slots: Mutex<HashMap<K, Arc<Mutex<Option<T>>>>>,
+}
+
+impl<K: Eq + Hash, T> Memo<K, T> {
+    fn new(stage: Stage) -> Self {
+        Memo {
+            stage,
+            slots: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The slot of `key`, created empty on first use.
+    fn slot(&self, key: K) -> Arc<Mutex<Option<T>>> {
+        Arc::clone(lock_ignore_poison(&self.slots).entry(key).or_default())
+    }
+}
 
 /// Memo key of one simulation: everything its outcome depends on. The
 /// compile key names the program pair (benchmark, predictor, profile
@@ -633,63 +672,24 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Lifts a legacy [`ExperimentError`] into a typed [`VanguardError`]
-/// (no benchmark attribution yet — callers add it).
-fn experiment_to_vanguard(e: ExperimentError) -> VanguardError {
-    match e {
-        ExperimentError::Profile(p) => VanguardError::new(Stage::Profile, ErrorKind::Profile(p)),
-        ExperimentError::Sim(s) => {
-            let pc = s.pc();
-            VanguardError::new(
-                Stage::Simulate,
-                ErrorKind::GuestTrap {
-                    trap: s,
-                    pc,
-                    cycle: 0,
-                },
-            )
-        }
-        ExperimentError::NoRefInputs => VanguardError::new(Stage::Simulate, ErrorKind::NoRefInputs),
-        ExperimentError::Engine(m) => {
-            VanguardError::new(Stage::Simulate, ErrorKind::WorkerPanic { detail: m })
-        }
-    }
-}
-
 /// The parallel, artifact-cached experiment engine. See the
 /// [module docs](self) for the execution model.
 pub struct Engine {
     workers: usize,
     benchmarks: Vec<ExperimentInput>,
     observers: Vec<Arc<dyn ProgressObserver>>,
-    profiles: Mutex<HashMap<ProfileKey, ProfileSlot>>,
-    pairs: Mutex<HashMap<CompileKey, CompileSlot>>,
-    sims: Mutex<HashMap<SimKey, SimSlot>>,
+    profiles: Memo<ProfileKey, Result<Arc<Profile>, VanguardError>>,
+    pairs: Memo<CompileKey, CompiledPair>,
+    sims: Memo<SimKey, JobResult>,
     fault_policy: FaultPolicy,
     disk_cache: Option<DiskCache>,
     /// Deterministic fault-injection plan: job index → remaining panics
     /// to raise inside the containment boundary (test/harness hook, see
     /// [`Engine::inject_worker_panic`]).
     panic_plan: Mutex<HashMap<usize, u32>>,
-    profile_misses: AtomicU64,
-    profile_hits: AtomicU64,
-    compile_misses: AtomicU64,
-    compile_hits: AtomicU64,
-    sim_jobs: AtomicU64,
-    sim_memo_hits: AtomicU64,
-    sim_insts: AtomicU64,
-    profile_nanos: AtomicU64,
-    compile_nanos: AtomicU64,
-    sim_nanos: AtomicU64,
-    jobs_ok: AtomicU64,
-    jobs_faulted: AtomicU64,
-    jobs_timed_out: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_retried: AtomicU64,
-    cache_corrupt: AtomicU64,
-    cache_store_failures: AtomicU64,
-    profile_disk_hits: AtomicU64,
-    pair_disk_hits: AtomicU64,
+    /// Cache and timing counters; they change per stage and per job,
+    /// never per simulated cycle, so one lock is cheap.
+    stats: Mutex<EngineStats>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -740,31 +740,13 @@ impl Engine {
             workers: workers.max(1),
             benchmarks: Vec::new(),
             observers: Vec::new(),
-            profiles: Mutex::new(HashMap::new()),
-            pairs: Mutex::new(HashMap::new()),
-            sims: Mutex::new(HashMap::new()),
+            profiles: Memo::new(Stage::Profile),
+            pairs: Memo::new(Stage::Compile),
+            sims: Memo::new(Stage::Simulate),
             fault_policy,
             disk_cache,
             panic_plan: Mutex::new(HashMap::new()),
-            profile_misses: AtomicU64::new(0),
-            profile_hits: AtomicU64::new(0),
-            compile_misses: AtomicU64::new(0),
-            compile_hits: AtomicU64::new(0),
-            sim_jobs: AtomicU64::new(0),
-            sim_memo_hits: AtomicU64::new(0),
-            sim_insts: AtomicU64::new(0),
-            profile_nanos: AtomicU64::new(0),
-            compile_nanos: AtomicU64::new(0),
-            sim_nanos: AtomicU64::new(0),
-            jobs_ok: AtomicU64::new(0),
-            jobs_faulted: AtomicU64::new(0),
-            jobs_timed_out: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            jobs_retried: AtomicU64::new(0),
-            cache_corrupt: AtomicU64::new(0),
-            cache_store_failures: AtomicU64::new(0),
-            profile_disk_hits: AtomicU64::new(0),
-            pair_disk_hits: AtomicU64::new(0),
+            stats: Mutex::new(EngineStats::default()),
         }
     }
 
@@ -831,27 +813,12 @@ impl Engine {
 
     /// Snapshot of cache and timing counters.
     pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            profile_misses: self.profile_misses.load(Ordering::Relaxed),
-            profile_hits: self.profile_hits.load(Ordering::Relaxed),
-            compile_misses: self.compile_misses.load(Ordering::Relaxed),
-            compile_hits: self.compile_hits.load(Ordering::Relaxed),
-            sim_jobs: self.sim_jobs.load(Ordering::Relaxed),
-            sim_memo_hits: self.sim_memo_hits.load(Ordering::Relaxed),
-            sim_insts: self.sim_insts.load(Ordering::Relaxed),
-            profile_nanos: self.profile_nanos.load(Ordering::Relaxed),
-            compile_nanos: self.compile_nanos.load(Ordering::Relaxed),
-            sim_nanos: self.sim_nanos.load(Ordering::Relaxed),
-            jobs_ok: self.jobs_ok.load(Ordering::Relaxed),
-            jobs_faulted: self.jobs_faulted.load(Ordering::Relaxed),
-            jobs_timed_out: self.jobs_timed_out.load(Ordering::Relaxed),
-            jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
-            jobs_retried: self.jobs_retried.load(Ordering::Relaxed),
-            cache_corrupt: self.cache_corrupt.load(Ordering::Relaxed),
-            cache_store_failures: self.cache_store_failures.load(Ordering::Relaxed),
-            profile_disk_hits: self.profile_disk_hits.load(Ordering::Relaxed),
-            pair_disk_hits: self.pair_disk_hits.load(Ordering::Relaxed),
-        }
+        *lock_ignore_poison(&self.stats)
+    }
+
+    /// Applies `update` to the counters under their lock.
+    fn count(&self, update: impl FnOnce(&mut EngineStats)) {
+        update(&mut lock_ignore_poison(&self.stats));
     }
 
     // ----------------------------------------------------------------
@@ -927,6 +894,39 @@ impl Engine {
         fnv1a(&bytes)
     }
 
+    /// The one get-or-compute path of the three per-key memos. A hit
+    /// counts in the stage's hit counter, tells the observers the stage
+    /// was served cached, and returns the stored result. A miss computes
+    /// while holding the key's slot, counts in the stage's miss counter
+    /// (none for simulate: `sim_jobs` counts real simulations), and
+    /// stores the result when `keep` accepts it. Profiles and pairs are
+    /// always kept; a simulation only when its outcome is deterministic.
+    fn memoized<K: Eq + Hash, T: Clone>(
+        &self,
+        memo: &Memo<K, T>,
+        key: K,
+        bench: usize,
+        keep: impl FnOnce(&T) -> bool,
+        compute: impl FnOnce() -> T,
+    ) -> T {
+        let slot = memo.slot(key);
+        let mut stored = lock_ignore_poison(&slot);
+        if let Some(hit) = stored.as_ref() {
+            self.count(|s| s.count_lookup(memo.stage, true));
+            let name = &self.benchmarks[bench].name;
+            for o in &self.observers {
+                o.stage_completed(memo.stage, name, Duration::ZERO, true);
+            }
+            return hit.clone();
+        }
+        let out = compute();
+        self.count(|s| s.count_lookup(memo.stage, false));
+        if keep(&out) {
+            *stored = Some(out.clone());
+        }
+        out
+    }
+
     /// The one load → compute → store path of the profile and compile
     /// stages. With a disk cache, a valid entry is served as a disk hit;
     /// a corrupt one (already quarantined by the cache) is counted and
@@ -935,48 +935,44 @@ impl Engine {
     /// and their stores race benignly: each publishes the same
     /// checksummed bytes with [`atomic_publish`](crate::atomic_publish).
     /// A failed store (full disk) is counted, never an error: the
-    /// artifact is used, just not persisted.
+    /// artifact is used, just not persisted. `counters` picks the
+    /// stage's disk-hit and compute-time counters.
+    #[allow(clippy::too_many_arguments)]
     fn load_or_compute<T>(
         &self,
         stage: Stage,
         bench: usize,
+        counters: fn(&mut EngineStats) -> (&mut u64, &mut u64),
         disk_key: impl FnOnce() -> u64,
         load: impl FnOnce(&DiskCache, u64) -> Result<Option<T>, CorruptEntry>,
         compute: impl FnOnce() -> T,
         store: impl FnOnce(&DiskCache, u64, &T) -> io::Result<()>,
     ) -> T {
-        let (disk_hits, nanos) = match stage {
-            Stage::Profile => (&self.profile_disk_hits, &self.profile_nanos),
-            Stage::Compile => (&self.pair_disk_hits, &self.compile_nanos),
-            Stage::Simulate => unreachable!("simulations are memoized in `run_job`, not on disk"),
-        };
         let name = &self.benchmarks[bench].name;
         let disk = self.disk_cache.as_ref().map(|cache| (cache, disk_key()));
         if let Some((cache, dk)) = disk {
             match load(cache, dk) {
                 Ok(Some(hit)) => {
-                    disk_hits.fetch_add(1, Ordering::Relaxed);
+                    self.count(|s| *counters(s).0 += 1);
                     for o in &self.observers {
                         o.stage_completed(stage, name, Duration::ZERO, true);
                     }
                     return hit;
                 }
                 Ok(None) => {}
-                Err(_quarantined) => {
-                    self.cache_corrupt.fetch_add(1, Ordering::Relaxed);
-                }
+                Err(_quarantined) => self.count(|s| s.cache_corrupt += 1),
             }
         }
         let started = Instant::now();
         let out = compute();
         let elapsed = started.elapsed();
-        nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        self.count(|s| *counters(s).1 += elapsed.as_nanos() as u64);
         for o in &self.observers {
             o.stage_completed(stage, name, elapsed, false);
         }
         if let Some((cache, dk)) = disk {
             if store(cache, dk, &out).is_err() {
-                self.cache_store_failures.fetch_add(1, Ordering::Relaxed);
+                self.count(|s| s.cache_store_failures += 1);
             }
         }
         out
@@ -987,63 +983,50 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the profiling error (cached: re-requests see the same
-    /// error without re-running).
+    /// Returns the profiling error, with benchmark and seed (cached:
+    /// re-requests see the same error without re-running).
     pub fn profile(
         &self,
         bench: usize,
         predictor: PredictorKind,
         max_steps: u64,
-    ) -> Result<Arc<Profile>, ExperimentError> {
+    ) -> Result<Arc<Profile>, VanguardError> {
         let key = ProfileKey {
             bench,
             predictor,
             max_steps,
         };
-        let slot = {
-            let mut map = lock_ignore_poison(&self.profiles);
-            Arc::clone(map.entry(key).or_default())
-        };
-        let mut computed = false;
-        let result = slot.get_or_init(|| {
-            computed = true;
-            let input = &self.benchmarks[bench];
-            self.load_or_compute(
-                Stage::Profile,
-                bench,
-                || self.profile_disk_key(bench, predictor, max_steps),
-                |cache, dk| cache.load(dk).map(|hit| hit.map(|p| Ok(Arc::new(p)))),
-                || {
-                    vanguard_compiler::profile_program(
-                        &input.program,
-                        input.train.memory.clone(),
-                        &input.train.init_regs,
-                        predictor.build(),
-                        max_steps,
-                    )
-                    .map(Arc::new)
-                    .map_err(ExperimentError::from)
-                },
-                |cache, dk, out| match out {
-                    Ok(profile) => cache.store(dk, profile),
-                    Err(_) => Ok(()), // errors are cached in memory only
-                },
-            )
-        });
-        if computed {
-            self.profile_misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.profile_hits.fetch_add(1, Ordering::Relaxed);
-            for o in &self.observers {
-                o.stage_completed(
+        self.memoized(
+            &self.profiles,
+            key,
+            bench,
+            |_| true,
+            || {
+                let input = &self.benchmarks[bench];
+                self.load_or_compute(
                     Stage::Profile,
-                    &self.benchmarks[bench].name,
-                    Duration::ZERO,
-                    true,
-                );
-            }
-        }
-        result.clone()
+                    bench,
+                    |s| (&mut s.profile_disk_hits, &mut s.profile_nanos),
+                    || self.profile_disk_key(bench, predictor, max_steps),
+                    |cache, dk| cache.load(dk).map(|hit| hit.map(|p| Ok(Arc::new(p)))),
+                    || {
+                        vanguard_compiler::profile_program(
+                            &input.program,
+                            input.train.memory.clone(),
+                            &input.train.init_regs,
+                            predictor.build(),
+                            max_steps,
+                        )
+                        .map(Arc::new)
+                        .map_err(|e| profile_error(input, e))
+                    },
+                    |cache, dk, out| match out {
+                        Ok(profile) => cache.store(dk, profile),
+                        Err(_) => Ok(()), // errors are cached in memory only
+                    },
+                )
+            },
+        )
     }
 
     /// Stage 2 — compile-pair: the baseline and transformed programs
@@ -1060,7 +1043,7 @@ impl Engine {
         machine: MachineConfig,
         options: &TransformOptions,
         max_steps: u64,
-    ) -> Result<CompiledPair, ExperimentError> {
+    ) -> Result<CompiledPair, VanguardError> {
         let profile = self.profile(bench, predictor, max_steps)?;
         let key = CompileKey {
             profile: ProfileKey {
@@ -1071,52 +1054,39 @@ impl Engine {
             width: machine.width,
             options: TransformKey::from_options(options),
         };
-        let slot = {
-            let mut map = lock_ignore_poison(&self.pairs);
-            Arc::clone(map.entry(key).or_default())
-        };
-        let mut computed = false;
-        let pair = slot.get_or_init(|| {
-            computed = true;
-            self.load_or_compute(
-                Stage::Compile,
-                bench,
-                || self.pair_disk_key(bench, predictor, max_steps, machine.width, &key.options),
-                DiskCache::load_pair,
-                || {
-                    let exp = Experiment {
-                        machine,
-                        predictor,
-                        transform: *options,
-                        max_profile_steps: max_steps,
-                    };
-                    let program = &self.benchmarks[bench].program;
-                    let (baseline, transformed, report) = exp.compile_pair(program, &profile);
-                    CompiledPair {
-                        baseline_image: Arc::new(DecodedImage::build(&baseline)),
-                        transformed_image: Arc::new(DecodedImage::build(&transformed)),
-                        baseline: Arc::new(baseline),
-                        transformed: Arc::new(transformed),
-                        report,
-                    }
-                },
-                DiskCache::store_pair,
-            )
-        });
-        if computed {
-            self.compile_misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.compile_hits.fetch_add(1, Ordering::Relaxed);
-            for o in &self.observers {
-                o.stage_completed(
+        Ok(self.memoized(
+            &self.pairs,
+            key,
+            bench,
+            |_| true,
+            || {
+                self.load_or_compute(
                     Stage::Compile,
-                    &self.benchmarks[bench].name,
-                    Duration::ZERO,
-                    true,
-                );
-            }
-        }
-        Ok(pair.clone())
+                    bench,
+                    |s| (&mut s.pair_disk_hits, &mut s.compile_nanos),
+                    || self.pair_disk_key(bench, predictor, max_steps, machine.width, &key.options),
+                    DiskCache::load_pair,
+                    || {
+                        let exp = Experiment {
+                            machine,
+                            predictor,
+                            transform: *options,
+                            max_profile_steps: max_steps,
+                        };
+                        let program = &self.benchmarks[bench].program;
+                        let (baseline, transformed, report) = exp.compile_pair(program, &profile);
+                        CompiledPair {
+                            baseline_image: Arc::new(DecodedImage::build(&baseline)),
+                            transformed_image: Arc::new(DecodedImage::build(&transformed)),
+                            baseline: Arc::new(baseline),
+                            transformed: Arc::new(transformed),
+                            report,
+                        }
+                    },
+                    DiskCache::store_pair,
+                )
+            },
+        ))
     }
 
     /// Stage 3 — simulate-one-ref: runs one job through the cached
@@ -1148,25 +1118,14 @@ impl Engine {
             variant: job.variant,
             max_cycles: self.fault_policy.max_cycles,
         };
-        let slot = {
-            let mut map = lock_ignore_poison(&self.sims);
-            Arc::clone(map.entry(key).or_default())
-        };
-        let mut memo = lock_ignore_poison(&slot);
-        if let Some(hit) = memo.as_ref() {
-            self.sim_memo_hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        let outcome = self.simulate(job, options, max_steps);
-        let deterministic = match &outcome {
+        let deterministic = |outcome: &JobResult| match outcome {
             JobResult::Completed(_) | JobResult::Faulted { .. } => true,
             JobResult::TimedOut { .. } => self.fault_policy.job_timeout.is_none(),
             JobResult::Failed { .. } => false,
         };
-        if deterministic {
-            *memo = Some(outcome.clone());
-        }
-        outcome
+        self.memoized(&self.sims, key, job.bench, deterministic, || {
+            self.simulate(job, options, max_steps)
+        })
     }
 
     /// The body of [`Engine::run_job`] behind the memo: compile (cached)
@@ -1176,14 +1135,10 @@ impl Engine {
         let pair =
             match self.compile_pair(job.bench, job.predictor, job.machine, options, max_steps) {
                 Ok(pair) => pair,
-                Err(e) => {
+                Err(error) => {
                     return JobResult::Failed {
                         job: *job,
-                        error: Box::new(
-                            experiment_to_vanguard(e)
-                                .with_benchmark(&input.name)
-                                .with_seed(input.seed),
-                        ),
+                        error: Box::new(error),
                         retried: false,
                     }
                 }
@@ -1210,26 +1165,19 @@ impl Engine {
         let started = Instant::now();
         let outcome = sim.run_checked();
         let sim_elapsed = started.elapsed();
-        self.sim_jobs.fetch_add(1, Ordering::Relaxed);
-        self.sim_nanos
-            .fetch_add(sim_elapsed.as_nanos() as u64, Ordering::Relaxed);
-        match outcome {
+        let result = match outcome {
             Ok(res) if res.stop == StopCause::TimedOut => JobResult::TimedOut {
                 job: *job,
                 cycles: res.stats.cycles,
                 wall_ms: sim_elapsed.as_millis() as u64,
                 retried: false,
             },
-            Ok(res) => {
-                self.sim_insts
-                    .fetch_add(res.stats.committed(), Ordering::Relaxed);
-                JobResult::Completed(Box::new(JobSuccess {
-                    job: *job,
-                    stats: res.stats,
-                    sim_elapsed,
-                    retried: false,
-                }))
-            }
+            Ok(res) => JobResult::Completed(Box::new(JobSuccess {
+                job: *job,
+                stats: res.stats,
+                sim_elapsed,
+                retried: false,
+            })),
             Err(fault) => JobResult::Faulted {
                 job: *job,
                 pc: fault.error.pc(),
@@ -1237,7 +1185,15 @@ impl Engine {
                 trap: fault.error,
                 retried: false,
             },
-        }
+        };
+        self.count(|s| {
+            s.sim_jobs += 1;
+            s.sim_nanos += sim_elapsed.as_nanos() as u64;
+            if let JobResult::Completed(done) = &result {
+                s.sim_insts += done.stats.committed();
+            }
+        });
+        result
     }
 
     /// [`Engine::run_job`] inside the full containment boundary: worker
@@ -1282,7 +1238,7 @@ impl Engine {
                 matches!(&outcome, JobResult::Failed { error, .. } if error.is_transient());
             if transient && !retried {
                 retried = true;
-                self.jobs_retried.fetch_add(1, Ordering::Relaxed);
+                self.count(|s| s.jobs_retried += 1);
                 let name = &self.benchmarks[job.bench].name;
                 for o in &self.observers {
                     o.job_retried(index, job, name);
@@ -1293,13 +1249,12 @@ impl Engine {
             break outcome;
         };
         outcome.set_retried(retried);
-        let counter = match &outcome {
-            JobResult::Completed(_) => &self.jobs_ok,
-            JobResult::Faulted { .. } => &self.jobs_faulted,
-            JobResult::TimedOut { .. } => &self.jobs_timed_out,
-            JobResult::Failed { .. } => &self.jobs_failed,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.count(|s| match &outcome {
+            JobResult::Completed(_) => s.jobs_ok += 1,
+            JobResult::Faulted { .. } => s.jobs_faulted += 1,
+            JobResult::TimedOut { .. } => s.jobs_timed_out += 1,
+            JobResult::Failed { .. } => s.jobs_failed += 1,
+        });
         outcome
     }
 
@@ -1440,90 +1395,64 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the first (by job index) error, or
-    /// [`ExperimentError::NoRefInputs`] if a cell's benchmark has no
-    /// REF inputs. Fault-tolerant callers who want the *surviving*
-    /// cells instead of the first error use
-    /// [`Engine::run_cells_tolerant`].
+    /// [`ErrorKind::NoRefInputs`] before any job runs if a cell's
+    /// benchmark has no REF inputs; otherwise the error of the
+    /// lowest-indexed job that did not complete, with benchmark and
+    /// seed. Every job still runs: callers who want the surviving jobs
+    /// use [`Engine::run_jobs`].
     pub fn run_cells(
         &self,
         cells: &[SweepCell],
         options: &TransformOptions,
         max_steps: u64,
-    ) -> Result<Vec<ExperimentOutcome>, ExperimentError> {
-        for cell in cells {
-            if self.benchmarks[cell.bench].refs.is_empty() {
-                return Err(ExperimentError::NoRefInputs);
-            }
-        }
-        self.run_cells_tolerant(cells, options, max_steps)
-            .into_iter()
-            .map(|r| r.map_err(ExperimentError::from))
-            .collect()
-    }
-
-    /// The fault-tolerant sweep: every cell yields a result, and a
-    /// faulting, wedged, or crashing cell never stops — or perturbs —
-    /// the others. A cell fails with the error of its lowest-indexed
-    /// failing job, carrying benchmark and seed context.
-    pub fn run_cells_tolerant(
-        &self,
-        cells: &[SweepCell],
-        options: &TransformOptions,
-        max_steps: u64,
-    ) -> Vec<Result<ExperimentOutcome, VanguardError>> {
-        let jobs = self.jobs_for_cells(cells);
-        let results = self.run_jobs(&jobs, options, max_steps);
-        let mut outcomes = Vec::with_capacity(cells.len());
-        let mut cursor = 0usize;
+    ) -> Result<Vec<ExperimentOutcome>, VanguardError> {
         for cell in cells {
             let input = &self.benchmarks[cell.bench];
             if input.refs.is_empty() {
-                outcomes.push(Err(VanguardError::new(
-                    Stage::Simulate,
-                    ErrorKind::NoRefInputs,
-                )
-                .with_benchmark(&input.name)
-                .with_seed(input.seed)));
-                continue;
+                return Err(VanguardError::new(Stage::Simulate, ErrorKind::NoRefInputs)
+                    .with_benchmark(&input.name)
+                    .with_seed(input.seed));
             }
-            let n_refs = input.refs.len();
-            let slice = &results[cursor..cursor + 2 * n_refs];
-            cursor += 2 * n_refs;
-            if let Some(err) = slice
-                .iter()
-                .find_map(|r| r.as_error(&input.name, input.seed))
-            {
-                outcomes.push(Err(err));
-                continue;
-            }
-            let mut runs = Vec::with_capacity(n_refs);
-            for pair in slice.chunks_exact(2) {
-                runs.push(RefRun {
-                    base: pair[0].expect_completed().stats,
-                    exp: pair[1].expect_completed().stats,
-                });
-            }
-            // Cached: this re-fetch never recompiles or re-profiles.
-            let outcome = self
-                .compile_pair(cell.bench, cell.predictor, cell.machine, options, max_steps)
-                .and_then(|pair| {
-                    let profile = self.profile(cell.bench, cell.predictor, max_steps)?;
-                    Ok(ExperimentOutcome {
-                        name: input.name.clone(),
-                        report: pair.report,
-                        runs,
-                        profile_dynamic_insts: profile.dynamic_insts,
-                    })
-                })
-                .map_err(|e| {
-                    experiment_to_vanguard(e)
-                        .with_benchmark(&input.name)
-                        .with_seed(input.seed)
-                });
-            outcomes.push(outcome);
         }
-        outcomes
+        let jobs = self.jobs_for_cells(cells);
+        let results = self.run_jobs(&jobs, options, max_steps);
+        let mut at = 0;
+        cells
+            .iter()
+            .map(|cell| {
+                let input = &self.benchmarks[cell.bench];
+                let slice = &results[at..at + 2 * input.refs.len()];
+                at += slice.len();
+                if let Some(err) = slice
+                    .iter()
+                    .find_map(|r| r.as_error(&input.name, input.seed))
+                {
+                    return Err(err);
+                }
+                let runs = slice
+                    .chunks_exact(2)
+                    .map(|pair| RefRun {
+                        base: pair[0].expect_completed().stats,
+                        exp: pair[1].expect_completed().stats,
+                    })
+                    .collect();
+                // Cached: these re-fetches never recompile or re-profile.
+                let pair = self.compile_pair(
+                    cell.bench,
+                    cell.predictor,
+                    cell.machine,
+                    options,
+                    max_steps,
+                )?;
+                let profile = self.profile(cell.bench, cell.predictor, max_steps)?;
+                Ok(ExperimentOutcome {
+                    name: input.name.clone(),
+                    report: pair.report,
+                    runs,
+                    profile_dynamic_insts: profile.dynamic_insts,
+                })
+            })
+            .collect()
     }
 }
 
@@ -1532,6 +1461,7 @@ mod tests {
     use super::*;
     use crate::experiment::tests::experiment_input;
     use crate::experiment::RunInput;
+    use std::sync::atomic::AtomicU64;
     use vanguard_isa::{Inst, Memory, ProgramBuilder, Reg};
 
     fn engine_with(n: usize, workers: usize) -> (Engine, Vec<usize>) {
@@ -1715,6 +1645,16 @@ mod tests {
         }
     }
 
+    /// [`trap_victim`] with its inputs swapped: the TRAIN run faults, so
+    /// the benchmark never profiles.
+    fn profile_victim() -> ExperimentInput {
+        let mut input = trap_victim();
+        std::mem::swap(&mut input.train, &mut input.refs[0]);
+        input.name = "train-trap".into();
+        input.seed = Some(7);
+        input
+    }
+
     /// A serial engine with `input` registered under `policy`, and the
     /// baseline 4-wide job on its one REF input.
     fn single_job(input: ExperimentInput, policy: FaultPolicy) -> (Engine, SimJob) {
@@ -1808,6 +1748,52 @@ mod tests {
         }
         let stats = engine.stats();
         assert_eq!((stats.sim_jobs, stats.sim_memo_hits), (2, 0), "{stats:?}");
+    }
+
+    #[test]
+    fn train_fault_fails_each_job_with_the_cached_profile_error() {
+        let opts = TransformOptions::default();
+        let (engine, job) = single_job(profile_victim(), FaultPolicy::default());
+        let jobs = [
+            job,
+            SimJob {
+                variant: Variant::Transformed,
+                ..job
+            },
+        ];
+        let mut errors = Vec::new();
+        for _ in 0..2 {
+            for outcome in engine.run_jobs(&jobs, &opts, 1_000_000) {
+                let JobResult::Failed { error, retried, .. } = outcome else {
+                    panic!("expected Failed, got {outcome:?}");
+                };
+                assert!(!retried, "a profile error is not transient");
+                assert_eq!(error.stage, Stage::Profile, "{error}");
+                assert!(matches!(error.kind, ErrorKind::Profile(_)), "{error}");
+                assert_eq!(error.benchmark.as_deref(), Some("train-trap"));
+                assert_eq!(error.seed, Some(7));
+                errors.push(error.to_string());
+            }
+        }
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+        let stats = engine.stats();
+        // One profiling run; the other three requests hit its error.
+        assert_eq!(
+            (stats.profile_misses, stats.profile_hits),
+            (1, 3),
+            "{stats:?}"
+        );
+        assert_eq!((stats.jobs_failed, stats.jobs_retried), (4, 0), "{stats:?}");
+        assert_eq!((stats.sim_jobs, stats.sim_memo_hits), (0, 0), "{stats:?}");
+
+        let cells = [SweepCell {
+            bench: job.bench,
+            machine: job.machine,
+            predictor: job.predictor,
+        }];
+        let err = engine.run_cells(&cells, &opts, 1_000_000).unwrap_err();
+        assert_eq!(err.to_string(), errors[0]);
+        assert_eq!(engine.stats().profile_misses, 1);
     }
 
     #[test]

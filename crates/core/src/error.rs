@@ -3,13 +3,13 @@
 //! Every failure the engine can survive is a [`VanguardError`]: the
 //! failing pipeline [`Stage`], the benchmark and (when the workload is
 //! seed-generated) the seed it belongs to, and a typed [`ErrorKind`]
-//! saying *what* went wrong. Workers convert guest traps, watchdog
-//! timeouts, worker panics, and cache corruption into these values
-//! instead of aborting the process; DESIGN.md §7.8 maps each kind to its
+//! saying *what* went wrong. It is the one error type of the engine and
+//! of the [`Experiment`](crate::Experiment) facade. Workers convert guest
+//! traps, watchdog timeouts, and worker panics into these values instead
+//! of aborting the process; DESIGN.md §7.8 maps each kind to its
 //! detection point and recovery action.
 
 use crate::engine::Stage;
-use crate::experiment::ExperimentError;
 use std::fmt;
 use vanguard_compiler::ProfileError;
 use vanguard_sim::SimError;
@@ -40,14 +40,6 @@ pub enum ErrorKind {
         /// The panic payload, if it was a string.
         detail: String,
     },
-    /// A disk-cache entry failed validation (bad magic, checksum
-    /// mismatch, truncation) and was quarantined.
-    CacheCorrupt {
-        /// Path of the quarantined entry.
-        path: String,
-        /// What failed to validate.
-        detail: String,
-    },
     /// The benchmark has no REF inputs to evaluate.
     NoRefInputs,
 }
@@ -63,9 +55,6 @@ impl fmt::Display for ErrorKind {
                 write!(f, "watchdog timeout after {cycles} cycles / {wall_ms} ms")
             }
             ErrorKind::WorkerPanic { detail } => write!(f, "worker panicked: {detail}"),
-            ErrorKind::CacheCorrupt { path, detail } => {
-                write!(f, "corrupt cache entry {path}: {detail}")
-            }
             ErrorKind::NoRefInputs => write!(f, "no REF inputs provided"),
         }
     }
@@ -110,15 +99,14 @@ impl VanguardError {
         self
     }
 
-    /// Whether a retry can plausibly succeed: worker panics and cache
-    /// corruption are environmental (poisoned state, torn write, read
-    /// race) and retried once with backoff; guest traps and timeouts are
-    /// deterministic properties of the job and never retried.
+    /// Whether a retry can plausibly succeed: a worker panic is
+    /// environmental (poisoned state, an injected fault) and retried once
+    /// with backoff; profile errors, guest traps and timeouts are
+    /// deterministic properties of the job and never retried. (A corrupt
+    /// disk-cache entry never surfaces as an error: it is counted and
+    /// recomputed.)
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self.kind,
-            ErrorKind::WorkerPanic { .. } | ErrorKind::CacheCorrupt { .. }
-        )
+        matches!(self.kind, ErrorKind::WorkerPanic { .. })
     }
 }
 
@@ -136,23 +124,6 @@ impl fmt::Display for VanguardError {
 }
 
 impl std::error::Error for VanguardError {}
-
-impl From<VanguardError> for ExperimentError {
-    /// Narrows to the legacy error the `Experiment` facade reports:
-    /// typed causes map to their original variants, engine-level
-    /// failures (timeout, panic, cache corruption) to
-    /// [`ExperimentError::Engine`].
-    fn from(e: VanguardError) -> Self {
-        match e.kind {
-            ErrorKind::Profile(p) => ExperimentError::Profile(p),
-            ErrorKind::GuestTrap { trap, .. } => ExperimentError::Sim(trap),
-            ErrorKind::NoRefInputs => ExperimentError::NoRefInputs,
-            ErrorKind::Timeout { .. }
-            | ErrorKind::WorkerPanic { .. }
-            | ErrorKind::CacheCorrupt { .. } => ExperimentError::Engine(e.to_string()),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -202,32 +173,5 @@ mod tests {
         assert!(s.contains("mcf"), "{s}");
         assert!(s.contains("seed 7"), "{s}");
         assert!(s.contains("5000 cycles"), "{s}");
-    }
-
-    #[test]
-    fn narrowing_preserves_typed_causes() {
-        let trap = VanguardError::new(
-            Stage::Simulate,
-            ErrorKind::GuestTrap {
-                trap: SimError::OrphanResolve { pc: 8 },
-                pc: 8,
-                cycle: 3,
-            },
-        );
-        assert!(matches!(
-            ExperimentError::from(trap),
-            ExperimentError::Sim(SimError::OrphanResolve { pc: 8 })
-        ));
-        let wedged = VanguardError::new(
-            Stage::Simulate,
-            ErrorKind::Timeout {
-                cycles: 1,
-                wall_ms: 1,
-            },
-        );
-        assert!(matches!(
-            ExperimentError::from(wedged),
-            ExperimentError::Engine(_)
-        ));
     }
 }

@@ -1,14 +1,15 @@
 //! End-to-end experiment facade: profile → compile → simulate → report.
 
+use crate::engine::Stage;
+use crate::error::{ErrorKind, VanguardError};
 use crate::report::TransformReport;
 use crate::transform::TransformOptions;
-use std::fmt;
 use vanguard_compiler::{
     compact_program, layout_program, profile_program, schedule_program, ProfileError, SchedConfig,
 };
 use vanguard_ir::Profile;
 use vanguard_isa::{Memory, Program, Reg};
-use vanguard_sim::{MachineConfig, SimError, SimStats, Simulator};
+use vanguard_sim::{MachineConfig, SimStats, Simulator};
 
 pub use vanguard_bpred::LadderRung as PredictorKind;
 
@@ -40,44 +41,12 @@ pub struct ExperimentInput {
     pub seed: Option<u64>,
 }
 
-/// Errors from an experiment run.
-#[derive(Clone, Debug)]
-pub enum ExperimentError {
-    /// Profiling failed.
-    Profile(ProfileError),
-    /// A simulation failed.
-    Sim(SimError),
-    /// The input had no REF inputs.
-    NoRefInputs,
-    /// An engine-level failure (watchdog timeout, worker panic, cache
-    /// corruption) that has no architectural cause; the message is the
-    /// full [`crate::VanguardError`] rendering.
-    Engine(String),
-}
-
-impl fmt::Display for ExperimentError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExperimentError::Profile(e) => write!(f, "profiling: {e}"),
-            ExperimentError::Sim(e) => write!(f, "simulation: {e}"),
-            ExperimentError::NoRefInputs => write!(f, "no REF inputs provided"),
-            ExperimentError::Engine(msg) => write!(f, "engine: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for ExperimentError {}
-
-impl From<ProfileError> for ExperimentError {
-    fn from(e: ProfileError) -> Self {
-        ExperimentError::Profile(e)
-    }
-}
-
-impl From<SimError> for ExperimentError {
-    fn from(e: SimError) -> Self {
-        ExperimentError::Sim(e)
-    }
+/// The error of a failed TRAIN-input profile of `input`, attributed to
+/// its benchmark and seed.
+pub(crate) fn profile_error(input: &ExperimentInput, e: ProfileError) -> VanguardError {
+    VanguardError::new(Stage::Profile, ErrorKind::Profile(e))
+        .with_benchmark(&input.name)
+        .with_seed(input.seed)
 }
 
 /// Baseline-vs-experimental statistics for one REF input.
@@ -214,9 +183,9 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExperimentError`] if profiling or simulation faults,
-    /// or no REF inputs were supplied.
-    pub fn run(&self, input: &ExperimentInput) -> Result<ExperimentOutcome, ExperimentError> {
+    /// Returns a [`VanguardError`] if profiling or simulation faults, or
+    /// no REF inputs were supplied.
+    pub fn run(&self, input: &ExperimentInput) -> Result<ExperimentOutcome, VanguardError> {
         let mut outcomes = self.run_suite(std::slice::from_ref(input))?;
         Ok(outcomes.remove(0))
     }
@@ -229,12 +198,12 @@ impl Experiment {
     /// # Errors
     ///
     /// Returns the first (by benchmark and REF-input order) profiling or
-    /// simulation error, or [`ExperimentError::NoRefInputs`] if any
-    /// benchmark has none.
+    /// simulation error, or [`ErrorKind::NoRefInputs`] if any benchmark
+    /// has none.
     pub fn run_suite(
         &self,
         inputs: &[ExperimentInput],
-    ) -> Result<Vec<ExperimentOutcome>, ExperimentError> {
+    ) -> Result<Vec<ExperimentOutcome>, VanguardError> {
         let mut engine = crate::engine::Engine::new();
         let cells: Vec<crate::engine::SweepCell> = inputs
             .iter()
@@ -251,15 +220,16 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExperimentError`] if the profiled program faults.
-    pub fn profile(&self, input: &ExperimentInput) -> Result<Profile, ExperimentError> {
-        Ok(profile_program(
+    /// Returns a [`VanguardError`] if the profiled program faults.
+    pub fn profile(&self, input: &ExperimentInput) -> Result<Profile, VanguardError> {
+        profile_program(
             &input.program,
             input.train.memory.clone(),
             &input.train.init_regs,
             self.predictor.build(),
             self.max_profile_steps,
-        )?)
+        )
+        .map_err(|e| profile_error(input, e))
     }
 
     /// Compiles the baseline and transformed versions of a program for
@@ -290,12 +260,8 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExperimentError`] on a committed-path fault.
-    pub fn simulate(
-        &self,
-        program: &Program,
-        input: &RunInput,
-    ) -> Result<SimStats, ExperimentError> {
+    /// Returns a [`VanguardError`] on a committed-path fault.
+    pub fn simulate(&self, program: &Program, input: &RunInput) -> Result<SimStats, VanguardError> {
         let mut sim = Simulator::new(
             program,
             input.memory.clone(),
@@ -305,7 +271,17 @@ impl Experiment {
         for &(r, v) in &input.init_regs {
             sim.set_reg(r, v);
         }
-        Ok(sim.run()?.stats)
+        match sim.run_checked() {
+            Ok(res) => Ok(res.stats),
+            Err(fault) => Err(VanguardError::new(
+                Stage::Simulate,
+                ErrorKind::GuestTrap {
+                    pc: fault.error.pc(),
+                    cycle: fault.cycle,
+                    trap: fault.error,
+                },
+            )),
+        }
     }
 }
 
@@ -485,7 +461,9 @@ pub(crate) mod tests {
         let mut input = experiment_input(100);
         input.refs.clear();
         let exp = Experiment::new(MachineConfig::four_wide());
-        assert!(matches!(exp.run(&input), Err(ExperimentError::NoRefInputs)));
+        let err = exp.run(&input).unwrap_err();
+        assert!(matches!(err.kind, ErrorKind::NoRefInputs), "{err}");
+        assert_eq!(err.benchmark.as_deref(), Some("fig6-kernel"));
     }
 
     #[test]

@@ -30,6 +30,9 @@
 //!   [`Experiment::run`] and the bench harness: stages as cached
 //!   artifacts, flat [`engine::SimJob`] lists, a scoped worker pool,
 //!   and [`engine::ProgressObserver`] progress events.
+//! * [`VanguardError`] — the one error type of the engine and the
+//!   [`Experiment`] facade: the failing stage, the benchmark and seed,
+//!   and a typed [`ErrorKind`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -50,8 +53,7 @@ mod verify;
 pub use diskcache::{atomic_publish, fnv1a, CorruptEntry, DiskCache};
 pub use error::{ErrorKind, VanguardError};
 pub use experiment::{
-    Experiment, ExperimentError, ExperimentInput, ExperimentOutcome, PredictorKind, RefRun,
-    RunInput,
+    Experiment, ExperimentInput, ExperimentOutcome, PredictorKind, RefRun, RunInput,
 };
 pub use journal::{Journal, JournalRecord, JournalSnapshot};
 pub use lint::{lint_program, lint_variant, LintDiagnostic, LintKind};
