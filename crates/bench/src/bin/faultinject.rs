@@ -9,9 +9,9 @@
 //!
 //! Exit status is non-zero when any class assertion fails or the armed
 //! watchdog costs ≥ 2 % of clean simulate time (the robustness gate CI
-//! applies). Everything is deterministic in `--seed`. The sweep classes
-//! run the `vanguard-sweep` binary from the same directory, so build
-//! both first (`cargo build --release -p vanguard-bench --bins`).
+//! applies). Everything is deterministic in `--seed`. The kill classes
+//! run the `figures` binary from the same directory, so build both
+//! first (`cargo build --release -p vanguard-bench --bins`).
 
 use std::fmt::Write as _;
 use vanguard_bench::faultinject::{

@@ -21,10 +21,11 @@
 //! paper's high-opportunity benchmarks leading the low-opportunity ones —
 //! and exits non-zero on any violation.
 //!
-//! Exit codes: 0 success, 2 usage, 3 shape violation. An unknown flag, or
-//! a `--max-cycles`/`--transform` with a missing or malformed value,
-//! exits 2 with a usage line before any workload is built; an unknown
-//! item exits 2 after the known items ran.
+//! Exit codes: 0 success, 2 usage, 3 shape violation. An unknown item or
+//! flag, a `--max-cycles`/`--transform`/`--fault-kill-after` with a
+//! missing or malformed value, or `--fault-kill-after` without
+//! `VANGUARD_CACHE_DIR` exits 2 with a usage line before any workload is
+//! built.
 //!
 //! All items share one experiment engine: profiles and compiled pairs
 //! are computed once per distinct (benchmark, predictor, width) and
@@ -33,6 +34,13 @@
 //! printed to stdout — byte-identical for any worker count — while
 //! progress and per-stage timings go to stderr (`--verbose` adds a line
 //! per simulation job).
+//!
+//! With `VANGUARD_CACHE_DIR` set, every simulated job's outcome is
+//! journaled in `<dir>/results.vgj` as it finishes, and a run serves
+//! every job the journal already holds without simulating it, so
+//! rerunning an interrupted run on the same directory resumes it.
+//! `--fault-kill-after N` aborts the process (`SIGABRT`, exit 134) right
+//! after its Nth journal append, to test exactly that.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,15 +50,33 @@ use vanguard_bench::{
     sensitivity_rows, suite_speedups, table1_text, table2_rows, BenchScale, StderrProgress,
     SuiteEngine,
 };
+use vanguard_core::engine::FaultPolicy;
 use vanguard_core::TransformKind;
 use vanguard_workloads::suite;
+
+/// The items `all` runs, in order: the paper's figures and tables.
+const PAPER_ITEMS: [&str; 13] = [
+    "table1",
+    "fig2",
+    "fig3",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "table2",
+    "fig14",
+    "sensitivity",
+    "icache",
+];
 
 fn usage() -> ! {
     eprintln!(
         "usage: figures [ITEM...] [--quick] [--verbose] [--assert-shape] [--max-cycles N] \
-         [--transform vanguard|meld|shadow|stacked]\n\
-         \x20      items: all table1 fig2 fig3 fig8 fig9 fig10 fig11 fig12 fig13 table2 fig14 \
-         sensitivity icache ablation"
+         [--transform vanguard|meld|shadow|stacked] [--fault-kill-after N]\n\
+         \x20      items: all {} ablation",
+        PAPER_ITEMS.join(" ")
     );
     std::process::exit(2);
 }
@@ -61,7 +87,6 @@ fn flag_value<T>(value: Option<&String>, parse: impl FnOnce(&str) -> Option<T>) 
 }
 
 fn main() {
-    let mut bad_item = false;
     let mut shape_violated = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mut quick, mut verbose, mut assert_shape) = (false, false, false);
@@ -71,6 +96,8 @@ fn main() {
     let mut max_cycles: Option<u64> = None;
     // `--transform <kind>` swaps the pass used by every non-ablation item.
     let mut transform: Option<TransformKind> = None;
+    // `--fault-kill-after N` aborts after the Nth results-journal append.
+    let mut kill_after: Option<usize> = None;
     let mut what: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -80,9 +107,19 @@ fn main() {
             "--assert-shape" => assert_shape = true,
             "--max-cycles" => max_cycles = Some(flag_value(it.next(), |v| v.parse().ok())),
             "--transform" => transform = Some(flag_value(it.next(), TransformKind::parse)),
+            "--fault-kill-after" => {
+                kill_after = Some(flag_value(it.next(), |v| v.parse().ok().filter(|&n| n > 0)))
+            }
             flag if flag.starts_with("--") => usage(),
-            item => what.push(item),
+            item if item == "all" || item == "ablation" || PAPER_ITEMS.contains(&item) => {
+                what.push(item)
+            }
+            _ => usage(),
         }
+    }
+    // Without a cache directory nothing is journaled, so nothing aborts.
+    if kill_after.is_some() && FaultPolicy::from_env().cache_dir.is_none() {
+        usage();
     }
     let scale = if quick {
         BenchScale::Quick
@@ -90,21 +127,7 @@ fn main() {
         BenchScale::Full
     };
     if what.is_empty() || what.contains(&"all") {
-        what = vec![
-            "table1",
-            "fig2",
-            "fig3",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "table2",
-            "fig14",
-            "sensitivity",
-            "icache",
-        ];
+        what = PAPER_ITEMS.to_vec();
     }
 
     let mut eng = SuiteEngine::new(scale);
@@ -116,6 +139,9 @@ fn main() {
         let mut policy = eng.engine().fault_policy().clone();
         policy.max_cycles = Some(mc);
         eng.set_fault_policy(policy);
+    }
+    if let Some(appends) = kill_after {
+        eng.engine().abort_after_appends(appends);
     }
     eng.observe(Arc::new(if verbose {
         StderrProgress::verbose()
@@ -285,10 +311,7 @@ fn main() {
                 }
                 println!("geomean slowdown: {:.2}%\n", geomean_pct(&slows));
             }
-            other => {
-                eprintln!("unknown item: {other}");
-                bad_item = true;
-            }
+            other => unreachable!("item {other} was checked up front"),
         }
         eprintln!(
             "[engine] item {:<12} done in {:.1} ms",
@@ -302,9 +325,6 @@ fn main() {
         started.elapsed().as_secs_f64() * 1e3,
         eng.engine().stats().summary()
     );
-    if bad_item {
-        std::process::exit(2);
-    }
     if shape_violated {
         eprintln!("[shape] shape assertions FAILED");
         std::process::exit(3);

@@ -2,7 +2,9 @@
 //! for one benchmark (used to diagnose where cycles go).
 //!
 //! `--transform <kind>` swaps the pass (vanguard | meld | shadow |
-//! stacked) so rival transformations can be diagnosed the same way.
+//! stacked) so rival transformations can be diagnosed the same way. An
+//! unknown flag, a missing or unknown kind, or a second benchmark exits
+//! 2 with a usage line, as `figures` does.
 
 use std::sync::Arc;
 use vanguard_bench::{BenchScale, StderrProgress, SuiteEngine};
@@ -10,26 +12,31 @@ use vanguard_core::TransformKind;
 use vanguard_sim::MachineConfig;
 use vanguard_workloads::suite;
 
+fn usage() -> ! {
+    eprintln!("usage: inspect [BENCH] [--transform vanguard|meld|shadow|stacked]");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let transform: Option<TransformKind> = args
-        .iter()
-        .position(|a| a == "--transform")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| match TransformKind::parse(v) {
-            Some(kind) => kind,
-            None => {
-                eprintln!("unknown transform kind: {v} (want vanguard|meld|shadow|stacked)");
-                std::process::exit(1);
+    let mut transform: Option<TransformKind> = None;
+    let mut name: Option<String> = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--transform" => {
+                transform = Some(
+                    it.next()
+                        .and_then(|v| TransformKind::parse(v))
+                        .unwrap_or_else(|| usage()),
+                )
             }
-        });
-    let name = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || args[i - 1] != "--transform"))
-        .map(|(_, a)| a.clone())
-        .next()
-        .unwrap_or_else(|| "mcf".into());
+            flag if flag.starts_with("--") => usage(),
+            bench if name.is_none() => name = Some(bench.to_string()),
+            _ => usage(),
+        }
+    }
+    let name = name.unwrap_or_else(|| "mcf".into());
     let Some(spec) = suite::all_benchmarks().into_iter().find(|s| s.name == name) else {
         let names: Vec<String> = suite::all_benchmarks()
             .into_iter()

@@ -12,6 +12,10 @@
 //! # Rival passes on the demo (vanguard | meld | shadow | stacked):
 //! cargo run --release -p vanguard-bench --bin pipeview -- --transform shadow
 //! ```
+//!
+//! An unknown flag, a missing or unknown `--transform` kind, a
+//! malformed cycle count or a third argument exits 2 with a usage line,
+//! as `figures` does.
 
 use std::sync::Arc;
 use vanguard_bench::StderrProgress;
@@ -129,27 +133,33 @@ fn render(label: &str, program: &Program, mem: Memory, window: u64) -> u64 {
     result.stats.cycles
 }
 
+fn usage() -> ! {
+    eprintln!("usage: pipeview [FILE [CYCLES]] [--transform vanguard|meld|shadow|stacked]");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let kind: TransformKind = args
-        .iter()
-        .position(|a| a == "--transform")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| match TransformKind::parse(v) {
-            Some(kind) => kind,
-            None => {
-                eprintln!("unknown transform kind: {v} (want vanguard|meld|shadow|stacked)");
-                std::process::exit(1);
+    let mut kind = TransformKind::default();
+    let mut positional: Vec<&String> = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--transform" => {
+                kind = it
+                    .next()
+                    .and_then(|v| TransformKind::parse(v))
+                    .unwrap_or_else(|| usage())
             }
-        })
-        .unwrap_or_default();
-    let positional: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || args[i - 1] != "--transform"))
-        .map(|(_, a)| a)
-        .collect();
-    let max_cycles: u64 = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(60);
+            flag if flag.starts_with("--") => usage(),
+            _ if positional.len() < 2 => positional.push(arg),
+            _ => usage(),
+        }
+    }
+    let max_cycles: u64 = match positional.get(1) {
+        Some(v) => v.parse().unwrap_or_else(|_| usage()),
+        None => 60,
+    };
 
     if let Some(path) = positional.first() {
         let text = match std::fs::read_to_string(path) {

@@ -7,8 +7,9 @@
 //! * the suite **completes** — no process abort, every job yields a
 //!   [`JobResult`];
 //! * the injected failure surfaces as the *typed* outcome for its class
-//!   (`Faulted`, `TimedOut`, a retried/`Recovered` job, or a quarantined
-//!   corrupt cache entry), visible in `EngineStats::summary`;
+//!   (`Faulted`, `TimedOut`, a retried/`Recovered` job, a quarantined
+//!   corrupt cache entry, or a rerun that resumes off the results
+//!   journal), visible in `EngineStats::summary`;
 //! * every **unaffected** job's statistics are bit-identical to a clean
 //!   run — fault handling never perturbs healthy results.
 //!
@@ -29,12 +30,12 @@ use vanguard_core::engine::{
     Engine, FaultPolicy, JobResult, PredictorKind, SimJob, SweepCell, DEFAULT_MAX_PROFILE_STEPS,
 };
 use vanguard_core::journal::COMPACT_BYTES_ENV;
+use vanguard_core::results::RESULTS_FILE;
 use vanguard_core::{ExperimentInput, Journal, RunInput, TransformOptions};
 use vanguard_isa::{AluOp, CmpKind, CondKind, Inst, Memory, Operand, ProgramBuilder, Reg};
 use vanguard_sim::{MachineConfig, SimError, SimStats};
 use vanguard_workloads::suite;
 
-use crate::sweep::{Sweep, SweepRequest};
 use crate::{quick_spec, to_experiment_input, BenchScale};
 
 /// Benchmarks of the fault suite (a prefix of SPEC2006 INT at quick
@@ -87,15 +88,16 @@ declare_fault_classes! {
     CacheTruncation => "cache-truncation",
     /// A single bit of an on-disk profile cache entry is flipped.
     CacheBitflip => "cache-bitflip",
-    /// A `vanguard-sweep` process aborts (`SIGABRT`) mid-sweep; the
-    /// resumed sweep must complete off the journal with no job's side
-    /// effects run twice and a merged output byte-identical to an
-    /// uninterrupted serial run, at pool sizes 1, 2, and 4.
+    /// A `figures fig8 --quick` process aborts (`SIGABRT`) mid-run; a
+    /// rerun on the same cache directory must simulate only the jobs its
+    /// results journal misses, with no job's side effects run twice and
+    /// output byte-identical to an uninterrupted run, at pool sizes 1,
+    /// 2, and 4.
     KillAndResume => "kill-and-resume",
-    /// A `vanguard-sweep` process aborts while its journal compacts
-    /// under a tiny threshold; the snapshot + tail must survive the
-    /// crash and the resumed sweep must complete with no duplicate or
-    /// resurrected records and byte-identical merged output.
+    /// A `figures fig8 --quick` process aborts while its results journal
+    /// compacts under a tiny threshold; the snapshot + tail must survive
+    /// the crash and the rerun must complete with no duplicate or
+    /// resurrected records and byte-identical output.
     CompactionUnderKill => "compaction-under-kill",
     /// The artifact cache hits disk pressure: stores fail outright
     /// (simulated `ENOSPC` via a poisoned cache path). The suite
@@ -523,6 +525,14 @@ fn bitflip_entry(path: &Path, seed: u64) -> std::io::Result<()> {
     fs::write(path, &data)
 }
 
+/// Removes the results journal (and its compaction snapshot) from a
+/// cache directory, keeping the artifact entries.
+fn forget_results(cache_dir: &Path) {
+    let journal = Journal::new(cache_dir.join(RESULTS_FILE));
+    let _ = fs::remove_file(journal.snapshot_path());
+    let _ = fs::remove_file(journal.path());
+}
+
 fn cache_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats]) -> ClassReport {
     let cdir = scratch.join(format!("cache-{}", class.name()));
     let _ = fs::remove_dir_all(&cdir);
@@ -569,7 +579,10 @@ fn cache_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats])
         target.display().to_string(),
     );
 
-    // Recovery: a fresh engine over the damaged cache.
+    // Recovery: a fresh engine over the damaged cache. The populating
+    // run journaled every result beside the artifacts, and a journaled
+    // job never loads its artifacts, so the journal goes first.
+    forget_results(&cdir);
     let (engine, jobs, _) = engine_with_suite(None, policy.clone());
     let results = run_all(&engine, &jobs);
     let stats = engine.stats();
@@ -596,7 +609,8 @@ fn cache_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats])
         cdir.join("quarantine").display().to_string(),
     );
     // Self-healing: the recomputed entry was re-stored, so a third
-    // engine sees a fully healthy cache.
+    // engine, again without the journal, sees a fully healthy cache.
+    forget_results(&cdir);
     let (healed, jobs2, _) = engine_with_suite(None, policy);
     run_all(&healed, &jobs2);
     push_check(
@@ -616,60 +630,86 @@ fn cache_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats])
 /// hold at.
 const KILL_RESUME_THREADS: [usize; 3] = [1, 2, 4];
 
-/// The serial-reference merged output of the sweep classes' request.
-fn serial_reference() -> Result<String, String> {
-    Sweep::build(SweepRequest::ci_quick(), isolated_policy()).map(|s| s.run_serial())
+/// The run the kill-and-resume classes interrupt: Figure 8 at quick
+/// scale, 72 distinct jobs.
+const RESUMED_RUN: [&str; 2] = ["fig8", "--quick"];
+
+/// Runs the `figures` binary beside this executable with `args`. The
+/// child sees none of the caller's `VANGUARD_*` variables, only `env`,
+/// so the caller's environment cannot steer the gate.
+fn run_figures(args: &[&str], env: &[(&str, String)]) -> std::io::Result<Output> {
+    let exe =
+        std::env::current_exe()?.with_file_name(format!("figures{}", std::env::consts::EXE_SUFFIX));
+    let mut cmd = Command::new(exe);
+    for (key, _) in std::env::vars_os() {
+        if key.to_string_lossy().starts_with("VANGUARD_") {
+            cmd.env_remove(key);
+        }
+    }
+    cmd.args(args).envs(env.iter().cloned()).output()
+}
+
+/// The job count on a `figures` run's `simulate:` summary line: the
+/// simulations it actually ran.
+fn simulated_jobs(stderr: &[u8]) -> Option<usize> {
+    String::from_utf8_lossy(stderr).lines().find_map(|line| {
+        line.strip_prefix("simulate:")?
+            .split_whitespace()
+            .next()?
+            .parse()
+            .ok()
+    })
+}
+
+/// An uninterrupted run of [`RESUMED_RUN`] without a cache directory:
+/// its stdout, and how many distinct jobs it simulated.
+struct Reference {
+    stdout: Vec<u8>,
+    jobs: usize,
+}
+
+fn reference_run() -> Result<Reference, String> {
+    let out = run_figures(&RESUMED_RUN, &[]).map_err(|e| e.to_string())?;
+    match simulated_jobs(&out.stderr) {
+        Some(jobs) if out.status.success() => Ok(Reference {
+            stdout: out.stdout,
+            jobs,
+        }),
+        _ => Err(format!(
+            "{}: {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        )),
+    }
 }
 
 /// One crash-and-resume round through the real CLI, shared by the two
-/// sweep classes: the `vanguard-sweep` binary beside this executable
-/// runs `run --fault-kill-after kill_after`, then `resume`, on one
-/// journal in `dir`. The child sees none of the caller's `VANGUARD_*`
-/// variables, only `env`, so the caller's environment cannot steer the
-/// gate. Pushes the four checks every round makes, each detail prefixed
-/// with `tag`, and returns the journal's record counts after the crash
-/// and after the resume (`None` when the binary could not run at all).
+/// kill classes: `figures` runs [`RESUMED_RUN`] with
+/// `--fault-kill-after kill_after` on the cache directory `dir`, then
+/// again without it. Pushes the four checks every round makes, each
+/// detail prefixed with `tag`, and returns the results journal's record
+/// counts after the crash and after the rerun (`None` when the binary
+/// could not run at all).
 fn crash_and_resume(
     checks: &mut Vec<Check>,
     tag: &str,
     dir: &Path,
     kill_after: usize,
     env: &[(&str, String)],
-    serial: &str,
+    reference: &Reference,
 ) -> Option<(usize, usize)> {
-    let request = dir.join("request.req");
-    let journal = Journal::new(dir.join("journal.vgj"));
-    let total = serial.lines().count();
-    let sweep = |mode: &str, extra: &[&str]| -> std::io::Result<Output> {
-        let exe = std::env::current_exe()?
-            .with_file_name(format!("vanguard-sweep{}", std::env::consts::EXE_SUFFIX));
-        let mut cmd = Command::new(exe);
-        for (key, _) in std::env::vars_os() {
-            if key.to_string_lossy().starts_with("VANGUARD_") {
-                cmd.env_remove(key);
-            }
-        }
-        cmd.arg(mode)
-            .arg("--request")
-            .arg(&request)
-            .arg("--journal")
-            .arg(journal.path())
-            .args(extra)
-            .envs(env.iter().cloned())
-            .output()
-    };
-    if let Err(e) = fs::create_dir_all(dir)
-        .and_then(|()| fs::write(&request, SweepRequest::ci_quick().render()))
-    {
-        push_check(checks, "sweep request written", false, format!("{tag}{e}"));
-        return None;
-    }
-    let first = match sweep("run", &["--fault-kill-after", &kill_after.to_string()]) {
+    let journal = Journal::new(dir.join(RESULTS_FILE));
+    let total = reference.jobs;
+    let mut env = env.to_vec();
+    env.push(("VANGUARD_CACHE_DIR", dir.display().to_string()));
+    let kill = kill_after.to_string();
+    let killed_run = [RESUMED_RUN[0], RESUMED_RUN[1], "--fault-kill-after", &kill];
+    let first = match run_figures(&killed_run, &env) {
         Ok(out) => out,
         Err(e) => {
             push_check(
                 checks,
-                "vanguard-sweep binary runs beside this one",
+                "figures binary runs beside this one",
                 false,
                 format!("{tag}{e}"),
             );
@@ -679,19 +719,27 @@ fn crash_and_resume(
     let killed_at = journal.read().map(|s| s.records.len()).unwrap_or(0);
     push_check(
         checks,
-        "SIGABRT mid-sweep leaves a partial journal",
-        first.status.signal() == Some(6) && killed_at < total,
+        "SIGABRT mid-run leaves a partial journal",
+        first.status.signal() == Some(6) && (kill_after..total).contains(&killed_at),
         format!(
             "{tag}abort after {kill_after}: {} with {killed_at} of {total} jobs",
             first.status
         ),
     );
-    let second = sweep("resume", &[]);
+    let second = run_figures(&RESUMED_RUN, &env);
+    let rerun_jobs = second
+        .as_ref()
+        .ok()
+        .and_then(|out| simulated_jobs(&out.stderr));
     push_check(
         checks,
-        "resume completes the sweep off the journal",
-        matches!(&second, Ok(out) if out.status.success()),
-        format!("{tag}{:?}", second.as_ref().map(|out| out.status)),
+        "rerun simulates only the jobs the journal misses",
+        matches!(&second, Ok(out) if out.status.success())
+            && rerun_jobs == Some(total.saturating_sub(killed_at)),
+        format!(
+            "{tag}{:?}, simulated {rerun_jobs:?} of {total}",
+            second.as_ref().map(|out| out.status)
+        ),
     );
     let snapshot = journal.read().unwrap_or_default();
     let duplicates = snapshot.duplicate_keys();
@@ -704,35 +752,36 @@ fn crash_and_resume(
             snapshot.records.len()
         ),
     );
-    let identical = matches!(&second, Ok(out) if out.stdout == serial.as_bytes());
+    let identical = matches!(&second, Ok(out) if out.stdout == reference.stdout);
     push_check(
         checks,
-        "merged output byte-identical to serial run",
+        "output byte-identical to an uninterrupted run",
         identical,
-        format!("{tag}{} bytes expected", serial.len()),
+        format!("{tag}{} bytes expected", reference.stdout.len()),
     );
     Some((killed_at, snapshot.records.len()))
 }
 
-/// Stages the kill-and-resume class: at each pool size, the
-/// `vanguard-sweep` binary runs a quick sweep and aborts after a
-/// seed-chosen number of journal appends, and a second process resumes
-/// it off the journal. At every pool size the contract is the same: the
-/// crash is real (partial journal), the resume completes, no job's side
-/// effects ran twice (zero duplicate journal records), and the merged
-/// output is byte-identical to an uninterrupted serial run.
+/// Stages the kill-and-resume class: at each pool size, the `figures`
+/// binary runs Figure 8 at quick scale on a fresh cache directory and
+/// aborts after a seed-chosen number of results-journal appends, and a
+/// second process reruns it on the same directory. At every pool size
+/// the contract is the same: the crash is real (partial journal), the
+/// rerun simulates only what the journal misses, no job's side effects
+/// ran twice (zero duplicate journal records), and the output is
+/// byte-identical to an uninterrupted run without a cache directory.
 fn kill_and_resume_class(seed: u64, scratch: &Path) -> ClassReport {
     let mut checks = Vec::new();
     let mut summary = String::new();
-    match serial_reference() {
-        Ok(serial) => {
+    match reference_run() {
+        Ok(reference) => {
             let kill_after = 1 + (seed as usize % 2);
             for threads in KILL_RESUME_THREADS {
                 let dir = scratch.join(format!("kill-resume-{threads}"));
                 let _ = fs::remove_dir_all(&dir);
                 let env = [("VANGUARD_THREADS", threads.to_string())];
                 let tag = format!("threads={threads}: ");
-                match crash_and_resume(&mut checks, &tag, &dir, kill_after, &env, &serial) {
+                match crash_and_resume(&mut checks, &tag, &dir, kill_after, &env, &reference) {
                     Some((killed, resumed)) => {
                         let _ = writeln!(summary, "{tag}aborted at {killed}, resumed to {resumed}");
                     }
@@ -741,7 +790,7 @@ fn kill_and_resume_class(seed: u64, scratch: &Path) -> ClassReport {
                 let _ = fs::remove_dir_all(&dir);
             }
         }
-        Err(e) => push_check(&mut checks, "serial reference sweep builds", false, e),
+        Err(e) => push_check(&mut checks, "uninterrupted reference run", false, e),
     }
     ClassReport {
         class: FaultClass::KillAndResume,
@@ -753,17 +802,17 @@ fn kill_and_resume_class(seed: u64, scratch: &Path) -> ClassReport {
 /// Stages the compaction-under-kill class: the crash-and-resume round of
 /// [`kill_and_resume_class`] under a deliberately tiny journal-compaction
 /// threshold, so snapshots are cut mid-run and the crash can land during
-/// one. The resumed sweep (still compacting) must complete off the
-/// snapshot + tail with no duplicate or resurrected records and a merged
-/// output byte-identical to serial.
+/// one. The rerun (still compacting) must complete off the snapshot +
+/// tail with no duplicate or resurrected records and output
+/// byte-identical to an uninterrupted run.
 fn compaction_under_kill_class(seed: u64, scratch: &Path) -> ClassReport {
     const COMPACT_BYTES: u64 = 256;
     let mut checks = Vec::new();
     let mut summary = String::new();
     let dir = scratch.join("compact-kill");
     let _ = fs::remove_dir_all(&dir);
-    match serial_reference() {
-        Ok(serial) => {
+    match reference_run() {
+        Ok(reference) => {
             let env = [
                 ("VANGUARD_THREADS", "2".to_string()),
                 (COMPACT_BYTES_ENV, COMPACT_BYTES.to_string()),
@@ -772,9 +821,9 @@ fn compaction_under_kill_class(seed: u64, scratch: &Path) -> ClassReport {
             // abort lands right after a compaction, or during the next.
             let kill_after = 2 + (seed as usize % 2);
             if let Some((killed, resumed)) =
-                crash_and_resume(&mut checks, "", &dir, kill_after, &env, &serial)
+                crash_and_resume(&mut checks, "", &dir, kill_after, &env, &reference)
             {
-                let snapshot = Journal::new(dir.join("journal.vgj")).snapshot_path();
+                let snapshot = Journal::new(dir.join(RESULTS_FILE)).snapshot_path();
                 push_check(
                     &mut checks,
                     "compaction actually fired (snapshot on disk)",
@@ -787,7 +836,7 @@ fn compaction_under_kill_class(seed: u64, scratch: &Path) -> ClassReport {
                 );
             }
         }
-        Err(e) => push_check(&mut checks, "serial reference sweep builds", false, e),
+        Err(e) => push_check(&mut checks, "uninterrupted reference run", false, e),
     }
     let _ = fs::remove_dir_all(&dir);
     ClassReport {

@@ -29,7 +29,6 @@ pub mod fuzz;
 mod glue;
 mod progress;
 mod speedups;
-pub mod sweep;
 
 pub use ablation::{ablation_rows, check_ablation_shape, format_ablation, AblationRow};
 pub use figures::{

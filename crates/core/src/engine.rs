@@ -38,17 +38,19 @@
 //! error type: [`Engine::profile`], [`Engine::compile_pair`] and
 //! [`Engine::run_cells`] return it too. Worker panics are retried once
 //! with backoff; repeat failures are quarantined with a replayable
-//! reproducer. The optional on-disk profile and pair cache
-//! ([`crate::DiskCache`], enabled by `VANGUARD_CACHE_DIR`) is
-//! checksummed and crash-safe: corrupt entries are quarantined, counted
-//! and recomputed, never trusted and never an error. See DESIGN.md §7.8
-//! for the fault model.
+//! reproducer. The optional cache directory (`VANGUARD_CACHE_DIR`) holds
+//! the on-disk profile and pair cache ([`crate::DiskCache`]) and the
+//! results journal ([`crate::results`]), both checksummed and
+//! crash-safe: corrupt entries and records are counted or dropped and
+//! recomputed, never trusted and never an error. See DESIGN.md §7.8 for
+//! the fault model and §7.11 for the journal.
 
 use crate::diskcache::{fnv1a, CorruptEntry, DiskCache};
 use crate::error::{ErrorKind, VanguardError};
 use crate::experiment::{profile_error, Experiment, ExperimentInput, ExperimentOutcome, RefRun};
 use crate::passes::TransformKind;
 use crate::report::TransformReport;
+use crate::results::ResultsJournal;
 use crate::transform::TransformOptions;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -58,7 +60,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use vanguard_ir::Profile;
-use vanguard_isa::{DecodedImage, Program};
+use vanguard_isa::{DecodedImage, Program, Reg};
 use vanguard_sim::{MachineConfig, SimError, SimStats, Simulator, StopCause};
 
 pub use vanguard_bpred::LadderRung as PredictorKind;
@@ -263,8 +265,9 @@ pub struct FaultPolicy {
     /// Where to write replayable reproducers for jobs that still fail
     /// after retry (`VANGUARD_QUARANTINE_DIR`); `None` disables.
     pub quarantine_dir: Option<PathBuf>,
-    /// Root of the crash-safe on-disk profile cache
-    /// (`VANGUARD_CACHE_DIR`); `None` keeps artifacts in memory only.
+    /// Root of the crash-safe on-disk profile and pair cache and of the
+    /// results journal (`VANGUARD_CACHE_DIR`); `None` keeps artifacts
+    /// and results in memory only.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -487,8 +490,9 @@ pub trait ProgressObserver: Send + Sync {
 /// which is how the at-most-once artifact guarantee is asserted.
 /// Likewise `sim_jobs`, `sim_insts` and `sim_nanos` count only
 /// simulations that actually ran; a job served from the simulation memo
-/// counts in `sim_memo_hits` alone (its result carries the elapsed time
-/// of the run that produced it), so MIPS measures real simulation.
+/// counts in `sim_memo_hits` alone, and one served from the results
+/// journal in `sim_disk_hits` alone (either result carries the elapsed
+/// time of the run that produced it), so MIPS measures real simulation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Profile-stage executions (distinct profile keys computed).
@@ -503,6 +507,9 @@ pub struct EngineStats {
     pub sim_jobs: u64,
     /// Jobs served from the simulation memo without simulating.
     pub sim_memo_hits: u64,
+    /// Simulation-memo misses served from the results journal without
+    /// simulating (see [`crate::results`]).
+    pub sim_disk_hits: u64,
     /// Committed simulated instructions, summed over simulate stages.
     pub sim_insts: u64,
     /// Aggregate wall-clock nanoseconds in the profile stage.
@@ -530,8 +537,9 @@ pub struct EngineStats {
     /// Compile-stage executions served from the on-disk cache (a subset
     /// of `compile_misses`).
     pub pair_disk_hits: u64,
-    /// Disk-cache stores that failed (full disk, unwritable cache dir):
-    /// the artifact was computed and used but not persisted — the
+    /// Disk-cache stores and results-journal appends that failed (full
+    /// disk, unwritable cache dir, a non-journal `results.vgj`): the
+    /// artifact or result was computed and used but not persisted — the
     /// degrade-to-compute-without-store path under disk pressure.
     pub cache_store_failures: u64,
 }
@@ -555,18 +563,24 @@ impl EngineStats {
 
     /// Renders the per-stage timing/cache summary (one line per stage,
     /// plus an outcome line counting ok / faulted / timed-out / failed /
-    /// retried jobs and quarantined cache entries). The `simulate:`
-    /// line's MIPS/worker is [`EngineStats::sim_mips`]: it divides by
+    /// retried jobs and quarantined cache entries). The `simulate:` line
+    /// names the results-journal hits after the memo hits when there are
+    /// any. Its MIPS/worker is [`EngineStats::sim_mips`]: it divides by
     /// worker-summed wall time, descheduled time included, so it drops
     /// when the pool oversubscribes the host's cores.
     pub fn summary(&self) -> String {
         fn ms(nanos: u64) -> f64 {
             nanos as f64 / 1e6
         }
+        let journal_hits = match self.sim_disk_hits {
+            0 => String::new(),
+            n => format!(" {n:>5} journal hits,"),
+        };
         format!(
             "profile : {:>4} runs, {:>4} cache hits, {:>9.1} ms\n\
              compile : {:>4} runs, {:>4} cache hits, {:>9.1} ms\n\
-             simulate: {:>4} jobs, {:>5} memo hits, {:>9.1} ms, {:>7.2} MIPS/worker\n\
+             simulate: {:>4} jobs, {:>5} memo hits,{journal_hits} {:>9.1} ms, \
+             {:>7.2} MIPS/worker\n\
              outcomes: {:>4} ok, {} faulted, {} timed out, {} failed, \
              {} retried, {} corrupt cache entries, {} store failures",
             self.profile_misses,
@@ -653,6 +667,15 @@ struct SimKey {
     max_cycles: Option<u64>,
 }
 
+/// Appends a run input's initial registers to key material.
+fn push_regs(bytes: &mut Vec<u8>, regs: &[(Reg, u64)]) {
+    bytes.extend_from_slice(&(regs.len() as u64).to_le_bytes());
+    for &(reg, value) in regs {
+        bytes.push(reg.0);
+        bytes.extend_from_slice(&value.to_le_bytes());
+    }
+}
+
 /// Locks a mutex, recovering from poisoning: the engine's shared state
 /// (caches, result vectors, injection plans) stays structurally valid
 /// across a worker panic, because panics are contained per job and
@@ -683,10 +706,15 @@ pub struct Engine {
     sims: Memo<SimKey, JobResult>,
     fault_policy: FaultPolicy,
     disk_cache: Option<DiskCache>,
+    /// The on-disk form of `sims`, under the policy's cache directory.
+    results: Option<ResultsJournal>,
     /// Deterministic fault-injection plan: job index → remaining panics
     /// to raise inside the containment boundary (test/harness hook, see
     /// [`Engine::inject_worker_panic`]).
     panic_plan: Mutex<HashMap<usize, u32>>,
+    /// Results-journal appends left before the process aborts
+    /// (test/harness hook, see [`Engine::abort_after_appends`]).
+    abort_plan: Mutex<Option<usize>>,
     /// Cache and timing counters; they change per stage and per job,
     /// never per simulated cycle, so one lock is cheap.
     stats: Mutex<EngineStats>,
@@ -734,20 +762,22 @@ impl Engine {
     /// [`FaultPolicy::from_env`]; override with
     /// [`Engine::set_fault_policy`].
     pub fn with_workers(workers: usize) -> Self {
-        let fault_policy = FaultPolicy::from_env();
-        let disk_cache = fault_policy.cache_dir.clone().map(DiskCache::new);
-        Engine {
+        let mut engine = Engine {
             workers: workers.max(1),
             benchmarks: Vec::new(),
             observers: Vec::new(),
             profiles: Memo::new(Stage::Profile),
             pairs: Memo::new(Stage::Compile),
             sims: Memo::new(Stage::Simulate),
-            fault_policy,
-            disk_cache,
+            fault_policy: FaultPolicy::default(),
+            disk_cache: None,
+            results: None,
             panic_plan: Mutex::new(HashMap::new()),
+            abort_plan: Mutex::new(None),
             stats: Mutex::new(EngineStats::default()),
-        }
+        };
+        engine.set_fault_policy(FaultPolicy::from_env());
+        engine
     }
 
     /// The configured worker count.
@@ -755,10 +785,11 @@ impl Engine {
         self.workers
     }
 
-    /// Replaces the fault policy (and rebuilds the disk cache handle
-    /// from `policy.cache_dir`).
+    /// Replaces the fault policy (and rebuilds the disk cache and
+    /// results-journal handles from `policy.cache_dir`).
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
         self.disk_cache = policy.cache_dir.clone().map(DiskCache::new);
+        self.results = policy.cache_dir.as_deref().map(ResultsJournal::new);
         self.fault_policy = policy;
     }
 
@@ -785,6 +816,28 @@ impl Engine {
                 *n -= 1;
                 drop(plan);
                 panic!("injected worker fault (job {index})");
+            }
+        }
+    }
+
+    /// Aborts the process ([`std::process::abort`]: no unwinding, other
+    /// workers possibly mid-job or mid-append) right after this engine's
+    /// `appends`th results-journal append, leaving a partial journal for
+    /// a rerun to resume (`figures --fault-kill-after`). The
+    /// kill-and-resume fault classes use it to prove that a crash loses
+    /// nothing the journal holds. Without a cache directory nothing is
+    /// appended, so nothing aborts.
+    pub fn abort_after_appends(&self, appends: usize) {
+        *lock_ignore_poison(&self.abort_plan) = Some(appends);
+    }
+
+    /// Counts one results-journal append against the abort plan.
+    fn appended(&self) {
+        let mut plan = lock_ignore_poison(&self.abort_plan);
+        if let Some(left) = plan.as_mut() {
+            *left = left.saturating_sub(1);
+            if *left == 0 {
+                std::process::abort();
             }
         }
     }
@@ -837,7 +890,9 @@ impl Engine {
     }
 
     /// The content-addressed identity shared by every disk key derived
-    /// from a (benchmark, predictor, step-budget) triple.
+    /// from a (benchmark, predictor, step-budget) triple. It includes the
+    /// TRAIN input's initial registers, which carry the iteration count,
+    /// so one cache directory can serve quick and full scale runs.
     fn bench_identity_bytes(
         &self,
         bench: usize,
@@ -852,6 +907,7 @@ impl Engine {
         bytes.extend_from_slice(format!("{predictor:?}").as_bytes());
         bytes.push(0);
         bytes.extend_from_slice(&max_steps.to_le_bytes());
+        push_regs(&mut bytes, &input.train.init_regs);
         bytes.extend_from_slice(input.program.disassemble().as_bytes());
         bytes
     }
@@ -876,21 +932,34 @@ impl Engine {
     }
 
     /// Content-addressed key of one simulation job: the pair identity
-    /// material plus the full machine configuration, REF input index,
-    /// and variant. Stable across processes (it hashes names, program
-    /// text, and option bytes, never registration ids or pointers), so
-    /// it keys the sweep journal: a resumed sweep in a fresh process
-    /// recognises completed jobs by this key alone.
+    /// material plus the full machine configuration, the REF input's
+    /// index and initial registers, the variant, and the policy's cycle
+    /// budget (it decides where a `TimedOut` lands). Stable across
+    /// processes (it hashes names, program text, and option bytes, never
+    /// registration ids or pointers), so it keys the results journal: a
+    /// rerun in a fresh process recognises journaled jobs by this key
+    /// alone.
     pub fn job_key(&self, job: &SimJob, options: &TransformOptions, max_steps: u64) -> u64 {
         let mut bytes = self.bench_identity_bytes(job.bench, job.predictor, max_steps);
         bytes.extend_from_slice(format!("{:?}", job.machine).as_bytes());
         bytes.push(0);
         bytes.extend_from_slice(&(job.ref_input as u64).to_le_bytes());
+        push_regs(
+            &mut bytes,
+            &self.benchmarks[job.bench].refs[job.ref_input].init_regs,
+        );
         bytes.push(match job.variant {
             Variant::Baseline => 0,
             Variant::Transformed => 1,
         });
         bytes.extend_from_slice(&TransformKey::from_options(options).disk_bytes());
+        match self.fault_policy.max_cycles {
+            None => bytes.push(0),
+            Some(cycles) => {
+                bytes.push(1);
+                bytes.extend_from_slice(&cycles.to_le_bytes());
+            }
+        }
         fnv1a(&bytes)
     }
 
@@ -1102,6 +1171,11 @@ impl Engine {
     /// `Faulted`, and a `TimedOut` with no wall-clock deadline armed
     /// (so the cycle budget, part of the key, stopped it). A wall-clock
     /// `TimedOut` or a `Failed` is returned but never stored.
+    ///
+    /// With a cache directory, a memo miss first looks the job up in the
+    /// results journal (see [`crate::results`]) and appends what it
+    /// simulates and stores; without one, nothing touches the disk and
+    /// no [`Engine::job_key`] is computed.
     pub fn run_job(&self, job: &SimJob, options: &TransformOptions, max_steps: u64) -> JobResult {
         let key = SimKey {
             compile: CompileKey {
@@ -1124,7 +1198,27 @@ impl Engine {
             JobResult::Failed { .. } => false,
         };
         self.memoized(&self.sims, key, job.bench, deterministic, || {
-            self.simulate(job, options, max_steps)
+            let Some(results) = &self.results else {
+                return self.simulate(job, options, max_steps);
+            };
+            let key = self.job_key(job, options, max_steps);
+            if let Some(hit) = results.get(key).and_then(|p| JobResult::decode(*job, p)) {
+                self.count(|s| s.sim_disk_hits += 1);
+                let name = &self.benchmarks[job.bench].name;
+                for o in &self.observers {
+                    o.stage_completed(Stage::Simulate, name, Duration::ZERO, true);
+                }
+                return hit;
+            }
+            let out = self.simulate(job, options, max_steps);
+            if let Some(payload) = out.encode().filter(|_| deterministic(&out)) {
+                match results.append(key, &payload) {
+                    Ok(true) => self.appended(),
+                    Ok(false) => {}
+                    Err(_) => self.count(|s| s.cache_store_failures += 1),
+                }
+            }
+            out
         })
     }
 
@@ -1308,21 +1402,6 @@ impl Engine {
         options: &TransformOptions,
         max_steps: u64,
     ) -> Vec<JobResult> {
-        self.run_jobs_with(jobs, options, max_steps, |_, _| {})
-    }
-
-    /// [`Engine::run_jobs`] with a per-result hook: `on_result(i,
-    /// outcome)` runs on the worker thread that finished job `i`, after
-    /// the observers and quarantine have seen the outcome and before that
-    /// worker takes its next job. The sweep uses it to journal each
-    /// outcome the moment it exists.
-    pub fn run_jobs_with(
-        &self,
-        jobs: &[SimJob],
-        options: &TransformOptions,
-        max_steps: u64,
-        on_result: impl Fn(usize, &JobResult) + Sync,
-    ) -> Vec<JobResult> {
         let n = jobs.len();
         let mut results: Vec<Option<JobResult>> = Vec::new();
         results.resize_with(n, || None);
@@ -1355,7 +1434,6 @@ impl Engine {
                             self.quarantine_job(i, job, other);
                         }
                     }
-                    on_result(i, &outcome);
                     lock_ignore_poison(&results)[i] = Some(outcome);
                 });
             }
@@ -1462,7 +1540,7 @@ mod tests {
     use crate::experiment::tests::experiment_input;
     use crate::experiment::RunInput;
     use std::sync::atomic::AtomicU64;
-    use vanguard_isa::{Inst, Memory, ProgramBuilder, Reg};
+    use vanguard_isa::{AluOp, CmpKind, CondKind, Inst, Memory, Operand, ProgramBuilder, Reg};
 
     fn engine_with(n: usize, workers: usize) -> (Engine, Vec<usize>) {
         let mut engine = Engine::with_workers(workers);
@@ -1954,6 +2032,226 @@ mod tests {
             );
         }
         assert_eq!(second.stats().pair_disk_hits, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh cache directory for one test.
+    fn temp_cache(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("vanguard-results-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Three benchmarks at two widths on a two-worker engine with
+    /// `cache_dir`: twelve distinct jobs.
+    fn journal_engine(cache_dir: Option<PathBuf>) -> (Engine, Vec<SimJob>) {
+        let (mut engine, ids) = engine_with(3, 2);
+        engine.set_fault_policy(FaultPolicy {
+            cache_dir,
+            ..FaultPolicy::default()
+        });
+        let cells: Vec<SweepCell> = ids
+            .iter()
+            .flat_map(|&bench| {
+                [MachineConfig::two_wide(), MachineConfig::four_wide()]
+                    .into_iter()
+                    .map(move |machine| SweepCell {
+                        bench,
+                        machine,
+                        predictor: PredictorKind::Combined24KB,
+                    })
+            })
+            .collect();
+        let jobs = engine.jobs_for_cells(&cells);
+        (engine, jobs)
+    }
+
+    fn run_stats(engine: &Engine, jobs: &[SimJob]) -> Vec<SimStats> {
+        engine
+            .run_jobs(jobs, &TransformOptions::default(), 1_000_000)
+            .iter()
+            .map(|r| r.expect_completed().stats)
+            .collect()
+    }
+
+    /// The journal job list's statistics from an engine without a cache.
+    fn uncached_stats() -> Vec<SimStats> {
+        let (engine, jobs) = journal_engine(None);
+        run_stats(&engine, &jobs)
+    }
+
+    fn results_journal(dir: &std::path::Path) -> crate::Journal {
+        crate::Journal::new(dir.join(crate::results::RESULTS_FILE))
+    }
+
+    #[test]
+    fn half_journaled_job_list_simulates_the_other_half() {
+        let dir = temp_cache("half");
+        let (first, jobs) = journal_engine(Some(dir.clone()));
+        let half = jobs.len() / 2;
+        run_stats(&first, &jobs[..half]);
+        assert_eq!(results_journal(&dir).read().unwrap().records.len(), half);
+
+        let (second, jobs) = journal_engine(Some(dir.clone()));
+        assert_eq!(run_stats(&second, &jobs), uncached_stats());
+        let stats = second.stats();
+        assert_eq!(stats.sim_jobs as usize, jobs.len() - half, "{stats:?}");
+        assert_eq!(stats.sim_disk_hits as usize, half, "{stats:?}");
+        assert!(
+            stats
+                .summary()
+                .contains(&format!("{half:>5} journal hits,")),
+            "{}",
+            stats.summary()
+        );
+        let journal = results_journal(&dir).read().unwrap();
+        assert_eq!(journal.records.len(), jobs.len());
+        assert!(journal.duplicate_keys().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_journal_records_are_resimulated_never_served() {
+        let reference = uncached_stats();
+        for damage in ["truncated", "bitflipped"] {
+            let dir = temp_cache(damage);
+            let (first, jobs) = journal_engine(Some(dir.clone()));
+            run_stats(&first, &jobs);
+            let journal = results_journal(&dir);
+            let mut bytes = std::fs::read(journal.path()).unwrap();
+            let len = bytes.len();
+            match damage {
+                "truncated" => bytes.truncate(len - 5),
+                _ => bytes[len / 2] ^= 0x10,
+            }
+            std::fs::write(journal.path(), &bytes).unwrap();
+            let kept = journal.read().unwrap().records.len();
+            assert!(kept < jobs.len(), "{damage}: {kept} records survive");
+
+            let (second, jobs) = journal_engine(Some(dir.clone()));
+            assert_eq!(run_stats(&second, &jobs), reference, "{damage}");
+            let stats = second.stats();
+            assert_eq!(stats.sim_jobs as usize, jobs.len() - kept, "{damage}");
+            assert_eq!(stats.sim_disk_hits as usize, kept, "{damage}");
+            // The re-simulated jobs were journaled again after the cut.
+            let healed = journal.read().unwrap();
+            assert_eq!(healed.records.len(), jobs.len(), "{damage}");
+            assert_eq!(healed.dropped_bytes, 0, "{damage}");
+            assert!(healed.duplicate_keys().is_empty(), "{damage}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn unwritable_cache_dir_counts_failed_appends_and_fails_no_job() {
+        let dir = temp_cache("unwritable");
+        std::fs::create_dir_all(&dir).unwrap();
+        let blocker = dir.join("blocker");
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let (engine, jobs) = journal_engine(Some(blocker.join("cache")));
+        assert_eq!(run_stats(&engine, &jobs), uncached_stats());
+        let stats = engine.stats();
+        assert_eq!(stats.jobs_failed, 0, "{stats:?}");
+        assert_eq!(stats.sim_jobs as usize, jobs.len(), "{stats:?}");
+        // Every profile store, pair store and journal append failed.
+        assert_eq!(
+            stats.cache_store_failures,
+            stats.profile_misses + stats.compile_misses + stats.sim_jobs,
+            "{stats:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_journal_results_file_degrades_to_simulating() {
+        let dir = temp_cache("foreign");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(crate::results::RESULTS_FILE);
+        std::fs::write(&path, b"not a journal at all").unwrap();
+        let (engine, jobs) = journal_engine(Some(dir.clone()));
+        assert_eq!(run_stats(&engine, &jobs), uncached_stats());
+        let stats = engine.stats();
+        assert_eq!(stats.jobs_failed, 0, "{stats:?}");
+        assert_eq!(stats.sim_jobs as usize, jobs.len(), "{stats:?}");
+        assert_eq!(stats.sim_disk_hits, 0, "{stats:?}");
+        assert_eq!(stats.cache_store_failures, stats.sim_jobs, "{stats:?}");
+        // The foreign file is left as it was.
+        assert_eq!(std::fs::read(&path).unwrap(), b"not a journal at all");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A countdown loop whose trip count is `r1` on entry, with `trips`
+    /// in `r1` for TRAIN and REF alike.
+    fn countdown(trips: u64) -> ExperimentInput {
+        let mut pb = ProgramBuilder::new();
+        let spin = pb.block("spin");
+        let done = pb.block("done");
+        pb.push(
+            spin,
+            Inst::alu(AluOp::Sub, Reg(1), Operand::Reg(Reg(1)), Operand::Imm(1)),
+        );
+        pb.push(
+            spin,
+            Inst::Cmp {
+                kind: CmpKind::Ne,
+                dst: Reg(2),
+                a: Reg(1),
+                b: Operand::Imm(0),
+            },
+        );
+        pb.push(
+            spin,
+            Inst::Branch {
+                cond: CondKind::Nz,
+                src: Reg(2),
+                target: spin,
+            },
+        );
+        pb.fallthrough(spin, done);
+        pb.push(done, Inst::Halt);
+        pb.set_entry(spin);
+        let input = RunInput {
+            memory: Memory::new(),
+            init_regs: vec![(Reg(1), trips)],
+        };
+        ExperimentInput {
+            name: "countdown".into(),
+            program: pb.finish().unwrap(),
+            train: input.clone(),
+            refs: vec![input],
+            seed: None,
+        }
+    }
+
+    /// Quick and full scale differ only in the iteration count each
+    /// input's registers carry, so one cache directory must keep their
+    /// profiles and results apart.
+    #[test]
+    fn inputs_differing_only_in_registers_share_no_cache_entry() {
+        let dir = temp_cache("regs");
+        let cached = FaultPolicy {
+            cache_dir: Some(dir.clone()),
+            ..FaultPolicy::default()
+        };
+        let opts = TransformOptions::default();
+        let run = |trips, policy: &FaultPolicy| {
+            let (engine, job) = single_job(countdown(trips), policy.clone());
+            let stats = engine
+                .run_job(&job, &opts, 1_000_000)
+                .expect_completed()
+                .stats;
+            (stats, engine.stats())
+        };
+        let (short, _) = run(100, &cached);
+        let (long, counters) = run(300, &cached);
+        assert!(long.cycles > short.cycles, "{long:?} vs {short:?}");
+        assert_eq!(long, run(300, &FaultPolicy::default()).0);
+        assert_eq!(
+            (counters.profile_disk_hits, counters.sim_disk_hits),
+            (0, 0),
+            "{counters:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,22 +1,20 @@
 //! Persistent append-only job journal: the resume backbone of the
-//! sweep service.
+//! results journal ([`crate::results`]).
 //!
-//! A sweep appends one checksummed record per *completed* job, keyed by
-//! the job's deterministic content-addressed key (see
+//! The engine appends one checksummed record per *simulated* job, keyed
+//! by the job's deterministic content-addressed key (see
 //! [`Engine::job_key`](crate::engine::Engine::job_key)), the moment the
-//! job finishes. An interrupted sweep — crashed process, lost power,
+//! job finishes. An interrupted run — crashed process, lost power,
 //! cancelled CI run — resumes from the journal instead of restarting:
-//! every key already present is skipped, and the merged output is
-//! reconstructed from the recorded payloads without re-running a single
-//! job.
+//! every key already present is served from its recorded payload
+//! without re-running the job.
 //!
 //! The format is designed around the same crash-safety rules as the
 //! disk cache (DESIGN.md §7.11):
 //!
 //! * **Append-only** — records are only ever added at the tail under an
-//!   exclusive file lock, so the threads of one sweep — or two sweeps
-//!   pointed at one journal by mistake — never interleave partial
-//!   records.
+//!   exclusive file lock, so the threads of one run — or two runs
+//!   sharing one cache directory — never interleave partial records.
 //! * **Checksummed** — the file opens with a `VGJ1` magic and every
 //!   record carries an FNV-1a checksum over its key, length, and
 //!   payload. A torn tail (the writer died mid-append) or a flipped
@@ -74,9 +72,9 @@ fn record_checksum(key: u64, payload: &[u8]) -> u64 {
 pub struct JournalRecord {
     /// The job's deterministic content-addressed key.
     pub key: u64,
-    /// The recorded result (the sweep service stores encoded
-    /// [`SimStats`](vanguard_sim::SimStats); the journal itself is
-    /// payload-agnostic).
+    /// The recorded result (the engine stores a
+    /// [`JobResult::encode`](crate::engine::JobResult::encode) payload;
+    /// the journal itself is payload-agnostic).
     pub payload: Vec<u8>,
 }
 
@@ -246,7 +244,7 @@ impl Journal {
 
     /// Reads and validates the journal, transparently merging the
     /// compaction snapshot (if any) with the tail. A missing or empty
-    /// file is an empty snapshot (a sweep that has not journaled yet); a
+    /// file is an empty snapshot (a run that has not journaled yet); a
     /// non-empty tail must open with the `VGJ1` magic.
     ///
     /// The tail is read *before* the snapshot: records only ever move
@@ -308,7 +306,7 @@ impl Journal {
     /// Appends a record only if no record for `key` exists in the
     /// merged (snapshot + tail) view, checked under the same exclusive
     /// lock the append itself holds, so at most one record per key ever
-    /// lands: even two sweeps that run the same job on one journal
+    /// lands: even two runs that simulate the same job on one journal
     /// cannot tear or duplicate its record.
     ///
     /// Returns whether the record was written (`false` = already

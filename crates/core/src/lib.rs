@@ -30,6 +30,9 @@
 //!   [`Experiment::run`] and the bench harness: stages as cached
 //!   artifacts, flat [`engine::SimJob`] lists, a scoped worker pool,
 //!   and [`engine::ProgressObserver`] progress events.
+//! * [`results`] — the results journal under `VANGUARD_CACHE_DIR`:
+//!   the on-disk form of the engine's simulation memo, which makes any
+//!   rerun a resume.
 //! * [`VanguardError`] — the one error type of the engine and the
 //!   [`Experiment`] facade: the failing stage, the benchmark and seed,
 //!   and a typed [`ErrorKind`].
@@ -45,6 +48,7 @@ pub mod journal;
 mod lint;
 mod passes;
 mod report;
+pub mod results;
 mod select;
 mod slice;
 mod transform;

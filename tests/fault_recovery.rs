@@ -79,11 +79,11 @@ fn bitflipped_cache_entry_is_evicted_and_recomputed() {
     assert_class_contained(FaultClass::CacheBitflip);
 }
 
-/// Disk pressure (every store fails) degrades to compute-without-store,
-/// bit-identically. The sweep classes (kill-and-resume,
-/// compaction-under-kill) run the `vanguard-sweep` binary that sits
-/// beside the running executable, so they run through the `faultinject`
-/// binary in CI instead.
+/// Disk pressure (every store and results-journal append fails)
+/// degrades to compute-without-store, bit-identically. The kill classes
+/// (kill-and-resume, compaction-under-kill) run the `figures` binary
+/// that sits beside the running executable, which a test binary does
+/// not have, so they run through the `faultinject` binary in CI instead.
 #[test]
 fn cache_disk_pressure_degrades_without_store() {
     assert_class_contained(FaultClass::CacheEnospc);

@@ -1,4 +1,4 @@
-//! Property tests for the `VGJ1` sweep journal (DESIGN.md §7.11):
+//! Property tests for the `VGJ1` journal (DESIGN.md §7.11):
 //! random job sets round-trip bit-exactly, and a truncated or
 //! corrupted tail is *dropped*, never trusted — every record a read
 //! returns is byte-identical to one the writer appended, in append
@@ -60,7 +60,7 @@ fn assert_valid_prefix(records: &[JournalRecord], jobs: &[(u64, Vec<u8>)]) {
     }
 }
 
-/// First-wins key dedup: the sweep only ever journals a key once
+/// First-wins key dedup: the engine only ever journals a key once
 /// (`Journal::append_new`), and compaction's own dedup matches
 /// `JournalSnapshot::get`, so the compaction properties quantify over
 /// unique-key job sets.
