@@ -7,9 +7,10 @@
 //! `vanguard` is the paper's §3 decomposition, `meld` the Li et al.
 //! if-conversion rival, `shadow` the Pepi et al. decode-time exposure
 //! model (decomposition with zero code motion), and `stacked` the
-//! vanguard ∘ meld composition. Profiles are shared across all four
-//! columns of a benchmark (the profile key is transform-independent);
-//! compiled pairs are keyed per variant and can never collide.
+//! vanguard ∘ meld composition. Profiles and baseline runs are shared
+//! across all four columns of a benchmark (neither key covers the
+//! transform options); compiled pairs are keyed per variant and can
+//! never collide.
 
 use crate::glue::SuiteEngine;
 use vanguard_core::engine::{PredictorKind, SweepCell};

@@ -57,7 +57,7 @@ fn main() {
         .position(|a| a == "--rounds")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
+        .unwrap_or(20);
     let skip_overhead = args.iter().any(|a| a == "--skip-overhead");
     let mut classes: Vec<FaultClass> = Vec::new();
     let mut bad_flag = false;
@@ -106,13 +106,14 @@ fn main() {
     let overhead = if skip_overhead {
         None
     } else {
-        eprintln!("[faultinject] watchdog overhead, min-of-{rounds} per side ...");
+        eprintln!("[faultinject] watchdog overhead, {rounds} rounds of clean/armed job pairs ...");
         let o = measure_overhead(rounds);
+        let ratios: Vec<String> = o.ratios.iter().map(|r| format!("{r:.4}")).collect();
+        eprintln!("[faultinject] armed/clean per pair: {}", ratios.join(" "));
         eprintln!(
-            "[faultinject] clean {:.1} ms, armed {:.1} ms, overhead {:.2}%",
-            o.clean_sim_ms,
-            o.armed_sim_ms,
-            o.overhead_pct()
+            "[faultinject] overhead {:.2}% (median of {} pairs)",
+            o.overhead_pct(),
+            o.ratios.len()
         );
         Some(o)
     };
@@ -144,11 +145,11 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  ]{}", if overhead.is_some() { "," } else { "" });
-    if let Some(o) = overhead {
+    if let Some(o) = &overhead {
+        let ratios: Vec<String> = o.ratios.iter().map(|r| format!("{r:.4}")).collect();
         let _ = writeln!(json, "  \"overhead\": {{");
-        let _ = writeln!(json, "    \"rounds\": {},", o.rounds);
-        let _ = writeln!(json, "    \"clean_sim_ms\": {:.4},", o.clean_sim_ms);
-        let _ = writeln!(json, "    \"armed_sim_ms\": {:.4},", o.armed_sim_ms);
+        let _ = writeln!(json, "    \"pairs\": {},", ratios.len());
+        let _ = writeln!(json, "    \"ratios\": [{}],", ratios.join(", "));
         let _ = writeln!(json, "    \"overhead_pct\": {:.4},", o.overhead_pct());
         let _ = writeln!(json, "    \"gate_pct\": {OVERHEAD_GATE_PCT},");
         let _ = writeln!(
@@ -173,7 +174,7 @@ fn main() {
         eprintln!("[faultinject] FAIL: classes {failed_classes:?}");
         std::process::exit(1);
     }
-    if let Some(o) = overhead {
+    if let Some(o) = &overhead {
         if o.overhead_pct() >= OVERHEAD_GATE_PCT {
             eprintln!(
                 "[faultinject] FAIL: watchdog overhead {:.2}% exceeds the {OVERHEAD_GATE_PCT}% gate",

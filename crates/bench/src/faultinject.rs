@@ -137,25 +137,31 @@ impl ClassReport {
 
 /// Watchdog overhead on a clean run (the < 2 % gate of
 /// `BENCH_robustness.json`).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct OverheadReport {
-    /// Measurement rounds (min-of-N on each side).
-    pub rounds: usize,
-    /// Best worker-summed simulate-stage time with watchdogs disabled.
-    pub clean_sim_ms: f64,
-    /// Best worker-summed simulate-stage time with both watchdogs armed
-    /// at non-tripping budgets.
-    pub armed_sim_ms: f64,
+    /// Per pair, one job's simulate-stage time with both watchdogs armed
+    /// at non-tripping budgets over its time with them disabled.
+    pub ratios: Vec<f64>,
 }
 
 impl OverheadReport {
-    /// Relative cost of arming the watchdogs, in percent (clamped at 0:
-    /// a faster armed run is measurement noise, not a negative cost).
+    /// Relative cost of arming the watchdogs, in percent: the median
+    /// pair ratio less one (clamped at 0: a faster armed run is
+    /// measurement noise, not a negative cost). A burst of host load
+    /// skews one pair, not the median.
     pub fn overhead_pct(&self) -> f64 {
-        if self.clean_sim_ms <= 0.0 {
+        let mut ratios = self.ratios.clone();
+        if ratios.is_empty() {
             return 0.0;
         }
-        ((self.armed_sim_ms - self.clean_sim_ms) / self.clean_sim_ms * 100.0).max(0.0)
+        ratios.sort_by(f64::total_cmp);
+        let mid = ratios.len() / 2;
+        let median = if ratios.len() % 2 == 1 {
+            ratios[mid]
+        } else {
+            (ratios[mid - 1] + ratios[mid]) / 2.0
+        };
+        ((median - 1.0) * 100.0).max(0.0)
     }
 }
 
@@ -913,32 +919,39 @@ pub fn run_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats
 }
 
 /// Measures the simulate-stage cost of arming both watchdogs at
-/// non-tripping budgets, min-of-`rounds` per side (the
-/// `BENCH_robustness.json` overhead figure). Clean and armed runs
-/// alternate, so a burst of load from other processes on the host
-/// lands on both sides instead of skewing one block of rounds.
+/// non-tripping budgets (the `BENCH_robustness.json` overhead figure):
+/// each round simulates every job of the fault suite once on a clean
+/// engine and once on an armed one, back to back on the calling thread,
+/// so each job yields one clean/armed pair. Host load that drifts
+/// between pairs cancels in their ratio, no run waits for a core behind
+/// another worker, and which side runs first alternates.
 pub fn measure_overhead(rounds: usize) -> OverheadReport {
-    let run_once = |armed: bool| -> f64 {
-        let mut policy = isolated_policy();
-        if armed {
-            policy.max_cycles = Some(u64::MAX / 2);
-            policy.job_timeout = Some(Duration::from_secs(3600));
-        }
-        let (engine, jobs, _) = engine_with_suite(None, policy);
-        run_all(&engine, &jobs);
-        engine.stats().sim_nanos as f64 / 1e6
+    let armed_policy = FaultPolicy {
+        max_cycles: Some(u64::MAX / 2),
+        job_timeout: Some(Duration::from_secs(3600)),
+        ..isolated_policy()
     };
-    let rounds = rounds.max(1);
-    let (mut clean_sim_ms, mut armed_sim_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..rounds {
-        clean_sim_ms = clean_sim_ms.min(run_once(false));
-        armed_sim_ms = armed_sim_ms.min(run_once(true));
+    let sim_secs = |engine: &Engine, job: &SimJob| {
+        let outcome = engine.run_job(job, &TransformOptions::default(), DEFAULT_MAX_PROFILE_STEPS);
+        outcome.expect_completed().sim_elapsed.as_secs_f64()
+    };
+    let mut ratios = Vec::new();
+    for round in 0..rounds.max(1) {
+        // Fresh engines each round: a memoized job never simulates again.
+        let (clean, jobs, _) = engine_with_suite(None, isolated_policy());
+        let (armed, _, _) = engine_with_suite(None, armed_policy.clone());
+        for (i, job) in jobs.iter().enumerate() {
+            let (clean_s, armed_s) = if (round + i) % 2 == 0 {
+                let c = sim_secs(&clean, job);
+                (c, sim_secs(&armed, job))
+            } else {
+                let a = sim_secs(&armed, job);
+                (sim_secs(&clean, job), a)
+            };
+            ratios.push(armed_s / clean_s.max(f64::MIN_POSITIVE));
+        }
     }
-    OverheadReport {
-        rounds,
-        clean_sim_ms,
-        armed_sim_ms,
-    }
+    OverheadReport { ratios }
 }
 
 #[cfg(test)]

@@ -12,10 +12,11 @@
 //!   lines, then both programs' exact disassembly text, each behind a
 //!   byte length.
 //!
-//! Every key already folds in the transform variant's stable cache id,
-//! so two transform kinds of the same (benchmark, profile, width) occupy
-//! distinct files. The cache is designed to survive crashes and
-//! concurrent writers without ever poisoning a run:
+//! Keys are the engine's content-addressed profile and pair keys, which
+//! cover the full transform option set, so two transform kinds of the
+//! same (benchmark, profile, width) occupy distinct files. The cache is
+//! designed to survive crashes and concurrent writers without ever
+//! poisoning a run:
 //!
 //! * **Atomic writes** — entries are published with [`atomic_publish`]
 //!   (private temp file, `fsync`, `rename`, directory `fsync`), so a
@@ -57,7 +58,12 @@ const MAGIC: &[u8; 4] = b"VGC1";
 /// 64-bit FNV-1a — the checksum and key hash of the disk cache (stable
 /// across platforms and processes, no dependencies).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues the FNV-1a hash `h` over `bytes`:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -150,7 +156,7 @@ impl DiskCache {
 
     /// Loads and validates the profile entry for `key`.
     ///
-    /// Returns `Ok(None)` on a clean miss (no entry).
+    /// Returns `Ok(None)` on a clean miss (no readable entry).
     ///
     /// # Errors
     ///
@@ -169,7 +175,8 @@ impl DiskCache {
     }
 
     /// Loads and validates the raw entry for `(tag, key)`, returning the
-    /// checksummed payload. `Ok(None)` is a clean miss.
+    /// checksummed payload. `Ok(None)` is a clean miss: no entry, or
+    /// none that can be read.
     ///
     /// # Errors
     ///
@@ -180,10 +187,10 @@ impl DiskCache {
     /// — use [`DiskCache::reject`] when that fails.
     fn load_bytes(&self, tag: &str, key: u64) -> Result<Option<Vec<u8>>, CorruptEntry> {
         let path = self.entry_path(tag, key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(self.quarantine(&path, format!("unreadable: {e}"))),
+        // No entry, or a directory that cannot be read at all: a miss,
+        // never corruption, since no bytes were seen.
+        let Ok(bytes) = fs::read(&path) else {
+            return Ok(None);
         };
         match Self::validate(&bytes) {
             Ok(payload) => Ok(Some(payload.to_vec())),

@@ -9,14 +9,23 @@
 //! table of the paper's evaluation is a sweep over those stages, so the
 //! engine:
 //!
-//! * enumerates a sweep as a flat list of [`SimJob`]s keyed by
-//!   `(benchmark, input, machine, predictor, variant)`;
+//! * enumerates a sweep as a flat list of [`SimJob`]s, each a
+//!   `(benchmark, input, machine, predictor, variant)` tuple;
 //! * memoizes profiles and compiled pairs so each is produced at most
 //!   once per distinct key, shared across widths, predictor rungs, and
 //!   REF inputs, and memoizes deterministic job outcomes so each
 //!   distinct job is simulated at most once per engine however many
 //!   figures read it — three per-key memos of one type behind one
 //!   get-or-compute helper (see DESIGN.md §6);
+//! * derives every key once, by content: [`Engine::add_benchmark`]
+//!   hashes a benchmark's identity (name, seed, TRAIN registers, program
+//!   text) into a digest; the profile key extends it with the predictor
+//!   and step budget, the pair key with the width and transform options,
+//!   and [`Engine::job_key`] with the machine, REF input, variant and
+//!   cycle budget. The same `u64` keys the memos, the disk cache and the
+//!   results journal. A baseline job's key leaves the options out, since
+//!   no option changes the baseline, so transform variants share their
+//!   baseline runs;
 //! * executes jobs on a [`std::thread::scope`] worker pool, collecting
 //!   results in job-index order so output is **bit-identical** to
 //!   serial execution regardless of worker count (see DESIGN.md §6);
@@ -45,22 +54,20 @@
 //! recomputed, never trusted and never an error. See DESIGN.md §7.8 for
 //! the fault model and §7.11 for the journal.
 
-use crate::diskcache::{fnv1a, CorruptEntry, DiskCache};
+use crate::diskcache::{fnv1a, fnv1a_extend, CorruptEntry, DiskCache};
 use crate::error::{ErrorKind, VanguardError};
 use crate::experiment::{profile_error, Experiment, ExperimentInput, ExperimentOutcome, RefRun};
-use crate::passes::TransformKind;
 use crate::report::TransformReport;
 use crate::results::ResultsJournal;
 use crate::transform::TransformOptions;
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use vanguard_ir::Profile;
-use vanguard_isa::{DecodedImage, Program, Reg};
+use vanguard_isa::{DecodedImage, Program};
 use vanguard_sim::{MachineConfig, SimError, SimStats, Simulator, StopCause};
 
 pub use vanguard_bpred::LadderRung as PredictorKind;
@@ -165,6 +172,15 @@ impl JobResult {
     pub fn job(&self) -> &SimJob {
         match self {
             JobResult::Completed(s) => &s.job,
+            JobResult::Faulted { job, .. }
+            | JobResult::TimedOut { job, .. }
+            | JobResult::Failed { job, .. } => job,
+        }
+    }
+
+    fn job_mut(&mut self) -> &mut SimJob {
+        match self {
+            JobResult::Completed(s) => &mut s.job,
             JobResult::Faulted { job, .. }
             | JobResult::TimedOut { job, .. }
             | JobResult::Failed { job, .. } => job,
@@ -308,94 +324,6 @@ impl FaultPolicy {
         }
         policy
     }
-}
-
-/// Cache key of a profiling run: a profile depends on the program and
-/// TRAIN input (both identified by the benchmark id), the predictor the
-/// profiler consults, and the step budget. It does **not** depend on
-/// machine width or transform options, so one profile serves every
-/// width and option sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ProfileKey {
-    /// Benchmark id (program + TRAIN input identity).
-    pub bench: usize,
-    /// Profiling predictor.
-    pub predictor: PredictorKind,
-    /// Profiling step budget.
-    pub max_steps: u64,
-}
-
-/// Exact-valued (bit-pattern) form of [`TransformOptions`] usable as a
-/// hash-map key. Constructed with [`TransformKey::from_options`]; two
-/// keys are equal iff every *program-affecting* option field is
-/// identical, so distinct option sets can never collide in the artifact
-/// cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct TransformKey {
-    /// The transform pass (`kind`) — distinct variants of the same
-    /// benchmark/profile/width must never collide.
-    pub kind: TransformKind,
-    /// `select.threshold` as IEEE-754 bits.
-    pub threshold_bits: u64,
-    /// `select.min_executions`.
-    pub min_executions: u64,
-    /// `select.forward_only`.
-    pub forward_only: bool,
-    /// `max_hoist`.
-    pub max_hoist: usize,
-    /// `hoist_loads`.
-    pub hoist_loads: bool,
-    /// `shadow_temps`.
-    pub shadow_temps: bool,
-    /// `meld_max_side`.
-    pub meld_max_side: usize,
-}
-
-impl TransformKey {
-    /// The key of an option set.
-    pub fn from_options(opts: &TransformOptions) -> Self {
-        TransformKey {
-            kind: opts.kind,
-            threshold_bits: opts.select.threshold.to_bits(),
-            min_executions: opts.select.min_executions,
-            forward_only: opts.select.forward_only,
-            max_hoist: opts.max_hoist,
-            hoist_loads: opts.hoist_loads,
-            shadow_temps: opts.shadow_temps,
-            meld_max_side: opts.meld_max_side,
-        }
-    }
-
-    /// Stable little-endian byte encoding for disk-cache key hashing.
-    /// Leads with the transform kind's stable [`TransformKind::cache_id`]
-    /// so two variants of the same (benchmark, profile, width) can never
-    /// share a disk entry.
-    pub fn disk_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 * 5 + 3);
-        out.extend_from_slice(&self.kind.cache_id().to_le_bytes());
-        out.extend_from_slice(&self.threshold_bits.to_le_bytes());
-        out.extend_from_slice(&self.min_executions.to_le_bytes());
-        out.push(self.forward_only as u8);
-        out.extend_from_slice(&(self.max_hoist as u64).to_le_bytes());
-        out.push(self.hoist_loads as u8);
-        out.push(self.shadow_temps as u8);
-        out.extend_from_slice(&(self.meld_max_side as u64).to_le_bytes());
-        out
-    }
-}
-
-/// Cache key of a compiled baseline/transformed pair: the profile it
-/// was guided by, the machine *width* (the only machine parameter the
-/// compiler consults, so 32 KB- and 24 KB-I$ variants share pairs), and
-/// the transform options.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct CompileKey {
-    /// The guiding profile's key.
-    pub profile: ProfileKey,
-    /// Machine width the scheduler targeted.
-    pub width: usize,
-    /// Transform options.
-    pub options: TransformKey,
 }
 
 /// A cached compiled pair plus its transformation report.
@@ -603,6 +531,16 @@ impl EngineStats {
         )
     }
 
+    /// The disk-hit and compute-time counters of the profile stage, or
+    /// else of the compile stage: the two stages with disk artifacts.
+    fn artifact_counters(&mut self, stage: Stage) -> (&mut u64, &mut u64) {
+        if stage == Stage::Profile {
+            (&mut self.profile_disk_hits, &mut self.profile_nanos)
+        } else {
+            (&mut self.pair_disk_hits, &mut self.compile_nanos)
+        }
+    }
+
     /// Counts one memo lookup of `stage`. A simulate miss counts nothing
     /// here: `sim_jobs` counts the simulations that actually ran.
     fn count_lookup(&mut self, stage: Stage, hit: bool) {
@@ -634,12 +572,12 @@ pub struct SweepCell {
 /// concurrent requests for one key wait on that single computation. A
 /// panic, or a result the caller chooses not to keep, leaves the slot
 /// empty, and the next request computes again. See [`Engine::memoized`].
-struct Memo<K, T> {
+struct Memo<T> {
     stage: Stage,
-    slots: Mutex<HashMap<K, Arc<Mutex<Option<T>>>>>,
+    slots: Mutex<HashMap<u64, Arc<Mutex<Option<T>>>>>,
 }
 
-impl<K: Eq + Hash, T> Memo<K, T> {
+impl<T> Memo<T> {
     fn new(stage: Stage) -> Self {
         Memo {
             stage,
@@ -648,31 +586,8 @@ impl<K: Eq + Hash, T> Memo<K, T> {
     }
 
     /// The slot of `key`, created empty on first use.
-    fn slot(&self, key: K) -> Arc<Mutex<Option<T>>> {
+    fn slot(&self, key: u64) -> Arc<Mutex<Option<T>>> {
         Arc::clone(lock_ignore_poison(&self.slots).entry(key).or_default())
-    }
-}
-
-/// Memo key of one simulation: everything its outcome depends on. The
-/// compile key names the program pair (benchmark, predictor, profile
-/// budget, width, transform options); the full machine, REF input and
-/// variant pick the run; the policy's cycle budget decides where a
-/// cycle-watchdog `TimedOut` lands.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct SimKey {
-    compile: CompileKey,
-    machine: MachineConfig,
-    ref_input: usize,
-    variant: Variant,
-    max_cycles: Option<u64>,
-}
-
-/// Appends a run input's initial registers to key material.
-fn push_regs(bytes: &mut Vec<u8>, regs: &[(Reg, u64)]) {
-    bytes.extend_from_slice(&(regs.len() as u64).to_le_bytes());
-    for &(reg, value) in regs {
-        bytes.push(reg.0);
-        bytes.extend_from_slice(&value.to_le_bytes());
     }
 }
 
@@ -701,9 +616,11 @@ pub struct Engine {
     workers: usize,
     benchmarks: Vec<ExperimentInput>,
     observers: Vec<Arc<dyn ProgressObserver>>,
-    profiles: Memo<ProfileKey, Result<Arc<Profile>, VanguardError>>,
-    pairs: Memo<CompileKey, CompiledPair>,
-    sims: Memo<SimKey, JobResult>,
+    /// Per benchmark, the digest of its identity that every key extends.
+    identities: Vec<u64>,
+    profiles: Memo<Result<Arc<Profile>, VanguardError>>,
+    pairs: Memo<CompiledPair>,
+    sims: Memo<JobResult>,
     fault_policy: FaultPolicy,
     disk_cache: Option<DiskCache>,
     /// The on-disk form of `sims`, under the policy's cache directory.
@@ -765,6 +682,7 @@ impl Engine {
         let mut engine = Engine {
             workers: workers.max(1),
             benchmarks: Vec::new(),
+            identities: Vec::new(),
             observers: Vec::new(),
             profiles: Memo::new(Stage::Profile),
             pairs: Memo::new(Stage::Compile),
@@ -848,9 +766,21 @@ impl Engine {
     }
 
     /// Registers a benchmark, returning its id for [`SimJob::bench`] /
-    /// [`SweepCell::bench`]. Artifacts are cached per id, so register
-    /// each (program, input-set) once and reuse the id across sweeps.
+    /// [`SweepCell::bench`]. Artifacts and results are keyed by the
+    /// benchmark's identity — its name, seed, TRAIN initial registers
+    /// and program text — hashed here once; the TRAIN and REF memory
+    /// images are assumed to follow from the name and seed. Two
+    /// registrations with the same identity therefore share every memo
+    /// slot and disk entry.
     pub fn add_benchmark(&mut self, input: ExperimentInput) -> usize {
+        let identity = format!(
+            "{:?}/{:?}/{:?}\n{}",
+            input.name,
+            input.seed,
+            input.train.init_regs,
+            input.program.disassemble()
+        );
+        self.identities.push(fnv1a(identity.as_bytes()));
         self.benchmarks.push(input);
         self.benchmarks.len() - 1
     }
@@ -878,89 +808,63 @@ impl Engine {
     // Stages
     // ----------------------------------------------------------------
 
-    /// Content-addressed disk-cache key of a profile: hashes the
-    /// benchmark name, generator seed, predictor, step budget, and the
-    /// program text itself, so a stale entry from a different program
-    /// can never be served (the in-memory [`ProfileKey`] identifies
-    /// benchmarks by registration id, which is not stable across
-    /// processes). The TRAIN input is assumed to be determined by the
-    /// (name, seed) pair.
-    fn profile_disk_key(&self, bench: usize, predictor: PredictorKind, max_steps: u64) -> u64 {
-        fnv1a(&self.bench_identity_bytes(bench, predictor, max_steps))
+    /// Key of a profile: the benchmark identity, the predictor the
+    /// profiler consults and the step budget. Machine width and
+    /// transform options are left out, so one profile serves every width
+    /// and option sweep.
+    fn profile_key(&self, bench: usize, predictor: PredictorKind, max_steps: u64) -> u64 {
+        let material = format!("/{predictor:?}/{max_steps}");
+        fnv1a_extend(self.identities[bench], material.as_bytes())
     }
 
-    /// The content-addressed identity shared by every disk key derived
-    /// from a (benchmark, predictor, step-budget) triple. It includes the
-    /// TRAIN input's initial registers, which carry the iteration count,
-    /// so one cache directory can serve quick and full scale runs.
-    fn bench_identity_bytes(
-        &self,
-        bench: usize,
-        predictor: PredictorKind,
-        max_steps: u64,
-    ) -> Vec<u8> {
-        let input = &self.benchmarks[bench];
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(input.name.as_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(&input.seed.unwrap_or(u64::MAX).to_le_bytes());
-        bytes.extend_from_slice(format!("{predictor:?}").as_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(&max_steps.to_le_bytes());
-        push_regs(&mut bytes, &input.train.init_regs);
-        bytes.extend_from_slice(input.program.disassemble().as_bytes());
-        bytes
-    }
-
-    /// Content-addressed disk-cache key of a compiled pair: the profile
-    /// identity material plus the machine width and the *full* transform
-    /// key — led by the transform kind's stable cache id — so two
-    /// transform variants of the same (benchmark, profile, width) can
-    /// never share a disk entry.
-    fn pair_disk_key(
+    /// Key of a compiled pair: the profile key plus the machine width
+    /// (the only machine parameter the compiler consults) and the
+    /// transform options, keyed by their `Debug` rendering so that every
+    /// field, `kind` included, is covered. `None` keys the baseline side
+    /// alone, which no option affects.
+    fn pair_key(
         &self,
         bench: usize,
         predictor: PredictorKind,
         max_steps: u64,
         width: usize,
-        options: &TransformKey,
+        options: Option<&TransformOptions>,
     ) -> u64 {
-        let mut bytes = self.bench_identity_bytes(bench, predictor, max_steps);
-        bytes.extend_from_slice(&(width as u64).to_le_bytes());
-        bytes.extend_from_slice(&options.disk_bytes());
-        fnv1a(&bytes)
+        let material = format!("/{width}/{options:?}");
+        fnv1a_extend(
+            self.profile_key(bench, predictor, max_steps),
+            material.as_bytes(),
+        )
     }
 
-    /// Content-addressed key of one simulation job: the pair identity
-    /// material plus the full machine configuration, the REF input's
-    /// index and initial registers, the variant, and the policy's cycle
-    /// budget (it decides where a `TimedOut` lands). Stable across
-    /// processes (it hashes names, program text, and option bytes, never
-    /// registration ids or pointers), so it keys the results journal: a
-    /// rerun in a fresh process recognises journaled jobs by this key
-    /// alone.
+    /// Content-addressed key of one simulation job: the pair key (the
+    /// options left out for a baseline job) plus the full machine, the
+    /// REF input's index and initial registers, the variant, and the
+    /// policy's cycle budget (it decides where a `TimedOut` lands). It
+    /// keys the simulation memo and, being stable across processes (it
+    /// hashes names, program text and `Debug` renderings, never
+    /// registration ids or pointers), the results journal: a rerun in a
+    /// fresh process recognises journaled jobs by this key alone.
     pub fn job_key(&self, job: &SimJob, options: &TransformOptions, max_steps: u64) -> u64 {
-        let mut bytes = self.bench_identity_bytes(job.bench, job.predictor, max_steps);
-        bytes.extend_from_slice(format!("{:?}", job.machine).as_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(&(job.ref_input as u64).to_le_bytes());
-        push_regs(
-            &mut bytes,
-            &self.benchmarks[job.bench].refs[job.ref_input].init_regs,
+        let options = Some(options).filter(|_| job.variant == Variant::Transformed);
+        let material = format!(
+            "/{:?}/{}/{:?}/{:?}/{:?}",
+            job.machine,
+            job.ref_input,
+            self.benchmarks[job.bench].refs[job.ref_input].init_regs,
+            job.variant,
+            self.fault_policy.max_cycles
         );
-        bytes.push(match job.variant {
-            Variant::Baseline => 0,
-            Variant::Transformed => 1,
-        });
-        bytes.extend_from_slice(&TransformKey::from_options(options).disk_bytes());
-        match self.fault_policy.max_cycles {
-            None => bytes.push(0),
-            Some(cycles) => {
-                bytes.push(1);
-                bytes.extend_from_slice(&cycles.to_le_bytes());
-            }
-        }
-        fnv1a(&bytes)
+        fnv1a_extend(
+            self.pair_key(
+                job.bench,
+                job.predictor,
+                max_steps,
+                job.machine.width,
+                options,
+            ),
+            material.as_bytes(),
+        )
     }
 
     /// The one get-or-compute path of the three per-key memos. A hit
@@ -970,10 +874,10 @@ impl Engine {
     /// (none for simulate: `sim_jobs` counts real simulations), and
     /// stores the result when `keep` accepts it. Profiles and pairs are
     /// always kept; a simulation only when its outcome is deterministic.
-    fn memoized<K: Eq + Hash, T: Clone>(
+    fn memoized<T: Clone>(
         &self,
-        memo: &Memo<K, T>,
-        key: K,
+        memo: &Memo<T>,
+        key: u64,
         bench: usize,
         keep: impl FnOnce(&T) -> bool,
         compute: impl FnOnce() -> T,
@@ -1004,25 +908,21 @@ impl Engine {
     /// and their stores race benignly: each publishes the same
     /// checksummed bytes with [`atomic_publish`](crate::atomic_publish).
     /// A failed store (full disk) is counted, never an error: the
-    /// artifact is used, just not persisted. `counters` picks the
-    /// stage's disk-hit and compute-time counters.
-    #[allow(clippy::too_many_arguments)]
+    /// artifact is used, just not persisted.
     fn load_or_compute<T>(
         &self,
         stage: Stage,
         bench: usize,
-        counters: fn(&mut EngineStats) -> (&mut u64, &mut u64),
-        disk_key: impl FnOnce() -> u64,
+        key: u64,
         load: impl FnOnce(&DiskCache, u64) -> Result<Option<T>, CorruptEntry>,
         compute: impl FnOnce() -> T,
         store: impl FnOnce(&DiskCache, u64, &T) -> io::Result<()>,
     ) -> T {
         let name = &self.benchmarks[bench].name;
-        let disk = self.disk_cache.as_ref().map(|cache| (cache, disk_key()));
-        if let Some((cache, dk)) = disk {
-            match load(cache, dk) {
+        if let Some(cache) = &self.disk_cache {
+            match load(cache, key) {
                 Ok(Some(hit)) => {
-                    self.count(|s| *counters(s).0 += 1);
+                    self.count(|s| *s.artifact_counters(stage).0 += 1);
                     for o in &self.observers {
                         o.stage_completed(stage, name, Duration::ZERO, true);
                     }
@@ -1035,12 +935,12 @@ impl Engine {
         let started = Instant::now();
         let out = compute();
         let elapsed = started.elapsed();
-        self.count(|s| *counters(s).1 += elapsed.as_nanos() as u64);
+        self.count(|s| *s.artifact_counters(stage).1 += elapsed.as_nanos() as u64);
         for o in &self.observers {
             o.stage_completed(stage, name, elapsed, false);
         }
-        if let Some((cache, dk)) = disk {
-            if store(cache, dk, &out).is_err() {
+        if let Some(cache) = &self.disk_cache {
+            if store(cache, key, &out).is_err() {
                 self.count(|s| s.cache_store_failures += 1);
             }
         }
@@ -1048,7 +948,7 @@ impl Engine {
     }
 
     /// Stage 1 — profile: the TRAIN-input profile for a benchmark under
-    /// a predictor, computed at most once per [`ProfileKey`].
+    /// a predictor, computed at most once per profile key.
     ///
     /// # Errors
     ///
@@ -1060,11 +960,7 @@ impl Engine {
         predictor: PredictorKind,
         max_steps: u64,
     ) -> Result<Arc<Profile>, VanguardError> {
-        let key = ProfileKey {
-            bench,
-            predictor,
-            max_steps,
-        };
+        let key = self.profile_key(bench, predictor, max_steps);
         self.memoized(
             &self.profiles,
             key,
@@ -1075,8 +971,7 @@ impl Engine {
                 self.load_or_compute(
                     Stage::Profile,
                     bench,
-                    |s| (&mut s.profile_disk_hits, &mut s.profile_nanos),
-                    || self.profile_disk_key(bench, predictor, max_steps),
+                    key,
                     |cache, dk| cache.load(dk).map(|hit| hit.map(|p| Ok(Arc::new(p)))),
                     || {
                         vanguard_compiler::profile_program(
@@ -1100,7 +995,7 @@ impl Engine {
 
     /// Stage 2 — compile-pair: the baseline and transformed programs
     /// for a benchmark under a profile, machine width, and option set,
-    /// compiled at most once per [`CompileKey`].
+    /// compiled at most once per pair key.
     ///
     /// # Errors
     ///
@@ -1114,15 +1009,7 @@ impl Engine {
         max_steps: u64,
     ) -> Result<CompiledPair, VanguardError> {
         let profile = self.profile(bench, predictor, max_steps)?;
-        let key = CompileKey {
-            profile: ProfileKey {
-                bench,
-                predictor,
-                max_steps,
-            },
-            width: machine.width,
-            options: TransformKey::from_options(options),
-        };
+        let key = self.pair_key(bench, predictor, max_steps, machine.width, Some(options));
         Ok(self.memoized(
             &self.pairs,
             key,
@@ -1132,8 +1019,7 @@ impl Engine {
                 self.load_or_compute(
                     Stage::Compile,
                     bench,
-                    |s| (&mut s.pair_disk_hits, &mut s.compile_nanos),
-                    || self.pair_disk_key(bench, predictor, max_steps, machine.width, &key.options),
+                    key,
                     DiskCache::load_pair,
                     || {
                         let exp = Experiment {
@@ -1172,36 +1058,22 @@ impl Engine {
     /// (so the cycle budget, part of the key, stopped it). A wall-clock
     /// `TimedOut` or a `Failed` is returned but never stored.
     ///
-    /// With a cache directory, a memo miss first looks the job up in the
-    /// results journal (see [`crate::results`]) and appends what it
-    /// simulates and stores; without one, nothing touches the disk and
-    /// no [`Engine::job_key`] is computed.
+    /// Jobs are keyed by [`Engine::job_key`], so a baseline job is one
+    /// job under every option set. With a cache directory, a memo miss
+    /// first looks the job up in the results journal (see
+    /// [`crate::results`]) and appends what it simulates and stores;
+    /// without one, nothing touches the disk.
     pub fn run_job(&self, job: &SimJob, options: &TransformOptions, max_steps: u64) -> JobResult {
-        let key = SimKey {
-            compile: CompileKey {
-                profile: ProfileKey {
-                    bench: job.bench,
-                    predictor: job.predictor,
-                    max_steps,
-                },
-                width: job.machine.width,
-                options: TransformKey::from_options(options),
-            },
-            machine: job.machine,
-            ref_input: job.ref_input,
-            variant: job.variant,
-            max_cycles: self.fault_policy.max_cycles,
-        };
+        let key = self.job_key(job, options, max_steps);
         let deterministic = |outcome: &JobResult| match outcome {
             JobResult::Completed(_) | JobResult::Faulted { .. } => true,
             JobResult::TimedOut { .. } => self.fault_policy.job_timeout.is_none(),
             JobResult::Failed { .. } => false,
         };
-        self.memoized(&self.sims, key, job.bench, deterministic, || {
+        let mut out = self.memoized(&self.sims, key, job.bench, deterministic, || {
             let Some(results) = &self.results else {
                 return self.simulate(job, options, max_steps);
             };
-            let key = self.job_key(job, options, max_steps);
             if let Some(hit) = results.get(key).and_then(|p| JobResult::decode(*job, p)) {
                 self.count(|s| s.sim_disk_hits += 1);
                 let name = &self.benchmarks[job.bench].name;
@@ -1219,7 +1091,10 @@ impl Engine {
                 }
             }
             out
-        })
+        });
+        // A registration with the same identity may have stored it.
+        *out.job_mut() = *job;
+        out
     }
 
     /// The body of [`Engine::run_job`] behind the memo: compile (cached)
@@ -1539,6 +1414,7 @@ mod tests {
     use super::*;
     use crate::experiment::tests::experiment_input;
     use crate::experiment::RunInput;
+    use crate::passes::TransformKind;
     use std::sync::atomic::AtomicU64;
     use vanguard_isa::{AluOp, CmpKind, CondKind, Inst, Memory, Operand, ProgramBuilder, Reg};
 
@@ -1898,68 +1774,134 @@ mod tests {
         assert_eq!(stats.sim_memo_hits as usize, jobs.len(), "{stats:?}");
     }
 
+    /// The default options, then each with one field changed, for every
+    /// field (to every other kind, for `kind`).
+    fn one_field_apart() -> Vec<TransformOptions> {
+        let edits: [fn(&mut TransformOptions); 10] = [
+            |o| o.kind = TransformKind::Meld,
+            |o| o.kind = TransformKind::Shadow,
+            |o| o.kind = TransformKind::Stacked,
+            |o| o.select.threshold += 0.01,
+            |o| o.select.min_executions += 1,
+            |o| o.select.forward_only ^= true,
+            |o| o.max_hoist += 1,
+            |o| o.hoist_loads ^= true,
+            |o| o.shadow_temps ^= true,
+            |o| o.meld_max_side += 1,
+        ];
+        let mut out = vec![TransformOptions::default()];
+        out.extend(edits.map(|edit| {
+            let mut o = TransformOptions::default();
+            edit(&mut o);
+            o
+        }));
+        out
+    }
+
+    /// Options one field apart get distinct pair keys and distinct
+    /// transformed-job keys; a baseline job's key ignores the options.
     #[test]
     fn distinct_option_sets_get_distinct_compile_keys() {
-        let a = TransformOptions::default();
-        let mut b = TransformOptions::default();
-        b.max_hoist += 1;
-        let mut c = TransformOptions::default();
-        c.select.threshold += 0.01;
-        let pk = ProfileKey {
-            bench: 0,
-            predictor: PredictorKind::Combined24KB,
-            max_steps: 1,
+        let (engine, job) = single_job(experiment_input(400), FaultPolicy::default());
+        let transformed = SimJob {
+            variant: Variant::Transformed,
+            ..job
         };
-        let keys: Vec<CompileKey> = [&a, &b, &c]
+        let options = one_field_apart();
+        let keys: Vec<(u64, u64)> = options
             .iter()
-            .map(|o| CompileKey {
-                profile: pk,
-                width: 4,
-                options: TransformKey::from_options(o),
+            .map(|o| {
+                let pair = engine.pair_key(job.bench, job.predictor, 1, 4, Some(o));
+                (pair, engine.job_key(&transformed, o, 1))
             })
             .collect();
-        assert_ne!(keys[0], keys[1]);
-        assert_ne!(keys[0], keys[2]);
-        assert_ne!(keys[1], keys[2]);
+        let baseline = engine.job_key(&job, &options[0], 1);
+        for (i, a) in options.iter().enumerate() {
+            assert_eq!(engine.job_key(&job, a, 1), baseline, "{a:?}");
+            for (j, b) in options.iter().enumerate().skip(i + 1) {
+                assert_ne!(keys[i].0, keys[j].0, "{a:?} vs {b:?}");
+                assert_ne!(keys[i].1, keys[j].1, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]
     fn transform_variants_get_distinct_cache_keys() {
-        let pk = ProfileKey {
-            bench: 0,
-            predictor: PredictorKind::Combined24KB,
-            max_steps: 1,
+        let (engine, job) = single_job(experiment_input(400), FaultPolicy::default());
+        let mut keys = TransformKind::ALL.map(|kind| {
+            let opts = TransformOptions {
+                kind,
+                ..TransformOptions::default()
+            };
+            engine.pair_key(job.bench, job.predictor, 1_000_000, 4, Some(&opts))
+        });
+        // Every variant of the same (benchmark, profile, width) gets a
+        // distinct pair key: one memo slot and one disk entry each.
+        keys.sort_unstable();
+        assert!(keys.windows(2).all(|w| w[0] != w[1]), "{keys:?}");
+    }
+
+    /// Every kind of the ablation against one shared baseline: the
+    /// baseline simulates once, each transformed side once.
+    #[test]
+    fn transform_variants_share_their_baseline_runs() {
+        let (engine, job) = single_job(experiment_input(400), FaultPolicy::default());
+        let transformed = SimJob {
+            variant: Variant::Transformed,
+            ..job
         };
-        let (engine, ids) = engine_with(1, 1);
-        let mut compile_keys = Vec::new();
-        let mut disk_keys = Vec::new();
+        let mut baselines = Vec::new();
         for kind in TransformKind::ALL {
             let opts = TransformOptions {
                 kind,
                 ..TransformOptions::default()
             };
-            let tkey = TransformKey::from_options(&opts);
-            compile_keys.push(CompileKey {
-                profile: pk,
-                width: 4,
-                options: tkey,
-            });
-            disk_keys.push(engine.pair_disk_key(
-                ids[0],
-                PredictorKind::Combined24KB,
-                1_000_000,
-                4,
-                &tkey,
-            ));
+            baselines.push(format!("{:?}", engine.run_job(&job, &opts, 1_000_000)));
+            assert!(engine
+                .run_job(&transformed, &opts, 1_000_000)
+                .is_completed());
         }
-        // Every variant of the same (benchmark, profile, width) gets a
-        // distinct in-memory artifact key AND a distinct disk entry.
-        for i in 0..compile_keys.len() {
-            for j in i + 1..compile_keys.len() {
-                assert_ne!(compile_keys[i], compile_keys[j]);
-                assert_ne!(disk_keys[i], disk_keys[j]);
-            }
-        }
+        assert!(
+            baselines.iter().all(|b| *b == baselines[0]),
+            "{baselines:?}"
+        );
+        let kinds = TransformKind::ALL.len() as u64;
+        let stats = engine.stats();
+        assert_eq!(stats.sim_jobs, 1 + kinds, "{stats:?}");
+        assert_eq!(stats.sim_memo_hits, kinds - 1, "{stats:?}");
+        assert_eq!(stats.compile_misses, kinds, "{stats:?}");
+    }
+
+    /// Two registrations of one benchmark share every memo slot, and a
+    /// result served across them names the job that asked for it.
+    #[test]
+    fn registrations_with_one_identity_share_memo_slots() {
+        let opts = TransformOptions::default();
+        let mut engine = Engine::with_workers(1);
+        engine.set_fault_policy(FaultPolicy::default());
+        let a = engine.add_benchmark(experiment_input(400));
+        let b = engine.add_benchmark(experiment_input(400));
+        let job = |bench| SimJob {
+            bench,
+            ref_input: 0,
+            machine: MachineConfig::four_wide(),
+            predictor: PredictorKind::Combined24KB,
+            variant: Variant::Transformed,
+        };
+        let first = engine.run_job(&job(a), &opts, 1_000_000);
+        let second = engine.run_job(&job(b), &opts, 1_000_000);
+        assert_eq!(second.job(), &job(b));
+        assert_eq!(
+            first.expect_completed().stats,
+            second.expect_completed().stats
+        );
+        let stats = engine.stats();
+        assert_eq!((stats.sim_jobs, stats.sim_memo_hits), (1, 1), "{stats:?}");
+        assert_eq!(
+            (stats.profile_misses, stats.compile_misses),
+            (1, 1),
+            "{stats:?}"
+        );
     }
 
     #[test]
@@ -2154,6 +2096,8 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.jobs_failed, 0, "{stats:?}");
         assert_eq!(stats.sim_jobs as usize, jobs.len(), "{stats:?}");
+        // An entry that cannot be read is a miss, not a corrupt entry.
+        assert_eq!(stats.cache_corrupt, 0, "{stats:?}");
         // Every profile store, pair store and journal append failed.
         assert_eq!(
             stats.cache_store_failures,

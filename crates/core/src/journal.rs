@@ -2,9 +2,9 @@
 //! results journal ([`crate::results`]).
 //!
 //! The engine appends one checksummed record per *simulated* job, keyed
-//! by the job's deterministic content-addressed key (see
-//! [`Engine::job_key`](crate::engine::Engine::job_key)), the moment the
-//! job finishes. An interrupted run — crashed process, lost power,
+//! by the job's content-addressed key
+//! ([`Engine::job_key`](crate::engine::Engine::job_key), which also
+//! keys the engine's simulation memo), the moment the job finishes. An interrupted run — crashed process, lost power,
 //! cancelled CI run — resumes from the journal instead of restarting:
 //! every key already present is served from its recorded payload
 //! without re-running the job.

@@ -24,10 +24,10 @@
 //!   predictable remainder.
 //!
 //! The lint matches on the same [`TransformKind`] to pick each kind's
-//! structural contract ([`crate::lint_variant`]), and the engine folds
-//! the kind's stable [`TransformKind::cache_id`] into its artifact and
-//! disk-cache keys, so two variants of the same (benchmark, profile,
-//! width) can never collide.
+//! structural contract ([`crate::lint_variant`]), and the engine's
+//! artifact and disk-cache keys cover the kind with the rest of the
+//! options, so two variants of the same (benchmark, profile, width) can
+//! never collide.
 
 use std::fmt;
 
@@ -67,18 +67,6 @@ impl TransformKind {
             TransformKind::Meld => "meld",
             TransformKind::Shadow => "shadow",
             TransformKind::Stacked => "stacked",
-        }
-    }
-
-    /// Stable id folded into artifact and disk-cache keys. Never reuse
-    /// or renumber a value: a stale disk entry keyed under a retired id
-    /// must miss, never alias another variant.
-    pub fn cache_id(self) -> u64 {
-        match self {
-            TransformKind::Vanguard => 1,
-            TransformKind::Meld => 2,
-            TransformKind::Shadow => 3,
-            TransformKind::Stacked => 4,
         }
     }
 
@@ -265,14 +253,6 @@ mod tests {
         }
         assert_eq!(TransformKind::parse("bogus"), None);
         assert_eq!(TransformKind::default(), TransformKind::Vanguard);
-    }
-
-    #[test]
-    fn cache_ids_are_distinct() {
-        let mut ids: Vec<u64> = TransformKind::ALL.iter().map(|k| k.cache_id()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), TransformKind::ALL.len());
     }
 
     #[test]

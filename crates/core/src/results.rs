@@ -8,9 +8,11 @@
 //! simulating; a job it does not hold is simulated, and its outcome is
 //! appended with [`Journal::append_new`] the moment it exists, if the
 //! memo would keep it (`Completed`, `Faulted`, a cycle-budget
-//! `TimedOut`). Records are keyed by [`Engine::job_key`], which is
-//! stable across processes, so rerunning a crashed or cancelled run on
-//! the same directory simulates only what the journal is missing.
+//! `TimedOut`). Records are keyed by [`Engine::job_key`], the key the
+//! memo itself uses, which is stable across processes, so rerunning a
+//! crashed or cancelled run on the same directory simulates only what
+//! the journal is missing. A baseline job's key leaves the transform
+//! options out, so one record serves every variant's baseline.
 //!
 //! The payload is the lossless codec of [`JobResult::encode`] and
 //! [`JobResult::decode`]: what the memo keeps comes back bit for bit,

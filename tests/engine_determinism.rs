@@ -5,12 +5,12 @@
 //! coordinates.
 
 use proptest::prelude::*;
+use std::sync::OnceLock;
 use vanguard_bench::{quick_spec, to_experiment_input, BenchScale};
 use vanguard_core::engine::{
-    CompileKey, Engine, PredictorKind, ProfileKey, SimJob, SweepCell, TransformKey,
-    DEFAULT_MAX_PROFILE_STEPS,
+    Engine, PredictorKind, SimJob, SweepCell, Variant, DEFAULT_MAX_PROFILE_STEPS,
 };
-use vanguard_core::{Experiment, ExperimentOutcome, RefRun, TransformOptions};
+use vanguard_core::{Experiment, ExperimentOutcome, RefRun, TransformKind, TransformOptions};
 use vanguard_sim::{MachineConfig, SimStats};
 use vanguard_workloads::suite;
 
@@ -262,23 +262,26 @@ fn four_workers_beat_serial_when_cores_allow() {
 
 fn arb_options() -> impl Strategy<Value = TransformOptions> {
     (
-        0u64..200, // threshold in hundredths
-        1u64..512, // min_executions
-        any::<bool>(),
-        0usize..32, // max_hoist
-        any::<bool>(),
-        any::<bool>(),
+        0usize..TransformKind::ALL.len(),
+        // threshold in hundredths, min_executions, forward_only
+        (0u64..200, 1u64..512, any::<bool>()),
+        // max_hoist, hoist_loads, shadow_temps, meld_max_side
+        (0usize..32, any::<bool>(), any::<bool>(), 0usize..16),
     )
-        .prop_map(|(th, min_exec, fwd, hoist, loads, shadow)| {
-            let mut o = TransformOptions::default();
-            o.select.threshold = th as f64 / 100.0;
-            o.select.min_executions = min_exec;
-            o.select.forward_only = fwd;
-            o.max_hoist = hoist;
-            o.hoist_loads = loads;
-            o.shadow_temps = shadow;
-            o
-        })
+        .prop_map(
+            |(kind, (th, min_exec, fwd), (hoist, loads, shadow, meld))| TransformOptions {
+                kind: TransformKind::ALL[kind],
+                select: vanguard_core::SelectOptions {
+                    threshold: th as f64 / 100.0,
+                    min_executions: min_exec,
+                    forward_only: fwd,
+                },
+                max_hoist: hoist,
+                hoist_loads: loads,
+                shadow_temps: shadow,
+                meld_max_side: meld,
+            },
+        )
 }
 
 fn arb_predictor() -> impl Strategy<Value = PredictorKind> {
@@ -292,47 +295,72 @@ fn arb_predictor() -> impl Strategy<Value = PredictorKind> {
     ]
 }
 
-fn options_differ(a: &TransformOptions, b: &TransformOptions) -> bool {
-    a.select.threshold.to_bits() != b.select.threshold.to_bits()
-        || a.select.min_executions != b.select.min_executions
-        || a.select.forward_only != b.select.forward_only
-        || a.max_hoist != b.max_hoist
-        || a.hoist_loads != b.hoist_loads
-        || a.shadow_temps != b.shadow_temps
+/// An engine with eight registrations of one quick benchmark under
+/// eight names: eight distinct identities.
+fn eight_benchmarks() -> &'static Engine {
+    static ENGINE: OnceLock<Engine> = OnceLock::new();
+    ENGINE.get_or_init(|| {
+        let input = two_benchmark_inputs().swap_remove(0);
+        let mut engine = Engine::with_workers(1);
+        for i in 0..8 {
+            let mut renamed = input.clone();
+            renamed.name = format!("{}-{i}", input.name);
+            engine.add_benchmark(renamed);
+        }
+        engine
+    })
+}
+
+/// `true` three times in four: the second job of a case copies most of
+/// the first job's coordinates, so pairs that differ in one coordinate
+/// alone, the pairs a key missing that coordinate would merge, are
+/// common.
+fn mostly_true() -> impl Strategy<Value = bool> {
+    prop_oneof![Just(true), Just(true), Just(true), Just(false)]
 }
 
 proptest! {
-    /// Cache keys are injective: distinct (machine, predictor, options)
-    /// coordinates — or distinct benchmarks / step budgets — never map
-    /// to the same profile or compile key.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Job keys are injective: distinct (benchmark, width, predictor,
+    /// step budget, variant) coordinates never share a key, nor do
+    /// transformed jobs under distinct option sets. A baseline job's key
+    /// ignores the options, since no option changes the baseline.
     #[test]
     fn cache_keys_never_collide(
         bench_a in 0usize..8, bench_b in 0usize..8,
-        width_a in prop_oneof![Just(2usize), Just(4usize), Just(8usize)],
-        width_b in prop_oneof![Just(2usize), Just(4usize), Just(8usize)],
+        width_a in 0usize..3, width_b in 0usize..3,
         pred_a in arb_predictor(), pred_b in arb_predictor(),
         steps_a in 1u64..4, steps_b in 1u64..4,
+        transformed_a in any::<bool>(), transformed_b in any::<bool>(),
         opts_a in arb_options(), opts_b in arb_options(),
+        same in (
+            mostly_true(), mostly_true(), mostly_true(), mostly_true(), mostly_true(),
+            any::<bool>(),
+        ),
     ) {
-        let pk_a = ProfileKey { bench: bench_a, predictor: pred_a, max_steps: steps_a };
-        let pk_b = ProfileKey { bench: bench_b, predictor: pred_b, max_steps: steps_b };
-        let profile_coords_differ =
-            bench_a != bench_b || pred_a != pred_b || steps_a != steps_b;
-        prop_assert_eq!(pk_a != pk_b, profile_coords_differ);
-
-        let ck_a = CompileKey {
-            profile: pk_a,
-            width: width_a,
-            options: TransformKey::from_options(&opts_a),
+        let bench_b = if same.0 { bench_a } else { bench_b };
+        let width_b = if same.1 { width_a } else { width_b };
+        let pred_b = if same.2 { pred_a } else { pred_b };
+        let steps_b = if same.3 { steps_a } else { steps_b };
+        let transformed_b = if same.4 { transformed_a } else { transformed_b };
+        let opts_b = if same.5 { opts_a } else { opts_b };
+        let engine = eight_benchmarks();
+        let job = |bench, width: usize, predictor, transformed| SimJob {
+            bench,
+            ref_input: 0,
+            machine: MachineConfig::all_widths()[width],
+            predictor,
+            variant: if transformed { Variant::Transformed } else { Variant::Baseline },
         };
-        let ck_b = CompileKey {
-            profile: pk_b,
-            width: width_b,
-            options: TransformKey::from_options(&opts_b),
-        };
-        let compile_coords_differ = profile_coords_differ
+        let key_a = engine.job_key(&job(bench_a, width_a, pred_a, transformed_a), &opts_a, steps_a);
+        let key_b = engine.job_key(&job(bench_b, width_b, pred_b, transformed_b), &opts_b, steps_b);
+        let program_differs = bench_a != bench_b
             || width_a != width_b
-            || options_differ(&opts_a, &opts_b);
-        prop_assert_eq!(ck_a != ck_b, compile_coords_differ);
+            || pred_a != pred_b
+            || steps_a != steps_b
+            || transformed_a != transformed_b;
+        let coords_differ = program_differs || (transformed_a && opts_a != opts_b);
+        prop_assert_eq!(key_a != key_b, coords_differ);
     }
 }
