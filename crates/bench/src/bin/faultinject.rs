@@ -7,9 +7,9 @@
 //! cargo run --release -p vanguard-bench --bin faultinject -- --skip-overhead --out target/r.json
 //! ```
 //!
-//! Exit status is non-zero when any class assertion fails or the armed
-//! watchdog costs ≥ 2 % of clean simulate time (the robustness gate CI
-//! applies). Everything is deterministic in `--seed`. The kill classes
+//! Exit status is non-zero when any class assertion fails or arming
+//! `max_cycles` costs ≥ 2 % of clean simulate time (the robustness gate
+//! CI applies). Everything is deterministic in `--seed`. The kill classes
 //! run the `figures` binary from the same directory, so build both
 //! first (`cargo build --release -p vanguard-bench --bins`).
 
@@ -18,7 +18,7 @@ use vanguard_bench::faultinject::{
     clean_suite_stats, measure_overhead, run_class, ClassReport, FaultClass,
 };
 
-/// Maximum tolerated watchdog overhead on a clean run, in percent.
+/// Maximum tolerated cycle-budget overhead on a clean run, in percent.
 const OVERHEAD_GATE_PCT: f64 = 2.0;
 
 fn json_str(s: &str) -> String {
@@ -106,7 +106,9 @@ fn main() {
     let overhead = if skip_overhead {
         None
     } else {
-        eprintln!("[faultinject] watchdog overhead, {rounds} rounds of clean/armed job pairs ...");
+        eprintln!(
+            "[faultinject] cycle-budget overhead, {rounds} rounds of clean/armed job pairs ..."
+        );
         let o = measure_overhead(rounds);
         let ratios: Vec<String> = o.ratios.iter().map(|r| format!("{r:.4}")).collect();
         eprintln!("[faultinject] armed/clean per pair: {}", ratios.join(" "));
@@ -177,7 +179,7 @@ fn main() {
     if let Some(o) = &overhead {
         if o.overhead_pct() >= OVERHEAD_GATE_PCT {
             eprintln!(
-                "[faultinject] FAIL: watchdog overhead {:.2}% exceeds the {OVERHEAD_GATE_PCT}% gate",
+                "[faultinject] FAIL: cycle-budget overhead {:.2}% exceeds the {OVERHEAD_GATE_PCT}% gate",
                 o.overhead_pct()
             );
             std::process::exit(1);

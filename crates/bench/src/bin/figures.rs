@@ -90,9 +90,8 @@ fn main() {
     let mut shape_violated = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mut quick, mut verbose, mut assert_shape) = (false, false, false);
-    // `--max-cycles N` arms the engine's per-job cycle-budget watchdog:
-    // a wedged simulation becomes a TimedOut outcome instead of hanging
-    // the run (`VANGUARD_JOB_TIMEOUT` is the wall-clock equivalent).
+    // `--max-cycles N` replaces the simulator's default per-job cycle
+    // budget: a job still running at cycle N becomes a TimedOut outcome.
     let mut max_cycles: Option<u64> = None;
     // `--transform <kind>` swaps the pass used by every non-ablation item.
     let mut transform: Option<TransformKind> = None;

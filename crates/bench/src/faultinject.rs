@@ -7,7 +7,7 @@
 //! * the suite **completes** — no process abort, every job yields a
 //!   [`JobResult`];
 //! * the injected failure surfaces as the *typed* outcome for its class
-//!   (`Faulted`, `TimedOut`, a retried/`Recovered` job, a quarantined
+//!   (`Faulted`, `TimedOut`, a `Failed` worker panic, a quarantined
 //!   corrupt cache entry, or a rerun that resumes off the results
 //!   journal), visible in `EngineStats::summary`;
 //! * every **unaffected** job's statistics are bit-identical to a clean
@@ -25,13 +25,12 @@ use std::fs;
 use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
-use std::time::Duration;
 use vanguard_core::engine::{
     Engine, FaultPolicy, JobResult, PredictorKind, SimJob, SweepCell, DEFAULT_MAX_PROFILE_STEPS,
 };
 use vanguard_core::journal::COMPACT_BYTES_ENV;
 use vanguard_core::results::RESULTS_FILE;
-use vanguard_core::{ExperimentInput, Journal, RunInput, TransformOptions};
+use vanguard_core::{ErrorKind, ExperimentInput, Journal, RunInput, TransformOptions};
 use vanguard_isa::{AluOp, CmpKind, CondKind, Inst, Memory, Operand, ProgramBuilder, Reg};
 use vanguard_sim::{MachineConfig, SimError, SimStats};
 use vanguard_workloads::suite;
@@ -80,9 +79,9 @@ declare_fault_classes! {
     /// A guest program traps (committed load fault) on one REF input.
     GuestTrap => "guest-trap",
     /// A guest program wedges in an effectively-infinite loop; the
-    /// cycle-budget watchdog must cancel it.
+    /// cycle budget must cancel it.
     Hang => "hang",
-    /// A worker thread panics mid-job; the retry must recover it.
+    /// A worker thread panics mid-job; the job must fail alone.
     WorkerPanic => "worker-panic",
     /// An on-disk profile cache entry is truncated.
     CacheTruncation => "cache-truncation",
@@ -135,17 +134,17 @@ impl ClassReport {
     }
 }
 
-/// Watchdog overhead on a clean run (the < 2 % gate of
+/// Cycle-budget overhead on a clean run (the < 2 % gate of
 /// `BENCH_robustness.json`).
 #[derive(Clone, Debug)]
 pub struct OverheadReport {
-    /// Per pair, one job's simulate-stage time with both watchdogs armed
-    /// at non-tripping budgets over its time with them disabled.
+    /// Per pair, one job's simulate-stage time with a non-tripping
+    /// `max_cycles` armed over its time with the default policy.
     pub ratios: Vec<f64>,
 }
 
 impl OverheadReport {
-    /// Relative cost of arming the watchdogs, in percent: the median
+    /// Relative cost of arming `max_cycles`, in percent: the median
     /// pair ratio less one (clamped at 0: a faster armed run is
     /// measurement noise, not a negative cost). A burst of host load
     /// skews one pair, not the median.
@@ -165,16 +164,6 @@ impl OverheadReport {
     }
 }
 
-/// A policy independent of the caller's environment (the harness never
-/// wants `VANGUARD_*` variables steering a determinism gate), with a
-/// short retry backoff to keep scenario runs fast.
-fn isolated_policy() -> FaultPolicy {
-    FaultPolicy {
-        backoff: Duration::from_millis(1),
-        ..FaultPolicy::default()
-    }
-}
-
 fn suite_inputs() -> Vec<ExperimentInput> {
     suite::spec2006_int()
         .into_iter()
@@ -186,6 +175,8 @@ fn suite_inputs() -> Vec<ExperimentInput> {
 /// Builds an engine holding the fault suite (plus an optional victim
 /// benchmark appended *after* the suite, so suite job indices match the
 /// clean run), returning the flat job list and the suite-only job count.
+/// `policy` replaces the environment's, so no `VANGUARD_*` variable
+/// steers a determinism gate.
 fn engine_with_suite(
     victim: Option<ExperimentInput>,
     policy: FaultPolicy,
@@ -223,10 +214,10 @@ fn run_all(engine: &Engine, jobs: &[SimJob]) -> Vec<JobResult> {
 }
 
 /// The clean-run reference: per-job [`SimStats`] of the fault suite with
-/// no victim and no watchdogs. Every scenario's non-perturbation check
+/// no victim and the default policy. Every scenario's non-perturbation check
 /// compares against this, bitwise.
 pub fn clean_suite_stats() -> Vec<SimStats> {
-    let (engine, jobs, _) = engine_with_suite(None, isolated_policy());
+    let (engine, jobs, _) = engine_with_suite(None, FaultPolicy::default());
     run_all(&engine, &jobs)
         .iter()
         .map(|r| r.expect_completed().stats)
@@ -262,7 +253,7 @@ pub fn trap_victim() -> ExperimentInput {
 
 /// A benchmark that halts after 64 iterations on TRAIN but spins for
 /// 2^64 iterations on REF (`r1` starts at 0 and wraps): the hang victim
-/// only a watchdog can stop.
+/// only the cycle budget can stop.
 pub fn hang_victim() -> ExperimentInput {
     let mut pb = ProgramBuilder::new();
     let spin = pb.block("spin");
@@ -337,8 +328,10 @@ fn suite_identical(results: &[JobResult], clean: &[SimStats]) -> (bool, String) 
 fn guest_trap_class(scratch: &Path, clean: &[SimStats]) -> ClassReport {
     let qdir = scratch.join("quarantine-guest-trap");
     let _ = fs::remove_dir_all(&qdir);
-    let mut policy = isolated_policy();
-    policy.quarantine_dir = Some(qdir.clone());
+    let policy = FaultPolicy {
+        quarantine_dir: Some(qdir.clone()),
+        ..FaultPolicy::default()
+    };
     let (engine, jobs, nsuite) = engine_with_suite(Some(trap_victim()), policy);
     let results = run_all(&engine, &jobs);
     let stats = engine.stats();
@@ -395,7 +388,7 @@ fn guest_trap_class(scratch: &Path, clean: &[SimStats]) -> ClassReport {
     // Replayability: a fresh engine reproduces the identical trap.
     let (replay_engine, replay_jobs, _) = {
         let mut engine = Engine::new();
-        engine.set_fault_policy(isolated_policy());
+        engine.set_fault_policy(FaultPolicy::default());
         let bench = engine.add_benchmark(trap_victim());
         let jobs = engine.jobs_for_cells(&[SweepCell {
             bench,
@@ -439,8 +432,10 @@ fn hang_class(clean: &[SimStats]) -> ClassReport {
     // Budget: far above anything a healthy suite job needs, far below
     // the victim's 2^64-iteration spin.
     let budget = clean.iter().map(|s| s.cycles).max().unwrap_or(0) * 4 + 100_000;
-    let mut policy = isolated_policy();
-    policy.max_cycles = Some(budget);
+    let policy = FaultPolicy {
+        max_cycles: Some(budget),
+        ..FaultPolicy::default()
+    };
     let (engine, jobs, nsuite) = engine_with_suite(Some(hang_victim()), policy);
     let results = run_all(&engine, &jobs);
     let stats = engine.stats();
@@ -452,14 +447,14 @@ fn hang_class(clean: &[SimStats]) -> ClassReport {
         .all(|r| matches!(r, JobResult::TimedOut { cycles, .. } if *cycles >= budget));
     push_check(
         &mut checks,
-        "watchdog cancels the wedged jobs",
+        "cycle budget cancels the wedged jobs",
         timed_out,
         format!("budget {budget} cycles; victim outcomes {victim:?}"),
     );
     let (same, detail) = suite_identical(&results[..nsuite], clean);
     push_check(
         &mut checks,
-        "armed watchdog does not perturb the suite",
+        "armed budget does not perturb the suite",
         same,
         detail,
     );
@@ -477,34 +472,38 @@ fn hang_class(clean: &[SimStats]) -> ClassReport {
 }
 
 fn worker_panic_class(seed: u64, clean: &[SimStats]) -> ClassReport {
-    let (engine, jobs, _) = engine_with_suite(None, isolated_policy());
+    let (engine, jobs, _) = engine_with_suite(None, FaultPolicy::default());
     let target = (seed as usize) % jobs.len();
-    engine.inject_worker_panic(target, 1);
+    engine.inject_worker_panic(target);
     let results = run_all(&engine, &jobs);
     let stats = engine.stats();
     let mut checks = Vec::new();
 
     push_check(
         &mut checks,
-        "panicked job recovers via retry",
-        results[target].is_completed() && results[target].retried(),
+        "panicked job fails with a typed worker panic",
+        matches!(
+            &results[target],
+            JobResult::Failed { error, .. } if matches!(error.kind, ErrorKind::WorkerPanic { .. })
+        ),
         format!("job {target}: {:?}", results[target]),
     );
-    let (same, detail) = suite_identical(&results, clean);
+    // Both lists without the panicked job (later indices shift by one).
+    let (mut rest, mut clean_rest) = (results.clone(), clean.to_vec());
+    rest.remove(target);
+    clean_rest.remove(target);
+    let (same, detail) = suite_identical(&rest, &clean_rest);
     push_check(
         &mut checks,
-        "recovered run is bit-identical to clean",
+        "every other job is bit-identical to clean",
         same,
         detail,
     );
     push_check(
         &mut checks,
-        "summary counts the retry, no failures",
-        stats.jobs_retried == 1 && stats.jobs_failed == 0 && stats.summary().contains("retried"),
-        format!(
-            "jobs_retried = {}, jobs_failed = {}",
-            stats.jobs_retried, stats.jobs_failed
-        ),
+        "summary counts one failed job",
+        stats.jobs_failed == 1 && stats.summary().contains(" 1 failed"),
+        format!("jobs_failed = {}", stats.jobs_failed),
     );
     ClassReport {
         class: FaultClass::WorkerPanic,
@@ -542,8 +541,10 @@ fn forget_results(cache_dir: &Path) {
 fn cache_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats]) -> ClassReport {
     let cdir = scratch.join(format!("cache-{}", class.name()));
     let _ = fs::remove_dir_all(&cdir);
-    let mut policy = isolated_policy();
-    policy.cache_dir = Some(cdir.clone());
+    let policy = FaultPolicy {
+        cache_dir: Some(cdir.clone()),
+        ..FaultPolicy::default()
+    };
     let mut checks = Vec::new();
 
     // Populate the disk cache with a throwaway engine.
@@ -866,8 +867,10 @@ fn cache_enospc_class(scratch: &Path, clean: &[SimStats]) -> ClassReport {
     // A poisoned cache path — every store (and load) errors.
     let blocker = dir.join("blocker");
     let _ = fs::write(&blocker, b"not a directory");
-    let mut policy = isolated_policy();
-    policy.cache_dir = Some(blocker.join("cache"));
+    let policy = FaultPolicy {
+        cache_dir: Some(blocker.join("cache")),
+        ..FaultPolicy::default()
+    };
     let (engine, jobs, _) = engine_with_suite(None, policy);
     let results = run_all(&engine, &jobs);
     let stats = engine.stats();
@@ -918,8 +921,8 @@ pub fn run_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats
     }
 }
 
-/// Measures the simulate-stage cost of arming both watchdogs at
-/// non-tripping budgets (the `BENCH_robustness.json` overhead figure):
+/// Measures the simulate-stage cost of arming `max_cycles` at a
+/// non-tripping budget (the `BENCH_robustness.json` overhead figure):
 /// each round simulates every job of the fault suite once on a clean
 /// engine and once on an armed one, back to back on the calling thread,
 /// so each job yields one clean/armed pair. Host load that drifts
@@ -928,8 +931,7 @@ pub fn run_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats
 pub fn measure_overhead(rounds: usize) -> OverheadReport {
     let armed_policy = FaultPolicy {
         max_cycles: Some(u64::MAX / 2),
-        job_timeout: Some(Duration::from_secs(3600)),
-        ..isolated_policy()
+        ..FaultPolicy::default()
     };
     let sim_secs = |engine: &Engine, job: &SimJob| {
         let outcome = engine.run_job(job, &TransformOptions::default(), DEFAULT_MAX_PROFILE_STEPS);
@@ -938,7 +940,7 @@ pub fn measure_overhead(rounds: usize) -> OverheadReport {
     let mut ratios = Vec::new();
     for round in 0..rounds.max(1) {
         // Fresh engines each round: a memoized job never simulates again.
-        let (clean, jobs, _) = engine_with_suite(None, isolated_policy());
+        let (clean, jobs, _) = engine_with_suite(None, FaultPolicy::default());
         let (armed, _, _) = engine_with_suite(None, armed_policy.clone());
         for (i, job) in jobs.iter().enumerate() {
             let (clean_s, armed_s) = if (round + i) % 2 == 0 {
@@ -977,7 +979,7 @@ mod tests {
     #[test]
     fn trap_victim_profiles_cleanly_but_faults_on_ref() {
         let mut engine = Engine::new();
-        engine.set_fault_policy(isolated_policy());
+        engine.set_fault_policy(FaultPolicy::default());
         let bench = engine.add_benchmark(trap_victim());
         let jobs = engine.jobs_for_cells(&[SweepCell {
             bench,

@@ -18,7 +18,7 @@
 //! 4. **Fast-forward reference** — both programs are simulated with
 //!    idle-cycle fast-forward on and off ([`Simulator::set_fast_forward`])
 //!    at 2, 4 and 8 wide, the seed picking the I$, the predictor rung and
-//!    an optional cycle limit or watchdog budget; the per-cycle run must
+//!    an optional cycle budget; the per-cycle run must
 //!    give the same stop cause, every [`SimStats`] counter, every
 //!    register and every written word. A failure names the first
 //!    differing field and implicates the simulator alone.
@@ -291,7 +291,8 @@ fn interp_state(
     Ok((vals, i.memory().written_words()))
 }
 
-/// One simulator setup: machine, predictor rung, and watchdog budget.
+/// One simulator setup: machine, predictor rung, and cycle budget
+/// (`None` keeps the simulator's default).
 type Setup = (MachineConfig, LadderRung, Option<u64>);
 
 /// Gate 3's setup: the paper's 4-wide machine and baseline predictor.
@@ -301,8 +302,8 @@ fn parity_setup() -> Setup {
 
 /// Gate 4's setups for a case, one per width. The seed picks the I$
 /// (Table 1 or reduced), the predictor rung, and on a quarter of the
-/// seeds a cycle limit or a watchdog budget that stops the run
-/// mid-flight, where a skip past its wake cycle shows as a late stop.
+/// seeds one of two cycle budgets that stops the run mid-flight, where
+/// a skip past its wake cycle shows as a late stop.
 fn reference_setups(seed: u64) -> Vec<Setup> {
     let rungs = ladder();
     let rung = rungs[seed as usize % rungs.len()];
@@ -312,13 +313,12 @@ fn reference_setups(seed: u64) -> Vec<Setup> {
             if seed % 2 == 1 {
                 config = config.with_reduced_icache();
             }
-            let mut watchdog = None;
-            match seed / 2 % 8 {
-                3 => config.max_cycles = 3001,
-                7 => watchdog = Some(2777),
-                _ => {}
-            }
-            (config, rung, watchdog)
+            let budget = match seed / 2 % 8 {
+                3 => Some(3001),
+                7 => Some(2777),
+                _ => None,
+            };
+            (config, rung, budget)
         })
         .collect()
 }
@@ -328,13 +328,15 @@ fn reference_setups(seed: u64) -> Vec<Setup> {
 fn simulate(
     program: &Program,
     case: &FuzzCase,
-    (config, rung, watchdog): Setup,
+    (config, rung, budget): Setup,
     fast_forward: bool,
 ) -> Result<SimResult, String> {
     let image = Arc::new(DecodedImage::build(program));
     let mut sim = Simulator::with_image(image, case.memory.clone(), config, rung.build());
     sim.set_fast_forward(fast_forward);
-    sim.set_watchdog(watchdog, None);
+    if let Some(budget) = budget {
+        sim.set_cycle_budget(budget);
+    }
     for &(r, v) in &case.init_regs {
         sim.set_reg(r, v);
     }
@@ -479,9 +481,9 @@ fn runtime_gates(
     // Gate 4: at each reference setup, the per-cycle run must match the
     // fast-forwarded one field for field.
     for setup in reference_setups(case.spec.seed) {
-        let (config, rung, watchdog) = setup;
+        let (config, rung, budget) = setup;
         let at = format!(
-            "{}-wide, {} I$, {}, max_cycles {}, watchdog {watchdog:?}",
+            "{}-wide, {} I$, {}, cycle budget {budget:?}",
             config.width,
             if config.mem == MemConfig::table1_default() {
                 "Table 1"
@@ -489,7 +491,6 @@ fn runtime_gates(
                 "reduced"
             },
             rung.label(),
-            config.max_cycles,
         );
         let fail = |field: String, detail: String| CaseFailure::FastForward {
             variant,

@@ -142,8 +142,8 @@ impl SuiteEngine {
         self.engine.observe(observer);
     }
 
-    /// Overrides the underlying engine's fault policy (watchdog
-    /// budgets, retry behaviour, quarantine/cache directories).
+    /// Overrides the underlying engine's fault policy (cycle budget,
+    /// quarantine and cache directories).
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
         self.engine.set_fault_policy(policy);
     }

@@ -81,26 +81,12 @@ impl ProgressObserver for StderrProgress {
             JobResult::Faulted { trap, cycle, .. } => {
                 format!("FAULTED {trap} (cycle {cycle})")
             }
-            JobResult::TimedOut {
-                cycles, wall_ms, ..
-            } => format!("TIMED OUT after {cycles} cycles / {wall_ms} ms"),
+            JobResult::TimedOut { cycles, .. } => format!("TIMED OUT after {cycles} cycles"),
             JobResult::Failed { error, .. } => format!("FAILED {error}"),
             JobResult::Completed(_) => return,
         };
-        let retried = if outcome.retried() {
-            " (after retry)"
-        } else {
-            ""
-        };
         eprintln!(
-            "[engine] sim #{done:<4} {:<12} {}-wide ref{} {what}{retried}",
-            bench_name, job.machine.width, job.ref_input,
-        );
-    }
-
-    fn job_retried(&self, _index: usize, job: &SimJob, bench_name: &str) {
-        eprintln!(
-            "[engine] retrying {:<12} {}-wide ref{} after transient failure",
+            "[engine] sim #{done:<4} {:<12} {}-wide ref{} {what}",
             bench_name, job.machine.width, job.ref_input,
         );
     }

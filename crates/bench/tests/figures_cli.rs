@@ -1,6 +1,7 @@
 //! Usage errors of the harness binaries: a bad item, flag or value must
 //! exit 2 with a usage line before any workload is built, never fall
-//! back to a default (full scale, no watchdog, the vanguard pass) and
+//! back to a default (full scale, the default cycle budget, the
+//! vanguard pass) and
 //! run.
 
 use std::process::{Command, Output};

@@ -13,7 +13,7 @@
 //!   `(benchmark, input, machine, predictor, variant)` tuple;
 //! * memoizes profiles and compiled pairs so each is produced at most
 //!   once per distinct key, shared across widths, predictor rungs, and
-//!   REF inputs, and memoizes deterministic job outcomes so each
+//!   REF inputs, and memoizes every job outcome but `Failed` so each
 //!   distinct job is simulated at most once per engine however many
 //!   figures read it — three per-key memos of one type behind one
 //!   get-or-compute helper (see DESIGN.md §6);
@@ -39,15 +39,16 @@
 //! # Fault tolerance
 //!
 //! A failing job never aborts the suite. Each worker wraps its job in a
-//! containment boundary: guest traps become [`JobResult::Faulted`],
-//! watchdog cancellations (see [`FaultPolicy`]) become
-//! [`JobResult::TimedOut`], and worker panics become
+//! containment boundary: guest traps become [`JobResult::Faulted`], runs
+//! that exhaust the cycle budget (see [`FaultPolicy::max_cycles`])
+//! become [`JobResult::TimedOut`], and worker panics become
 //! [`JobResult::Failed`] with a [`VanguardError`] carrying stage,
 //! benchmark, and seed context. [`VanguardError`] is the engine's one
 //! error type: [`Engine::profile`], [`Engine::compile_pair`] and
-//! [`Engine::run_cells`] return it too. Worker panics are retried once
-//! with backoff; repeat failures are quarantined with a replayable
-//! reproducer. The optional cache directory (`VANGUARD_CACHE_DIR`) holds
+//! [`Engine::run_cells`] return it too. A job is a deterministic
+//! function of its key, so every outcome but `Failed` is memoized and
+//! none is retried; a non-completed job is quarantined with a
+//! replayable reproducer. The optional cache directory (`VANGUARD_CACHE_DIR`) holds
 //! the on-disk profile and pair cache ([`crate::DiskCache`]) and the
 //! results journal ([`crate::results`]), both checksummed and
 //! crash-safe: corrupt entries and records are counted or dropped and
@@ -60,7 +61,7 @@ use crate::experiment::{profile_error, Experiment, ExperimentInput, ExperimentOu
 use crate::report::TransformReport;
 use crate::results::ResultsJournal;
 use crate::transform::TransformOptions;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,7 +69,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use vanguard_ir::Profile;
 use vanguard_isa::{DecodedImage, Program};
-use vanguard_sim::{MachineConfig, SimError, SimStats, Simulator, StopCause};
+use vanguard_sim::{MachineConfig, SimError, SimStats, Simulator, StopCause, DEFAULT_CYCLE_BUDGET};
 
 pub use vanguard_bpred::LadderRung as PredictorKind;
 
@@ -117,12 +118,10 @@ pub struct JobSuccess {
     /// simulation memo carries the elapsed time of the run that
     /// produced it.
     pub sim_elapsed: Duration,
-    /// Whether this result came from a retry after a transient failure.
-    pub retried: bool,
 }
 
 /// Outcome of one [`SimJob`] — the engine's containment boundary. A
-/// trapping guest, a wedged simulation, or a panicking worker produces
+/// trapping guest, a runaway simulation, or a panicking worker produces
 /// a non-[`Completed`](JobResult::Completed) variant here; it never
 /// aborts the process or the rest of the suite.
 #[derive(Clone, Debug)]
@@ -140,20 +139,14 @@ pub enum JobResult {
         pc: u64,
         /// Cycle the fault was detected at.
         cycle: u64,
-        /// Whether a retry preceded this outcome.
-        retried: bool,
     },
-    /// A watchdog (cycle budget or wall-clock deadline) cancelled the
-    /// simulation cooperatively.
+    /// The simulation ran out of its cycle budget before the guest
+    /// halted.
     TimedOut {
         /// The cancelled job.
         job: SimJob,
-        /// Cycles simulated before cancellation.
+        /// Cycles simulated before cancellation (the budget).
         cycles: u64,
-        /// Wall-clock milliseconds before cancellation.
-        wall_ms: u64,
-        /// Whether a retry preceded this outcome.
-        retried: bool,
     },
     /// The job failed outside the guest: profiling error, worker panic,
     /// or another engine-level failure.
@@ -162,8 +155,6 @@ pub enum JobResult {
         job: SimJob,
         /// Full failure context.
         error: Box<VanguardError>,
-        /// Whether a retry preceded this outcome.
-        retried: bool,
     },
 }
 
@@ -200,16 +191,6 @@ impl JobResult {
         matches!(self, JobResult::Completed(_))
     }
 
-    /// Whether a transient-failure retry preceded this outcome.
-    pub fn retried(&self) -> bool {
-        match self {
-            JobResult::Completed(s) => s.retried,
-            JobResult::Faulted { retried, .. }
-            | JobResult::TimedOut { retried, .. }
-            | JobResult::Failed { retried, .. } => *retried,
-        }
-    }
-
     /// The success payload; panics with the failure context otherwise.
     /// For callers whose workloads are known-clean (the figure sweeps).
     ///
@@ -240,12 +221,7 @@ impl JobResult {
                 pc: *pc,
                 cycle: *cycle,
             },
-            JobResult::TimedOut {
-                cycles, wall_ms, ..
-            } => ErrorKind::Timeout {
-                cycles: *cycles,
-                wall_ms: *wall_ms,
-            },
+            JobResult::TimedOut { cycles, .. } => ErrorKind::Timeout { cycles: *cycles },
             JobResult::Failed { error, .. } => return Some((**error).clone()),
         };
         Some(
@@ -254,32 +230,17 @@ impl JobResult {
                 .with_seed(seed),
         )
     }
-
-    fn set_retried(&mut self, value: bool) {
-        match self {
-            JobResult::Completed(s) => s.retried = value,
-            JobResult::Faulted { retried, .. }
-            | JobResult::TimedOut { retried, .. }
-            | JobResult::Failed { retried, .. } => *retried = value,
-        }
-    }
 }
 
-/// Fault-tolerance policy of an [`Engine`]: watchdog budgets, retry
-/// backoff, and quarantine/cache directories.
-#[derive(Clone, Debug)]
+/// Fault-tolerance policy of an [`Engine`]: the cycle budget and the
+/// quarantine and cache directories.
+#[derive(Clone, Debug, Default)]
 pub struct FaultPolicy {
-    /// Per-job wall-clock budget (`VANGUARD_JOB_TIMEOUT` seconds);
-    /// `None` disables the wall-clock watchdog.
-    pub job_timeout: Option<Duration>,
-    /// Per-job simulated-cycle budget (`--max-cycles`); `None` disables
-    /// the cycle watchdog.
+    /// Per-job simulated-cycle budget (`--max-cycles`); `None` keeps the
+    /// simulator's [`DEFAULT_CYCLE_BUDGET`](vanguard_sim::DEFAULT_CYCLE_BUDGET).
     pub max_cycles: Option<u64>,
-    /// Backoff before the one retry of a transient failure (worker
-    /// panic, cache corruption).
-    pub backoff: Duration,
-    /// Where to write replayable reproducers for jobs that still fail
-    /// after retry (`VANGUARD_QUARANTINE_DIR`); `None` disables.
+    /// Where to write replayable reproducers for jobs that do not
+    /// complete (`VANGUARD_QUARANTINE_DIR`); `None` disables.
     pub quarantine_dir: Option<PathBuf>,
     /// Root of the crash-safe on-disk profile and pair cache and of the
     /// results journal (`VANGUARD_CACHE_DIR`); `None` keeps artifacts
@@ -287,31 +248,11 @@ pub struct FaultPolicy {
     pub cache_dir: Option<PathBuf>,
 }
 
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        FaultPolicy {
-            job_timeout: None,
-            max_cycles: None,
-            backoff: Duration::from_millis(50),
-            quarantine_dir: None,
-            cache_dir: None,
-        }
-    }
-}
-
 impl FaultPolicy {
     /// The default policy with the environment overrides applied:
-    /// `VANGUARD_JOB_TIMEOUT` (seconds, fractional allowed),
-    /// `VANGUARD_QUARANTINE_DIR`, and `VANGUARD_CACHE_DIR`.
+    /// `VANGUARD_QUARANTINE_DIR` and `VANGUARD_CACHE_DIR`.
     pub fn from_env() -> Self {
         let mut policy = FaultPolicy::default();
-        if let Ok(v) = std::env::var("VANGUARD_JOB_TIMEOUT") {
-            if let Ok(secs) = v.trim().parse::<f64>() {
-                if secs > 0.0 {
-                    policy.job_timeout = Some(Duration::from_secs_f64(secs));
-                }
-            }
-        }
         if let Ok(v) = std::env::var("VANGUARD_QUARANTINE_DIR") {
             if !v.trim().is_empty() {
                 policy.quarantine_dir = Some(PathBuf::from(v));
@@ -372,11 +313,6 @@ impl Stage {
 /// `Send + Sync` (use atomics or locks for mutable state; printing to
 /// stderr keeps figure output on stdout byte-identical).
 pub trait ProgressObserver: Send + Sync {
-    /// A job was picked up by a worker.
-    fn job_started(&self, index: usize, job: &SimJob, bench_name: &str) {
-        let _ = (index, job, bench_name);
-    }
-
     /// A job finished, with its [`SimStats`] summary and the wall-clock
     /// time of its simulate stage.
     fn job_finished(
@@ -390,16 +326,10 @@ pub trait ProgressObserver: Send + Sync {
         let _ = (index, job, bench_name, stats, elapsed);
     }
 
-    /// A job ended in a non-completed outcome (guest trap, watchdog
-    /// timeout, or engine failure), after any retry.
+    /// A job ended in a non-completed outcome (guest trap, exhausted
+    /// cycle budget, or engine failure).
     fn job_failed(&self, index: usize, job: &SimJob, bench_name: &str, outcome: &JobResult) {
         let _ = (index, job, bench_name, outcome);
-    }
-
-    /// A transient failure on a job is being retried (once, with
-    /// backoff) before the final outcome is reported.
-    fn job_retried(&self, index: usize, job: &SimJob, bench_name: &str) {
-        let _ = (index, job, bench_name);
     }
 
     /// A profile or compile artifact was produced (`cached == false`),
@@ -451,12 +381,10 @@ pub struct EngineStats {
     pub jobs_ok: u64,
     /// Jobs whose guest trapped ([`JobResult::Faulted`]).
     pub jobs_faulted: u64,
-    /// Jobs cancelled by a watchdog ([`JobResult::TimedOut`]).
+    /// Jobs that ran out of cycle budget ([`JobResult::TimedOut`]).
     pub jobs_timed_out: u64,
     /// Jobs that failed outside the guest ([`JobResult::Failed`]).
     pub jobs_failed: u64,
-    /// Transient-failure retries attempted.
-    pub jobs_retried: u64,
     /// Corrupt disk-cache entries quarantined and recomputed.
     pub cache_corrupt: u64,
     /// Profile-stage executions served from the on-disk cache (a subset
@@ -490,8 +418,8 @@ impl EngineStats {
     }
 
     /// Renders the per-stage timing/cache summary (one line per stage,
-    /// plus an outcome line counting ok / faulted / timed-out / failed /
-    /// retried jobs and quarantined cache entries). The `simulate:` line
+    /// plus an outcome line counting ok / faulted / timed-out / failed
+    /// jobs and quarantined cache entries). The `simulate:` line
     /// names the results-journal hits after the memo hits when there are
     /// any. Its MIPS/worker is [`EngineStats::sim_mips`]: it divides by
     /// worker-summed wall time, descheduled time included, so it drops
@@ -510,7 +438,7 @@ impl EngineStats {
              simulate: {:>4} jobs, {:>5} memo hits,{journal_hits} {:>9.1} ms, \
              {:>7.2} MIPS/worker\n\
              outcomes: {:>4} ok, {} faulted, {} timed out, {} failed, \
-             {} retried, {} corrupt cache entries, {} store failures",
+             {} corrupt cache entries, {} store failures",
             self.profile_misses,
             self.profile_hits,
             ms(self.profile_nanos),
@@ -525,7 +453,6 @@ impl EngineStats {
             self.jobs_faulted,
             self.jobs_timed_out,
             self.jobs_failed,
-            self.jobs_retried,
             self.cache_corrupt,
             self.cache_store_failures,
         )
@@ -625,10 +552,10 @@ pub struct Engine {
     disk_cache: Option<DiskCache>,
     /// The on-disk form of `sims`, under the policy's cache directory.
     results: Option<ResultsJournal>,
-    /// Deterministic fault-injection plan: job index → remaining panics
-    /// to raise inside the containment boundary (test/harness hook, see
+    /// Deterministic fault-injection plan: job indices whose next run
+    /// panics inside the containment boundary (test/harness hook, see
     /// [`Engine::inject_worker_panic`]).
-    panic_plan: Mutex<HashMap<usize, u32>>,
+    panic_plan: Mutex<HashSet<usize>>,
     /// Results-journal appends left before the process aborts
     /// (test/harness hook, see [`Engine::abort_after_appends`]).
     abort_plan: Mutex<Option<usize>>,
@@ -690,7 +617,7 @@ impl Engine {
             fault_policy: FaultPolicy::default(),
             disk_cache: None,
             results: None,
-            panic_plan: Mutex::new(HashMap::new()),
+            panic_plan: Mutex::new(HashSet::new()),
             abort_plan: Mutex::new(None),
             stats: Mutex::new(EngineStats::default()),
         };
@@ -716,25 +643,21 @@ impl Engine {
         &self.fault_policy
     }
 
-    /// Schedules `times` deterministic worker panics on the job at
-    /// `index` (raised inside the containment boundary, before the job
-    /// body runs and before its simulation-memo lookup, so a job whose
-    /// result is already memoized still panics). The fault-injection
-    /// harness uses this to prove panic containment and retry
-    /// behaviour; with the default policy the first panic is retried
-    /// and the retry succeeds.
-    pub fn inject_worker_panic(&self, index: usize, times: u32) {
-        lock_ignore_poison(&self.panic_plan).insert(index, times);
+    /// Schedules one deterministic worker panic on the next run of the
+    /// job at `index` in [`Engine::run_jobs`] (raised inside the
+    /// containment boundary, before the job body runs and before its
+    /// simulation-memo lookup, so a job whose result is already memoized
+    /// still panics). The fault-injection harness uses this to prove
+    /// panic containment: the job's outcome is [`JobResult::Failed`],
+    /// and no other job's result changes.
+    pub fn inject_worker_panic(&self, index: usize) {
+        lock_ignore_poison(&self.panic_plan).insert(index);
     }
 
     fn maybe_inject_panic(&self, index: usize) {
-        let mut plan = lock_ignore_poison(&self.panic_plan);
-        if let Some(n) = plan.get_mut(&index) {
-            if *n > 0 {
-                *n -= 1;
-                drop(plan);
-                panic!("injected worker fault (job {index})");
-            }
+        // The guard is a temporary, released before the panic.
+        if lock_ignore_poison(&self.panic_plan).remove(&index) {
+            panic!("injected worker fault (job {index})");
         }
     }
 
@@ -840,7 +763,8 @@ impl Engine {
     /// Content-addressed key of one simulation job: the pair key (the
     /// options left out for a baseline job) plus the full machine, the
     /// REF input's index and initial registers, the variant, and the
-    /// policy's cycle budget (it decides where a `TimedOut` lands). It
+    /// cycle budget in force (it decides where a `TimedOut` lands;
+    /// `None` and the default spelled out are one budget). It
     /// keys the simulation memo and, being stable across processes (it
     /// hashes names, program text and `Debug` renderings, never
     /// registration ids or pointers), the results journal: a rerun in a
@@ -853,7 +777,7 @@ impl Engine {
             job.ref_input,
             self.benchmarks[job.bench].refs[job.ref_input].init_regs,
             job.variant,
-            self.fault_policy.max_cycles
+            self.fault_policy.max_cycles.unwrap_or(DEFAULT_CYCLE_BUDGET)
         );
         fnv1a_extend(
             self.pair_key(
@@ -873,7 +797,7 @@ impl Engine {
     /// while holding the key's slot, counts in the stage's miss counter
     /// (none for simulate: `sim_jobs` counts real simulations), and
     /// stores the result when `keep` accepts it. Profiles and pairs are
-    /// always kept; a simulation only when its outcome is deterministic.
+    /// always kept; a simulation unless its outcome is `Failed`.
     fn memoized<T: Clone>(
         &self,
         memo: &Memo<T>,
@@ -1046,17 +970,16 @@ impl Engine {
 
     /// Stage 3 — simulate-one-ref: runs one job through the cached
     /// stages and one simulation. Deterministic for a given job. Never
-    /// returns an error or panics on a guest fault: traps, watchdog
-    /// cancellations, and stage failures become the corresponding
+    /// returns an error or panics on a guest fault: traps, an exhausted
+    /// cycle budget, and stage failures become the corresponding
     /// [`JobResult`] variant.
     ///
     /// Each distinct job simulates at most once per engine: the first
     /// request computes under a per-key lock while concurrent requests
     /// for the same job wait, and later requests get the stored result
-    /// unchanged. Only deterministic outcomes are stored — `Completed`,
-    /// `Faulted`, and a `TimedOut` with no wall-clock deadline armed
-    /// (so the cycle budget, part of the key, stopped it). A wall-clock
-    /// `TimedOut` or a `Failed` is returned but never stored.
+    /// unchanged. Every outcome is a function of the key (the cycle
+    /// budget included) and is stored, except `Failed`, which is
+    /// returned but never stored.
     ///
     /// Jobs are keyed by [`Engine::job_key`], so a baseline job is one
     /// job under every option set. With a cache directory, a memo miss
@@ -1065,12 +988,8 @@ impl Engine {
     /// without one, nothing touches the disk.
     pub fn run_job(&self, job: &SimJob, options: &TransformOptions, max_steps: u64) -> JobResult {
         let key = self.job_key(job, options, max_steps);
-        let deterministic = |outcome: &JobResult| match outcome {
-            JobResult::Completed(_) | JobResult::Faulted { .. } => true,
-            JobResult::TimedOut { .. } => self.fault_policy.job_timeout.is_none(),
-            JobResult::Failed { .. } => false,
-        };
-        let mut out = self.memoized(&self.sims, key, job.bench, deterministic, || {
+        let keep = |outcome: &JobResult| !matches!(outcome, JobResult::Failed { .. });
+        let mut out = self.memoized(&self.sims, key, job.bench, keep, || {
             let Some(results) = &self.results else {
                 return self.simulate(job, options, max_steps);
             };
@@ -1083,7 +1002,7 @@ impl Engine {
                 return hit;
             }
             let out = self.simulate(job, options, max_steps);
-            if let Some(payload) = out.encode().filter(|_| deterministic(&out)) {
+            if let Some(payload) = out.encode() {
                 match results.append(key, &payload) {
                     Ok(true) => self.appended(),
                     Ok(false) => {}
@@ -1108,7 +1027,6 @@ impl Engine {
                     return JobResult::Failed {
                         job: *job,
                         error: Box::new(error),
-                        retried: false,
                     }
                 }
             };
@@ -1126,10 +1044,8 @@ impl Engine {
         for &(r, v) in &ref_input.init_regs {
             sim.set_reg(r, v);
         }
-        let policy = &self.fault_policy;
-        let deadline = policy.job_timeout.map(|t| Instant::now() + t);
-        if policy.max_cycles.is_some() || deadline.is_some() {
-            sim.set_watchdog(policy.max_cycles, deadline);
+        if let Some(budget) = self.fault_policy.max_cycles {
+            sim.set_cycle_budget(budget);
         }
         let started = Instant::now();
         let outcome = sim.run_checked();
@@ -1138,21 +1054,17 @@ impl Engine {
             Ok(res) if res.stop == StopCause::TimedOut => JobResult::TimedOut {
                 job: *job,
                 cycles: res.stats.cycles,
-                wall_ms: sim_elapsed.as_millis() as u64,
-                retried: false,
             },
             Ok(res) => JobResult::Completed(Box::new(JobSuccess {
                 job: *job,
                 stats: res.stats,
                 sim_elapsed,
-                retried: false,
             })),
             Err(fault) => JobResult::Faulted {
                 job: *job,
                 pc: fault.error.pc(),
                 cycle: fault.cycle,
                 trap: fault.error,
-                retried: false,
             },
         };
         self.count(|s| {
@@ -1165,11 +1077,9 @@ impl Engine {
         result
     }
 
-    /// [`Engine::run_job`] inside the full containment boundary: worker
-    /// panics (including injected ones) are caught and become
-    /// [`JobResult::Failed`]; transient failures are retried once after
-    /// the policy's backoff. Outcome counters are updated
-    /// exactly once, for the final outcome.
+    /// [`Engine::run_job`] inside the full containment boundary: a
+    /// worker panic (an injected one included) is caught and becomes
+    /// [`JobResult::Failed`]. Outcome counters are updated once per job.
     fn run_job_guarded(
         &self,
         index: usize,
@@ -1177,47 +1087,26 @@ impl Engine {
         options: &TransformOptions,
         max_steps: u64,
     ) -> JobResult {
-        let mut retried = false;
-        let mut outcome = loop {
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.maybe_inject_panic(index);
-                self.run_job(job, options, max_steps)
-            }));
-            let outcome = match attempt {
-                Ok(outcome) => outcome,
-                Err(payload) => {
-                    let input = &self.benchmarks[job.bench];
-                    JobResult::Failed {
-                        job: *job,
-                        error: Box::new(
-                            VanguardError::new(
-                                Stage::Simulate,
-                                ErrorKind::WorkerPanic {
-                                    detail: panic_message(payload.as_ref()),
-                                },
-                            )
-                            .with_benchmark(&input.name)
-                            .with_seed(input.seed),
-                        ),
-                        retried: false,
-                    }
-                }
-            };
-            let transient =
-                matches!(&outcome, JobResult::Failed { error, .. } if error.is_transient());
-            if transient && !retried {
-                retried = true;
-                self.count(|s| s.jobs_retried += 1);
-                let name = &self.benchmarks[job.bench].name;
-                for o in &self.observers {
-                    o.job_retried(index, job, name);
-                }
-                std::thread::sleep(self.fault_policy.backoff);
-                continue;
+        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.maybe_inject_panic(index);
+            self.run_job(job, options, max_steps)
+        }));
+        let outcome = attempt.unwrap_or_else(|payload| {
+            let input = &self.benchmarks[job.bench];
+            JobResult::Failed {
+                job: *job,
+                error: Box::new(
+                    VanguardError::new(
+                        Stage::Simulate,
+                        ErrorKind::WorkerPanic {
+                            detail: panic_message(payload.as_ref()),
+                        },
+                    )
+                    .with_benchmark(&input.name)
+                    .with_seed(input.seed),
+                ),
             }
-            break outcome;
-        };
-        outcome.set_retried(retried);
+        });
         self.count(|s| match &outcome {
             JobResult::Completed(_) => s.jobs_ok += 1,
             JobResult::Faulted { .. } => s.jobs_faulted += 1,
@@ -1292,9 +1181,6 @@ impl Engine {
                     }
                     let job = &jobs[i];
                     let name = &self.benchmarks[job.bench].name;
-                    for o in &self.observers {
-                        o.job_started(i, job, name);
-                    }
                     let outcome = self.run_job_guarded(i, job, options, max_steps);
                     match &outcome {
                         JobResult::Completed(s) => {
@@ -1497,14 +1383,10 @@ mod tests {
     fn observer_sees_every_job() {
         #[derive(Default)]
         struct Counter {
-            started: AtomicU64,
             finished: AtomicU64,
             stages: AtomicU64,
         }
         impl ProgressObserver for Counter {
-            fn job_started(&self, _: usize, _: &SimJob, _: &str) {
-                self.started.fetch_add(1, Ordering::Relaxed);
-            }
             fn job_finished(&self, _: usize, _: &SimJob, _: &str, _: &SimStats, _: Duration) {
                 self.finished.fetch_add(1, Ordering::Relaxed);
             }
@@ -1524,54 +1406,8 @@ mod tests {
         engine
             .run_cells(&cells, &TransformOptions::default(), 1_000_000)
             .unwrap();
-        assert_eq!(counter.started.load(Ordering::Relaxed), 2);
         assert_eq!(counter.finished.load(Ordering::Relaxed), 2);
         assert!(counter.stages.load(Ordering::Relaxed) >= 2);
-    }
-
-    #[test]
-    fn injected_panic_is_retried_and_recovers() {
-        let opts = TransformOptions::default();
-        let (engine, ids) = engine_with(1, 2);
-        let jobs = engine.jobs_for_cells(&[SweepCell {
-            bench: ids[0],
-            machine: MachineConfig::four_wide(),
-            predictor: PredictorKind::Combined24KB,
-        }]);
-        engine.inject_worker_panic(0, 1);
-        let results = engine.run_jobs(&jobs, &opts, 1_000_000);
-        assert!(results.iter().all(JobResult::is_completed));
-        assert!(results[0].retried());
-        assert!(!results[1].retried());
-        let stats = engine.stats();
-        assert_eq!(stats.jobs_retried, 1, "{stats:?}");
-        assert_eq!(stats.jobs_ok as usize, jobs.len(), "{stats:?}");
-        assert_eq!(stats.jobs_failed, 0, "{stats:?}");
-    }
-
-    #[test]
-    fn repeated_panic_becomes_a_failed_outcome() {
-        let opts = TransformOptions::default();
-        let (engine, ids) = engine_with(1, 1);
-        let jobs = engine.jobs_for_cells(&[SweepCell {
-            bench: ids[0],
-            machine: MachineConfig::four_wide(),
-            predictor: PredictorKind::Combined24KB,
-        }]);
-        engine.inject_worker_panic(1, 2); // survives the one retry
-        let results = engine.run_jobs(&jobs, &opts, 1_000_000);
-        assert!(results[0].is_completed());
-        match &results[1] {
-            JobResult::Failed { error, retried, .. } => {
-                assert!(*retried);
-                assert!(matches!(error.kind, ErrorKind::WorkerPanic { .. }));
-                assert_eq!(error.benchmark.as_deref(), Some("bench0"));
-            }
-            other => panic!("expected Failed, got {other:?}"),
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.jobs_failed, 1, "{stats:?}");
-        assert_eq!(stats.jobs_retried, 1, "{stats:?}");
     }
 
     /// A one-REF benchmark that profiles cleanly on TRAIN but commits a
@@ -1684,24 +1520,12 @@ mod tests {
         engine.run_job(&job, &opts, 1_000_000);
         let stats = engine.stats();
         assert_eq!((stats.sim_jobs, stats.sim_memo_hits), (2, 2), "{stats:?}");
-    }
 
-    #[test]
-    fn wall_clock_timeout_is_never_memoized() {
-        let opts = TransformOptions::default();
-        // A deadline that has passed when the simulation starts trips at
-        // its first deadline check, cycle 0.
-        let policy = FaultPolicy {
-            job_timeout: Some(Duration::ZERO),
-            ..FaultPolicy::default()
-        };
-        let (engine, job) = single_job(experiment_input(400), policy);
-        for _ in 0..2 {
-            let outcome = engine.run_job(&job, &opts, 1_000_000);
-            assert!(matches!(outcome, JobResult::TimedOut { .. }), "{outcome:?}");
-        }
-        let stats = engine.stats();
-        assert_eq!((stats.sim_jobs, stats.sim_memo_hits), (2, 0), "{stats:?}");
+        // The default budget spelled out is the same job as no budget.
+        engine.set_fault_policy(FaultPolicy::default());
+        let unset = engine.job_key(&job, &opts, 1_000_000);
+        engine.set_fault_policy(budget(DEFAULT_CYCLE_BUDGET));
+        assert_eq!(engine.job_key(&job, &opts, 1_000_000), unset);
     }
 
     #[test]
@@ -1718,10 +1542,9 @@ mod tests {
         let mut errors = Vec::new();
         for _ in 0..2 {
             for outcome in engine.run_jobs(&jobs, &opts, 1_000_000) {
-                let JobResult::Failed { error, retried, .. } = outcome else {
+                let JobResult::Failed { error, .. } = outcome else {
                     panic!("expected Failed, got {outcome:?}");
                 };
-                assert!(!retried, "a profile error is not transient");
                 assert_eq!(error.stage, Stage::Profile, "{error}");
                 assert!(matches!(error.kind, ErrorKind::Profile(_)), "{error}");
                 assert_eq!(error.benchmark.as_deref(), Some("train-trap"));
@@ -1737,7 +1560,7 @@ mod tests {
             (1, 3),
             "{stats:?}"
         );
-        assert_eq!((stats.jobs_failed, stats.jobs_retried), (4, 0), "{stats:?}");
+        assert_eq!(stats.jobs_failed, 4, "{stats:?}");
         assert_eq!((stats.sim_jobs, stats.sim_memo_hits), (0, 0), "{stats:?}");
 
         let cells = [SweepCell {
@@ -1748,30 +1571,6 @@ mod tests {
         let err = engine.run_cells(&cells, &opts, 1_000_000).unwrap_err();
         assert_eq!(err.to_string(), errors[0]);
         assert_eq!(engine.stats().profile_misses, 1);
-    }
-
-    #[test]
-    fn injected_panic_fires_before_the_memo_lookup() {
-        let opts = TransformOptions::default();
-        let (engine, ids) = engine_with(1, 1);
-        let jobs = engine.jobs_for_cells(&[SweepCell {
-            bench: ids[0],
-            machine: MachineConfig::four_wide(),
-            predictor: PredictorKind::Combined24KB,
-        }]);
-        let first = engine.run_jobs(&jobs, &opts, 1_000_000);
-        // Job 0 is memoized now; its injected panic must still fire.
-        engine.inject_worker_panic(0, 1);
-        let second = engine.run_jobs(&jobs, &opts, 1_000_000);
-        assert!(second[0].retried());
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.expect_completed().stats, b.expect_completed().stats);
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.jobs_retried, 1, "{stats:?}");
-        assert_eq!(stats.jobs_failed, 0, "{stats:?}");
-        assert_eq!(stats.sim_jobs as usize, jobs.len(), "{stats:?}");
-        assert_eq!(stats.sim_memo_hits as usize, jobs.len(), "{stats:?}");
     }
 
     /// The default options, then each with one field changed, for every
@@ -2025,6 +1824,44 @@ mod tests {
 
     fn results_journal(dir: &std::path::Path) -> crate::Journal {
         crate::Journal::new(dir.join(crate::results::RESULTS_FILE))
+    }
+
+    #[test]
+    fn injected_panic_fails_its_job_alone_and_is_never_stored() {
+        let dir = temp_cache("panic");
+        let (engine, jobs) = journal_engine(Some(dir.clone()));
+        let clean = uncached_stats();
+        engine.inject_worker_panic(0);
+        let first = engine.run_jobs(&jobs, &TransformOptions::default(), 1_000_000);
+        match &first[0] {
+            JobResult::Failed { error, .. } => {
+                assert!(
+                    matches!(error.kind, ErrorKind::WorkerPanic { .. }),
+                    "{error}"
+                );
+                assert_eq!(error.benchmark.as_deref(), Some("bench0"));
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
+        for (i, (r, c)) in first.iter().zip(&clean).enumerate().skip(1) {
+            assert_eq!(r.expect_completed().stats, *c, "job {i}");
+        }
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.jobs_failed, stats.jobs_ok),
+            (1, jobs.len() as u64 - 1)
+        );
+        assert_eq!(stats.sim_jobs as usize, jobs.len() - 1, "{stats:?}");
+        // Neither the memo nor the journal holds the failed job ...
+        let journal = results_journal(&dir).read().unwrap();
+        assert_eq!(journal.records.len(), jobs.len() - 1);
+        // ... so the next request simulates it, with clean statistics.
+        assert_eq!(run_stats(&engine, &jobs), clean);
+        let stats = engine.stats();
+        assert_eq!(stats.sim_jobs as usize, jobs.len(), "{stats:?}");
+        assert_eq!(stats.sim_memo_hits as usize, jobs.len() - 1, "{stats:?}");
+        assert_eq!(stats.jobs_failed, 1, "{stats:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! seed-generated) the seed it belongs to, and a typed [`ErrorKind`]
 //! saying *what* went wrong. It is the one error type of the engine and
 //! of the [`Experiment`](crate::Experiment) facade. Workers convert guest
-//! traps, watchdog timeouts, and worker panics into these values instead
-//! of aborting the process; DESIGN.md §7.8 maps each kind to its
+//! traps, exhausted cycle budgets, and worker panics into these values
+//! instead of aborting the process; DESIGN.md §7.8 maps each kind to its
 //! detection point and recovery action.
 
 use crate::engine::Stage;
@@ -28,12 +28,10 @@ pub enum ErrorKind {
         /// Cycle the fault was detected at.
         cycle: u64,
     },
-    /// A watchdog cancelled a wedged stage.
+    /// A simulation ran out of its cycle budget before the guest halted.
     Timeout {
-        /// Cycles simulated before cancellation.
+        /// Cycles simulated before cancellation (the budget).
         cycles: u64,
-        /// Wall-clock milliseconds elapsed before cancellation.
-        wall_ms: u64,
     },
     /// A worker thread panicked while running a job.
     WorkerPanic {
@@ -51,8 +49,8 @@ impl fmt::Display for ErrorKind {
             ErrorKind::GuestTrap { trap, pc, cycle } => {
                 write!(f, "guest trap at pc {pc:#x}, cycle {cycle}: {trap}")
             }
-            ErrorKind::Timeout { cycles, wall_ms } => {
-                write!(f, "watchdog timeout after {cycles} cycles / {wall_ms} ms")
+            ErrorKind::Timeout { cycles } => {
+                write!(f, "cycle budget exhausted after {cycles} cycles")
             }
             ErrorKind::WorkerPanic { detail } => write!(f, "worker panicked: {detail}"),
             ErrorKind::NoRefInputs => write!(f, "no REF inputs provided"),
@@ -98,16 +96,6 @@ impl VanguardError {
         self.seed = seed;
         self
     }
-
-    /// Whether a retry can plausibly succeed: a worker panic is
-    /// environmental (poisoned state, an injected fault) and retried once
-    /// with backoff; profile errors, guest traps and timeouts are
-    /// deterministic properties of the job and never retried. (A corrupt
-    /// disk-cache entry never surfaces as an error: it is counted and
-    /// recomputed.)
-    pub fn is_transient(&self) -> bool {
-        matches!(self.kind, ErrorKind::WorkerPanic { .. })
-    }
 }
 
 impl fmt::Display for VanguardError {
@@ -130,44 +118,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transience_classification() {
-        let panic = VanguardError::new(
-            Stage::Simulate,
-            ErrorKind::WorkerPanic {
-                detail: "boom".into(),
-            },
-        );
-        assert!(panic.is_transient());
-        let trap = VanguardError::new(
-            Stage::Simulate,
-            ErrorKind::GuestTrap {
-                trap: SimError::LoadFault { addr: 0x10, pc: 4 },
-                pc: 4,
-                cycle: 99,
-            },
-        );
-        assert!(!trap.is_transient());
-        let timeout = VanguardError::new(
-            Stage::Simulate,
-            ErrorKind::Timeout {
-                cycles: 1,
-                wall_ms: 2,
-            },
-        );
-        assert!(!timeout.is_transient());
-    }
-
-    #[test]
     fn display_carries_full_context() {
-        let e = VanguardError::new(
-            Stage::Simulate,
-            ErrorKind::Timeout {
-                cycles: 5000,
-                wall_ms: 12,
-            },
-        )
-        .with_benchmark("mcf")
-        .with_seed(Some(7));
+        let e = VanguardError::new(Stage::Simulate, ErrorKind::Timeout { cycles: 5000 })
+            .with_benchmark("mcf")
+            .with_seed(Some(7));
         let s = e.to_string();
         assert!(s.contains("simulate"), "{s}");
         assert!(s.contains("mcf"), "{s}");

@@ -9,7 +9,7 @@ use vanguard_compiler::{
 };
 use vanguard_ir::Profile;
 use vanguard_isa::{Memory, Program, Reg};
-use vanguard_sim::{MachineConfig, SimStats, Simulator};
+use vanguard_sim::{MachineConfig, SimStats, Simulator, StopCause};
 
 pub use vanguard_bpred::LadderRung as PredictorKind;
 
@@ -260,7 +260,9 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns a [`VanguardError`] on a committed-path fault.
+    /// Returns a [`VanguardError`] on a committed-path fault
+    /// ([`ErrorKind::GuestTrap`]) or when the run exhausts the
+    /// simulator's default cycle budget ([`ErrorKind::Timeout`]).
     pub fn simulate(&self, program: &Program, input: &RunInput) -> Result<SimStats, VanguardError> {
         let mut sim = Simulator::new(
             program,
@@ -271,17 +273,18 @@ impl Experiment {
         for &(r, v) in &input.init_regs {
             sim.set_reg(r, v);
         }
-        match sim.run_checked() {
-            Ok(res) => Ok(res.stats),
-            Err(fault) => Err(VanguardError::new(
-                Stage::Simulate,
-                ErrorKind::GuestTrap {
-                    pc: fault.error.pc(),
-                    cycle: fault.cycle,
-                    trap: fault.error,
-                },
-            )),
-        }
+        let kind = match sim.run_checked() {
+            Ok(res) if res.stop == StopCause::Halted => return Ok(res.stats),
+            Ok(res) => ErrorKind::Timeout {
+                cycles: res.stats.cycles,
+            },
+            Err(fault) => ErrorKind::GuestTrap {
+                pc: fault.error.pc(),
+                cycle: fault.cycle,
+                trap: fault.error,
+            },
+        };
+        Err(VanguardError::new(Stage::Simulate, kind))
     }
 }
 

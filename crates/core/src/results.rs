@@ -6,17 +6,18 @@
 //! `<cache_dir>/results.vgj` once, on its first simulation-memo miss.
 //! A job the journal holds is served from it without compiling or
 //! simulating; a job it does not hold is simulated, and its outcome is
-//! appended with [`Journal::append_new`] the moment it exists, if the
-//! memo would keep it (`Completed`, `Faulted`, a cycle-budget
-//! `TimedOut`). Records are keyed by [`Engine::job_key`], the key the
-//! memo itself uses, which is stable across processes, so rerunning a
-//! crashed or cancelled run on the same directory simulates only what
-//! the journal is missing. A baseline job's key leaves the transform
+//! appended with [`Journal::append_new`] the moment it exists, unless
+//! [`JobResult::encode`] declines it (a `Failed` outcome, which the
+//! memo does not keep either, and a `MalformedImage` trap). Records
+//! are keyed by [`Engine::job_key`], the key the memo itself uses,
+//! which is stable across processes, so rerunning a crashed or
+//! cancelled run on the same directory simulates only what the journal
+//! is missing. A baseline job's key leaves the transform
 //! options out, so one record serves every variant's baseline.
 //!
 //! The payload is the lossless codec of [`JobResult::encode`] and
 //! [`JobResult::decode`]: what the memo keeps comes back bit for bit,
-//! wall-clock fields included, so a journal hit is indistinguishable
+//! the simulate time included, so a journal hit is indistinguishable
 //! from a memo hit.
 //!
 //! [`FaultPolicy::cache_dir`]: crate::engine::FaultPolicy::cache_dir
@@ -105,10 +106,9 @@ impl Reader<'_> {
 impl JobResult {
     /// The journal payload of an outcome the simulation memo keeps:
     /// `Completed` (every [`SimStats`] counter and the simulate time),
-    /// `Faulted` (the trap, its pc and cycle) and `TimedOut` (cycles and
-    /// wall milliseconds). The job itself is the record's key, and
-    /// `retried` is set by the containment boundary after the lookup,
-    /// so neither is encoded.
+    /// `Faulted` (the trap, its pc and cycle) and `TimedOut` (its
+    /// cycles). The job itself is the record's key, so it is not
+    /// encoded.
     ///
     /// Returns `None` for what is never journaled: a `Failed` outcome,
     /// and a `MalformedImage` trap, whose detail is a static string
@@ -140,12 +140,9 @@ impl JobResult {
                     out.extend_from_slice(&word.to_le_bytes());
                 }
             }
-            JobResult::TimedOut {
-                cycles, wall_ms, ..
-            } => {
+            JobResult::TimedOut { cycles, .. } => {
                 out.push(TAG_TIMED_OUT);
                 out.extend_from_slice(&cycles.to_le_bytes());
-                out.extend_from_slice(&wall_ms.to_le_bytes());
             }
             JobResult::Failed { .. } => return None,
         }
@@ -153,7 +150,7 @@ impl JobResult {
     }
 
     /// Decodes an [`encode`](JobResult::encode) payload back into the
-    /// outcome of `job`, with `retried` false. `None` when the payload
+    /// outcome of `job`. `None` when the payload
     /// is not one `encode` writes: unknown tag, unknown trap code, or a
     /// length that does not match its tag.
     pub fn decode(job: SimJob, payload: &[u8]) -> Option<JobResult> {
@@ -170,7 +167,6 @@ impl JobResult {
                     job,
                     stats,
                     sim_elapsed: Duration::new(secs, nanos),
-                    retried: false,
                 }))
             }
             TAG_FAULTED => {
@@ -186,14 +182,11 @@ impl JobResult {
                     trap,
                     pc,
                     cycle,
-                    retried: false,
                 }
             }
             TAG_TIMED_OUT => JobResult::TimedOut {
                 job,
                 cycles: r.u64()?,
-                wall_ms: r.u64()?,
-                retried: false,
             },
             _ => return None,
         };
@@ -282,7 +275,6 @@ mod tests {
                 job: job(),
                 stats: busy_stats(),
                 sim_elapsed: Duration::new(3, 141_592_653),
-                retried: false,
             })),
             JobResult::Faulted {
                 job: job(),
@@ -292,20 +284,16 @@ mod tests {
                 },
                 pc: 0x40,
                 cycle: 1234,
-                retried: false,
             },
             JobResult::Faulted {
                 job: job(),
                 trap: SimError::OrphanResolve { pc: 0x88 },
                 pc: 0x88,
                 cycle: 99,
-                retried: false,
             },
             JobResult::TimedOut {
                 job: job(),
                 cycles: 1_000_000,
-                wall_ms: 17,
-                retried: false,
             },
         ];
         for result in stored {
@@ -337,7 +325,6 @@ mod tests {
             },
             pc: 0,
             cycle: 0,
-            retried: false,
         };
         assert!(malformed.encode().is_none());
         let failed = JobResult::Failed {
@@ -346,7 +333,6 @@ mod tests {
                 crate::engine::Stage::Simulate,
                 crate::ErrorKind::NoRefInputs,
             )),
-            retried: false,
         };
         assert!(failed.encode().is_none());
     }

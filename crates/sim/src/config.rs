@@ -25,8 +25,6 @@ pub struct MachineConfig {
     pub dbb_entries: usize,
     /// Memory hierarchy.
     pub mem: MemConfig,
-    /// Hard cycle limit (safety stop for runaway programs).
-    pub max_cycles: u64,
 }
 
 impl MachineConfig {
@@ -41,7 +39,6 @@ impl MachineConfig {
             redirect_latency: 1,
             dbb_entries: 16,
             mem: MemConfig::table1_default(),
-            max_cycles: 2_000_000_000,
         }
     }
 

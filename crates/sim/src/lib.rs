@@ -53,6 +53,7 @@ pub use config::MachineConfig;
 pub use front::{FetchedInst, FrontEnd, PredInfo};
 pub use pipeline::{
     HotloopProfile, SimError, SimFault, SimResult, Simulator, StopCause, TraceEvent,
+    DEFAULT_CYCLE_BUDGET,
 };
 pub use stats::SimStats;
 pub use store_buffer::{StoreBuffer, StoreEntry};

@@ -18,12 +18,14 @@ use vanguard_mem::{AccessKind, MemSystem};
 pub enum StopCause {
     /// A `halt` instruction committed.
     Halted,
-    /// The configured cycle limit was reached.
-    CycleLimit,
-    /// A watchdog (cycle budget or wall-clock deadline, see
-    /// [`Simulator::set_watchdog`]) cancelled the run cooperatively.
+    /// The cycle budget ran out (see [`Simulator::set_cycle_budget`]):
+    /// a runaway guest, or a run cut short on purpose.
     TimedOut,
 }
+
+/// The cycle budget of a simulator nobody sets one on: a safety stop
+/// for runaway guests, far past any workload's run.
+pub const DEFAULT_CYCLE_BUDGET: u64 = 2_000_000_000;
 
 /// Simulation errors (architectural faults on the committed path).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -158,8 +160,8 @@ pub struct HotloopProfile {
     pub issue_ns: u64,
     /// Nanoseconds committing stores (store-buffer drain).
     pub commit_ns: u64,
-    /// Nanoseconds of batch-entry work (stop checks, watchdog polls,
-    /// redirect application, journal compaction) and of idle-cycle
+    /// Nanoseconds of batch-entry work (stop checks, redirect
+    /// application, journal compaction) and of idle-cycle
     /// fast-forward jumps.
     pub other_ns: u64,
     /// Cycles simulated, fast-forwarded ones included (equals
@@ -218,13 +220,9 @@ pub struct Simulator<'t> {
     pub(crate) pending: Option<PendingRedirect>,
     pub(crate) halted: bool,
     trace: Option<TraceSink<'t>>,
-    /// Watchdog cycle budget (`u64::MAX` = disabled): exceeding it stops
-    /// the run with [`StopCause::TimedOut`], unlike the architectural
-    /// `config.max_cycles` limit which reports [`StopCause::CycleLimit`].
-    pub(crate) watchdog_cycles: u64,
-    /// Watchdog wall-clock deadline, checked every 4096 cycles so the
-    /// clean-run hot loop never pays a syscall per cycle.
-    pub(crate) watchdog_deadline: Option<Instant>,
+    /// Cycle budget: reaching it stops the run with
+    /// [`StopCause::TimedOut`].
+    pub(crate) cycle_budget: u64,
     /// Jump over idle cycles instead of ticking them (see
     /// [`Simulator::set_fast_forward`]).
     fast_forward: bool,
@@ -282,8 +280,7 @@ impl<'t> Simulator<'t> {
             pending: None,
             halted: false,
             trace: None,
-            watchdog_cycles: u64::MAX,
-            watchdog_deadline: None,
+            cycle_budget: DEFAULT_CYCLE_BUDGET,
             fast_forward: true,
         }
     }
@@ -293,14 +290,12 @@ impl<'t> Simulator<'t> {
         self.regs[r.index()] = v;
     }
 
-    /// Arms the cooperative watchdog: a cycle budget, a wall-clock
-    /// deadline, or both. Tripping either stops the run cleanly with
-    /// [`StopCause::TimedOut`] (partial statistics intact) instead of
-    /// spinning forever on a wedged guest. `None` leaves that dimension
-    /// unlimited.
-    pub fn set_watchdog(&mut self, max_cycles: Option<u64>, deadline: Option<Instant>) {
-        self.watchdog_cycles = max_cycles.unwrap_or(u64::MAX);
-        self.watchdog_deadline = deadline;
+    /// Replaces the cycle budget ([`DEFAULT_CYCLE_BUDGET`] until set).
+    /// The run stops at exactly that cycle with [`StopCause::TimedOut`],
+    /// partial statistics intact, instead of spinning forever on a
+    /// wedged guest.
+    pub fn set_cycle_budget(&mut self, cycles: u64) {
+        self.cycle_budget = cycles;
     }
 
     /// Turns idle-cycle fast-forward on (the default) or off. Off, the
@@ -357,13 +352,15 @@ impl<'t> Simulator<'t> {
     }
 
     /// The per-cycle loop, restructured as batches: all cold per-cycle
-    /// branch-outs (stop conditions, watchdog poll, redirect apply,
-    /// journal compaction) run once at batch entry, then a fused
-    /// fetch/issue/commit fast path runs until the next cold event. The
-    /// batch limit is the earliest of the cycle/watchdog budgets, the
-    /// next 4096-cycle watchdog poll boundary, and a pending redirect's
-    /// due cycle; a halt or a newly-scheduled redirect ends the batch
-    /// early. Every cold check therefore fires at exactly the cycles the
+    /// branch-outs (stop conditions, redirect apply, journal compaction)
+    /// run once at batch entry, then a fused fetch/issue/commit fast
+    /// path runs until the next cold event. The batch limit is the
+    /// earliest of the cycle budget, the next 4096-cycle boundary, and a
+    /// pending redirect's due cycle; a halt or a newly-scheduled
+    /// redirect ends the batch early. The boundary exists for the
+    /// front end's call-stack undo journal: batch entry is where it is
+    /// compacted, so a long redirect-free stretch cannot grow it past
+    /// 4096 cycles of calls and returns. Every cold check therefore fires at exactly the cycles the
     /// per-cycle loop fired it at, so the restructuring is
     /// cycle-for-cycle invisible.
     ///
@@ -385,18 +382,8 @@ impl<'t> Simulator<'t> {
             if self.halted {
                 return Ok(StopCause::Halted);
             }
-            if self.cycle >= self.config.max_cycles {
-                return Ok(StopCause::CycleLimit);
-            }
-            if self.cycle >= self.watchdog_cycles {
+            if self.cycle >= self.cycle_budget {
                 return Ok(StopCause::TimedOut);
-            }
-            if self.cycle & 0xFFF == 0 {
-                if let Some(deadline) = self.watchdog_deadline {
-                    if Instant::now() >= deadline {
-                        return Ok(StopCause::TimedOut);
-                    }
-                }
             }
             // Apply a due misprediction redirect.
             if let Some(p) = &self.pending {
@@ -427,11 +414,7 @@ impl<'t> Simulator<'t> {
                 prof.other_ns += (now - mark.expect("profiling")).as_nanos() as u64;
                 mark = Some(now);
             }
-            let mut limit = self
-                .config
-                .max_cycles
-                .min(self.watchdog_cycles)
-                .min((self.cycle | 0xFFF) + 1);
+            let mut limit = self.cycle_budget.min((self.cycle | 0xFFF) + 1);
             if let Some(p) = &self.pending {
                 limit = limit.min(p.redirect_cycle);
             }
@@ -988,23 +971,20 @@ mod tests {
 
     #[test]
     fn budgets_stop_the_run_at_exactly_the_budget_cycle() {
-        // Both budgets bound the pipeline batches: a run cut mid-loop
+        // The budget bounds the pipeline batches: a run cut mid-loop
         // must stop at the budget cycle, not at the end of a batch.
         let p = countdown_loop(5000);
-        let mut cfg = MachineConfig::four_wide();
-        cfg.max_cycles = 4000;
-        let sim = Simulator::new(&p, Memory::new(), cfg, Box::new(Combined::ptlsim_default()));
-        let r = sim.run().expect("cycle-limited run");
-        assert_eq!((r.stop, r.stats.cycles), (StopCause::CycleLimit, 4000));
-        let mut sim = Simulator::new(
-            &p,
-            Memory::new(),
-            MachineConfig::four_wide(),
-            Box::new(Combined::ptlsim_default()),
-        );
-        sim.set_watchdog(Some(3500), None);
-        let r = sim.run().expect("watchdog-limited run");
-        assert_eq!((r.stop, r.stats.cycles), (StopCause::TimedOut, 3500));
+        for budget in [4000, 3500] {
+            let mut sim = Simulator::new(
+                &p,
+                Memory::new(),
+                MachineConfig::four_wide(),
+                Box::new(Combined::ptlsim_default()),
+            );
+            sim.set_cycle_budget(budget);
+            let r = sim.run().expect("budget-limited run");
+            assert_eq!((r.stop, r.stats.cycles), (StopCause::TimedOut, budget));
+        }
     }
 
     #[test]
@@ -1510,6 +1490,7 @@ mod fast_forward_tests {
     fn budgets_inside_a_dram_chain_stop_at_exactly_the_budget_cycle() {
         // Four dependent DRAM loads idle the core for ~700 cycles; both
         // budgets fall inside that stretch, where fast-forward jumps.
+        // Each budgeted run must match its per-cycle reference exactly.
         let p = parse_program(&format!(
             "bb0 <entry>:\n    mov r1, #{CHASE}\n    ld r1, [r1+0]\n    ld r1, [r1+0]\n    \
              ld r1, [r1+0]\n    ld r1, [r1+0]\n    halt\n"
@@ -1517,21 +1498,23 @@ mod fast_forward_tests {
         .unwrap();
         let full = assert_exact(&p, MachineConfig::four_wide());
         assert!(full.stats.cycles > 520, "cycles {}", full.stats.cycles);
-        let mut config = MachineConfig::four_wide();
-        config.max_cycles = 433;
-        let r = assert_exact(&p, config);
-        assert_eq!((r.stop, r.stats.cycles), (StopCause::CycleLimit, 433));
-        for fast_forward in [true, false] {
-            let mut sim = Simulator::new(
-                &p,
-                chase_memory(),
-                MachineConfig::four_wide(),
-                Box::new(Combined::ptlsim_default()),
-            );
-            sim.set_fast_forward(fast_forward);
-            sim.set_watchdog(Some(517), None);
-            let r = sim.run().unwrap();
-            assert_eq!((r.stop, r.stats.cycles), (StopCause::TimedOut, 517));
+        for budget in [433, 517] {
+            let run = |fast_forward| {
+                let mut sim = Simulator::new(
+                    &p,
+                    chase_memory(),
+                    MachineConfig::four_wide(),
+                    Box::new(Combined::ptlsim_default()),
+                );
+                sim.set_fast_forward(fast_forward);
+                sim.set_cycle_budget(budget);
+                sim.run().unwrap()
+            };
+            let (on, off) = (run(true), run(false));
+            assert_eq!((on.stop, on.stats.cycles), (StopCause::TimedOut, budget));
+            assert_eq!(on.stats, off.stats);
+            assert_eq!(on.regs, off.regs);
+            assert_eq!(on.memory.written_words(), off.memory.written_words());
         }
     }
 

@@ -5,9 +5,9 @@
 //!
 //! Generated fuzz kernels (original and decomposed) run at 2, 4 and 8
 //! wide, with the Table 1 and the reduced I$, under a predictor rung
-//! picked by the seed, and each to completion, to a cycle limit and to a
-//! watchdog budget. The budgets land mid-run, where a skip that
-//! overshoots its wake cycle would show as a different stop cycle.
+//! picked by the seed, and each to completion and to two cycle budgets.
+//! The budgets land mid-run, where a skip that overshoots its wake
+//! cycle would show as a different stop cycle.
 
 use vanguard_bpred::{ladder, Combined};
 use vanguard_compiler::profile_program;
@@ -18,10 +18,8 @@ use vanguard_workloads::{FuzzCase, FuzzSpec};
 
 /// Seeds tried (sized for a debug build).
 const SEEDS: u64 = 48;
-/// Cycle limit of the cut-short runs.
-const MAX_CYCLES: u64 = 3001;
-/// Watchdog budget of the cut-short runs.
-const WATCHDOG: u64 = 2777;
+/// Cycle budgets of the cut-short runs.
+const BUDGETS: [u64; 2] = [3001, 2777];
 
 /// The case's kernel and its decomposed version.
 fn programs(case: &FuzzCase) -> Vec<Program> {
@@ -45,12 +43,14 @@ fn simulate(
     case: &FuzzCase,
     config: MachineConfig,
     rung: usize,
-    watchdog: Option<u64>,
+    budget: Option<u64>,
     fast_forward: bool,
 ) -> SimResult {
     let mut sim = Simulator::new(program, case.memory.clone(), config, ladder()[rung].build());
     sim.set_fast_forward(fast_forward);
-    sim.set_watchdog(watchdog, None);
+    if let Some(budget) = budget {
+        sim.set_cycle_budget(budget);
+    }
     for &(r, v) in &case.init_regs {
         sim.set_reg(r, v);
     }
@@ -68,19 +68,13 @@ fn fast_forward_matches_the_per_cycle_reference() {
         for (p, program) in programs.iter().enumerate() {
             for width in MachineConfig::all_widths() {
                 for config in [width, width.with_reduced_icache()] {
-                    let mut limited = config;
-                    limited.max_cycles = MAX_CYCLES;
-                    for (config, watchdog) in
-                        [(config, None), (limited, None), (config, Some(WATCHDOG))]
-                    {
-                        let on = simulate(program, &case, config, rung, watchdog, true);
-                        let off = simulate(program, &case, config, rung, watchdog, false);
+                    for budget in [None, Some(BUDGETS[0]), Some(BUDGETS[1])] {
+                        let on = simulate(program, &case, config, rung, budget, true);
+                        let off = simulate(program, &case, config, rung, budget, false);
                         let at = format!(
-                            "seed {seed} program {p} width {} reduced-I$ {} max_cycles {} \
-                             watchdog {watchdog:?}",
+                            "seed {seed} program {p} width {} reduced-I$ {} budget {budget:?}",
                             config.width,
                             config.mem != MachineConfig::four_wide().mem,
-                            config.max_cycles
                         );
                         assert_eq!(on.stop, off.stop, "{at}: stop cause");
                         assert_eq!(on.stats, off.stats, "{at}: SimStats");
