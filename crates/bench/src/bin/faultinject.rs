@@ -4,22 +4,16 @@
 //! ```text
 //! cargo run --release -p vanguard-bench --bin faultinject -- --all-classes --seed 0
 //! cargo run --release -p vanguard-bench --bin faultinject -- --class guest-trap
-//! cargo run --release -p vanguard-bench --bin faultinject -- --skip-overhead --out target/r.json
+//! cargo run --release -p vanguard-bench --bin faultinject -- --out target/r.json
 //! ```
 //!
-//! Exit status is non-zero when any class assertion fails or arming
-//! `max_cycles` costs ≥ 2 % of clean simulate time (the robustness gate
-//! CI applies). Everything is deterministic in `--seed`. The kill classes
-//! run the `figures` binary from the same directory, so build both
-//! first (`cargo build --release -p vanguard-bench --bins`).
+//! Exit status is non-zero when any class assertion fails (the
+//! robustness gate CI applies). Everything is deterministic in `--seed`.
+//! The kill classes run the `figures` binary from the same directory, so
+//! build both first (`cargo build --release -p vanguard-bench --bins`).
 
 use std::fmt::Write as _;
-use vanguard_bench::faultinject::{
-    clean_suite_stats, measure_overhead, run_class, ClassReport, FaultClass,
-};
-
-/// Maximum tolerated cycle-budget overhead on a clean run, in percent.
-const OVERHEAD_GATE_PCT: f64 = 2.0;
+use vanguard_bench::faultinject::{clean_suite_stats, run_class, ClassReport, FaultClass};
 
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -52,13 +46,6 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .map_or("BENCH_robustness.json", |s| s.as_str());
-    let rounds: usize = args
-        .iter()
-        .position(|a| a == "--rounds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    let skip_overhead = args.iter().any(|a| a == "--skip-overhead");
     let mut classes: Vec<FaultClass> = Vec::new();
     let mut bad_flag = false;
     for (i, a) in args.iter().enumerate() {
@@ -103,23 +90,6 @@ fn main() {
         reports.push(report);
     }
 
-    let overhead = if skip_overhead {
-        None
-    } else {
-        eprintln!(
-            "[faultinject] cycle-budget overhead, {rounds} rounds of clean/armed job pairs ..."
-        );
-        let o = measure_overhead(rounds);
-        let ratios: Vec<String> = o.ratios.iter().map(|r| format!("{r:.4}")).collect();
-        eprintln!("[faultinject] armed/clean per pair: {}", ratios.join(" "));
-        eprintln!(
-            "[faultinject] overhead {:.2}% (median of {} pairs)",
-            o.overhead_pct(),
-            o.ratios.len()
-        );
-        Some(o)
-    };
-
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"schema\": \"vanguard-faultinject-v1\",");
@@ -146,21 +116,7 @@ fn main() {
             if i + 1 < reports.len() { "," } else { "" }
         );
     }
-    let _ = writeln!(json, "  ]{}", if overhead.is_some() { "," } else { "" });
-    if let Some(o) = &overhead {
-        let ratios: Vec<String> = o.ratios.iter().map(|r| format!("{r:.4}")).collect();
-        let _ = writeln!(json, "  \"overhead\": {{");
-        let _ = writeln!(json, "    \"pairs\": {},", ratios.len());
-        let _ = writeln!(json, "    \"ratios\": [{}],", ratios.join(", "));
-        let _ = writeln!(json, "    \"overhead_pct\": {:.4},", o.overhead_pct());
-        let _ = writeln!(json, "    \"gate_pct\": {OVERHEAD_GATE_PCT},");
-        let _ = writeln!(
-            json,
-            "    \"passed\": {}",
-            o.overhead_pct() < OVERHEAD_GATE_PCT
-        );
-        let _ = writeln!(json, "  }}");
-    }
+    let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
     std::fs::write(out_path, &json).expect("write BENCH_robustness.json");
     eprintln!("[faultinject] wrote {out_path}");
@@ -175,15 +131,6 @@ fn main() {
     if !failed_classes.is_empty() {
         eprintln!("[faultinject] FAIL: classes {failed_classes:?}");
         std::process::exit(1);
-    }
-    if let Some(o) = &overhead {
-        if o.overhead_pct() >= OVERHEAD_GATE_PCT {
-            eprintln!(
-                "[faultinject] FAIL: cycle-budget overhead {:.2}% exceeds the {OVERHEAD_GATE_PCT}% gate",
-                o.overhead_pct()
-            );
-            std::process::exit(1);
-        }
     }
     eprintln!("[faultinject] all classes contained");
 }

@@ -134,36 +134,6 @@ impl ClassReport {
     }
 }
 
-/// Cycle-budget overhead on a clean run (the < 2 % gate of
-/// `BENCH_robustness.json`).
-#[derive(Clone, Debug)]
-pub struct OverheadReport {
-    /// Per pair, one job's simulate-stage time with a non-tripping
-    /// `max_cycles` armed over its time with the default policy.
-    pub ratios: Vec<f64>,
-}
-
-impl OverheadReport {
-    /// Relative cost of arming `max_cycles`, in percent: the median
-    /// pair ratio less one (clamped at 0: a faster armed run is
-    /// measurement noise, not a negative cost). A burst of host load
-    /// skews one pair, not the median.
-    pub fn overhead_pct(&self) -> f64 {
-        let mut ratios = self.ratios.clone();
-        if ratios.is_empty() {
-            return 0.0;
-        }
-        ratios.sort_by(f64::total_cmp);
-        let mid = ratios.len() / 2;
-        let median = if ratios.len() % 2 == 1 {
-            ratios[mid]
-        } else {
-            (ratios[mid - 1] + ratios[mid]) / 2.0
-        };
-        ((median - 1.0) * 100.0).max(0.0)
-    }
-}
-
 fn suite_inputs() -> Vec<ExperimentInput> {
     suite::spec2006_int()
         .into_iter()
@@ -919,41 +889,6 @@ pub fn run_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats
         FaultClass::CompactionUnderKill => compaction_under_kill_class(seed, scratch),
         FaultClass::CacheEnospc => cache_enospc_class(scratch, clean),
     }
-}
-
-/// Measures the simulate-stage cost of arming `max_cycles` at a
-/// non-tripping budget (the `BENCH_robustness.json` overhead figure):
-/// each round simulates every job of the fault suite once on a clean
-/// engine and once on an armed one, back to back on the calling thread,
-/// so each job yields one clean/armed pair. Host load that drifts
-/// between pairs cancels in their ratio, no run waits for a core behind
-/// another worker, and which side runs first alternates.
-pub fn measure_overhead(rounds: usize) -> OverheadReport {
-    let armed_policy = FaultPolicy {
-        max_cycles: Some(u64::MAX / 2),
-        ..FaultPolicy::default()
-    };
-    let sim_secs = |engine: &Engine, job: &SimJob| {
-        let outcome = engine.run_job(job, &TransformOptions::default(), DEFAULT_MAX_PROFILE_STEPS);
-        outcome.expect_completed().sim_elapsed.as_secs_f64()
-    };
-    let mut ratios = Vec::new();
-    for round in 0..rounds.max(1) {
-        // Fresh engines each round: a memoized job never simulates again.
-        let (clean, jobs, _) = engine_with_suite(None, FaultPolicy::default());
-        let (armed, _, _) = engine_with_suite(None, armed_policy.clone());
-        for (i, job) in jobs.iter().enumerate() {
-            let (clean_s, armed_s) = if (round + i) % 2 == 0 {
-                let c = sim_secs(&clean, job);
-                (c, sim_secs(&armed, job))
-            } else {
-                let a = sim_secs(&armed, job);
-                (sim_secs(&clean, job), a)
-            };
-            ratios.push(armed_s / clean_s.max(f64::MIN_POSITIVE));
-        }
-    }
-    OverheadReport { ratios }
 }
 
 #[cfg(test)]

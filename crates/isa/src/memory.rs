@@ -3,16 +3,19 @@
 //! The profiling interpreter and the cycle simulator hit this structure on
 //! every load and store, so the representation is optimised for the common
 //! case: a handful of contiguous regions accessed with high locality. Pages
-//! are dense `[u64; 512]` arrays found through a small sorted page table
-//! with a last-page translation cache, replacing the word-granular
-//! `HashMap` the seed used (one hash + probe per access).
+//! are dense `[u64; 512]` arrays in a hash map keyed by page number with a
+//! one-multiply hasher, so a translation costs one probe however the
+//! accesses alternate between regions. This replaced the word-granular
+//! `HashMap` the seed used (one hash + probe per *word*, and the words
+//! scattered across the heap).
 //!
 //! [`ReferenceMemory`] retains the original hash-map implementation as an
 //! executable specification: the proptest differential suite drives both
 //! with the same operation sequences, and `perfbench` measures the paged
 //! store's speedup against it.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u64 = 12;
 /// Bytes per page (4 KiB).
@@ -50,6 +53,15 @@ impl Page {
     fn byte_mapped(&self, byte: usize) -> bool {
         self.mapped[byte >> 6] & (1u64 << (byte & 63)) != 0
     }
+
+    /// Stores `value` in `word`, returning whether it was unwritten.
+    #[inline]
+    fn store(&mut self, word: usize, value: u64) -> bool {
+        let fresh = self.written[word >> 6] & (1u64 << (word & 63)) == 0;
+        self.written[word >> 6] |= 1u64 << (word & 63);
+        self.words[word] = value;
+        fresh
+    }
 }
 
 /// Sets bits `[lo, hi)` in a packed bitmap.
@@ -70,6 +82,32 @@ fn set_bits(bitmap: &mut [u64], lo: usize, hi: usize) {
     bitmap[last] |= hi_mask;
 }
 
+/// Hashes a page number with one 64×64→128-bit multiply folded to 64 bits:
+/// every output bit depends on every input bit, so regions a power of two
+/// apart do not share buckets, at a fraction of SipHash's cost. Keys are
+/// addresses of the simulated program, so a program built to collide
+/// could slow its own lookups, never change a result.
+#[derive(Clone, Copy, Debug, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let p = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+}
+
 /// A sparse, word-granular data memory backed by 4 KiB flat pages.
 ///
 /// Addresses are byte addresses; accesses are 8-byte words, aligned down to
@@ -78,33 +116,21 @@ fn set_bits(bitmap: &mut [u64], lo: usize, hi: usize) {
 /// explicitly mapped so that non-speculative loads to unmapped addresses can
 /// be distinguished from non-faulting speculative (`ld.s`) loads.
 ///
-/// Pages live in a `Vec` sorted by page number; translation first checks a
-/// relaxed-atomic *last-page hint* (data accesses have strong page
-/// locality) and falls back to binary search. The hint is a pure cache —
-/// it never affects results — which keeps the structure `Sync`: the
-/// experiment engine shares inputs by reference across worker threads.
+/// Pages live in a page-number → page hash map, so translating an address
+/// is one hash probe; [`written_words`](Memory::written_words) sorts the
+/// pages by number when it reports. Reads take `&self` and mutate
+/// nothing, so the experiment engine shares input images by reference
+/// across worker threads.
 ///
 /// Each store to an *unmapped* word implicitly maps one 8-byte range, so
 /// semantics match the seed's range-list implementation exactly; see
 /// [`ReferenceMemory`] for the retained executable specification.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Memory {
-    /// `(page_number, page)` sorted by page number.
-    pages: Vec<(u64, Box<Page>)>,
-    /// Index into `pages` of the last page touched (validated before use).
-    hint: AtomicUsize,
+    /// Page number → page. Boxed, so growing the table moves no page.
+    pages: HashMap<u64, Box<Page>, BuildHasherDefault<PageHasher>>,
     /// Running count of explicitly written words.
     resident: usize,
-}
-
-impl Clone for Memory {
-    fn clone(&self) -> Self {
-        Memory {
-            pages: self.pages.clone(),
-            hint: AtomicUsize::new(self.hint.load(Ordering::Relaxed)),
-            resident: self.resident,
-        }
-    }
 }
 
 impl Memory {
@@ -113,36 +139,16 @@ impl Memory {
         Self::default()
     }
 
-    /// Finds page `pn`, checking the last-page hint before binary search.
-    /// Read-only and safe under shared access.
+    /// Finds page `pn`.
     #[inline]
     fn page(&self, pn: u64) -> Option<&Page> {
-        let hint = self.hint.load(Ordering::Relaxed);
-        if let Some(entry) = self.pages.get(hint) {
-            if entry.0 == pn {
-                return Some(&entry.1);
-            }
-        }
-        match self.pages.binary_search_by_key(&pn, |entry| entry.0) {
-            Ok(i) => {
-                self.hint.store(i, Ordering::Relaxed);
-                Some(&self.pages[i].1)
-            }
-            Err(_) => None,
-        }
+        self.pages.get(&pn).map(|p| &**p)
     }
 
-    /// Finds or inserts page `pn`, returning its table index.
-    fn ensure_page(&mut self, pn: u64) -> usize {
-        let i = match self.pages.binary_search_by_key(&pn, |entry| entry.0) {
-            Ok(i) => i,
-            Err(i) => {
-                self.pages.insert(i, (pn, Page::new()));
-                i
-            }
-        };
-        self.hint.store(i, Ordering::Relaxed);
-        i
+    /// Finds or inserts page `pn`.
+    #[inline]
+    fn page_mut(&mut self, pn: u64) -> &mut Page {
+        self.pages.entry(pn).or_insert_with(Page::new)
     }
 
     /// Maps the half-open byte range `[start, start + len)`.
@@ -155,17 +161,13 @@ impl Memory {
         let end = start + len;
         let mut addr = start;
         while addr < end {
-            let pn = addr >> PAGE_SHIFT;
-            let page_end = (pn + 1) << PAGE_SHIFT;
-            let lo = (addr & (PAGE_BYTES - 1)) as usize;
-            let hi = if end < page_end {
-                (end & (PAGE_BYTES - 1)) as usize
-            } else {
-                PAGE_BYTES as usize
-            };
-            let i = self.ensure_page(pn);
-            set_bits(&mut self.pages[i].1.mapped, lo, hi);
-            addr = page_end;
+            // Bytes of the range on this page, counted so the top page of
+            // the address space needs no `page_end` past `u64::MAX`.
+            let lo = addr & (PAGE_BYTES - 1);
+            let n = (end - addr).min(PAGE_BYTES - lo);
+            let page = self.page_mut(addr >> PAGE_SHIFT);
+            set_bits(&mut page.mapped, lo as usize, (lo + n) as usize);
+            addr += n;
         }
     }
 
@@ -196,31 +198,14 @@ impl Memory {
     /// so this path only services scratch data).
     #[inline]
     pub fn write(&mut self, addr: u64, value: u64) {
-        let pn = addr >> PAGE_SHIFT;
         let byte = (addr & (PAGE_BYTES - 1)) as usize;
         let word = byte >> 3;
-        // Exclusive access: the hint is a plain value here, no atomics.
-        let hint = *self.hint.get_mut();
-        let i = match self.pages.get(hint) {
-            Some(entry) if entry.0 == pn => hint,
-            _ => match self.pages.binary_search_by_key(&pn, |entry| entry.0) {
-                Ok(i) => {
-                    *self.hint.get_mut() = i;
-                    i
-                }
-                Err(_) => self.ensure_page(pn),
-            },
-        };
-        let page = &mut self.pages[i].1;
+        let page = self.page_mut(addr >> PAGE_SHIFT);
         if !page.byte_mapped(byte) {
             // Implicitly map exactly the containing 8-byte word.
             page.mapped[word >> 3] |= 0xffu64 << ((word << 3) & 63);
         }
-        if page.written[word >> 6] & (1u64 << (word & 63)) == 0 {
-            page.written[word >> 6] |= 1u64 << (word & 63);
-            self.resident += 1;
-        }
-        page.words[word] = value;
+        self.resident += page.store(word, value) as usize;
     }
 
     /// Bulk-initialises a region with 64-bit words starting at `start`
@@ -235,14 +220,9 @@ impl Memory {
     /// Stores a word without touching the mapped bitmap (used by
     /// [`load_words`](Memory::load_words), which maps byte-exactly first).
     fn write_word_raw(&mut self, word_addr: u64, value: u64) {
-        let i = self.ensure_page(word_addr >> PAGE_SHIFT);
         let word = ((word_addr & (PAGE_BYTES - 1)) >> 3) as usize;
-        let page = &mut self.pages[i].1;
-        if page.written[word >> 6] & (1u64 << (word & 63)) == 0 {
-            page.written[word >> 6] |= 1u64 << (word & 63);
-            self.resident += 1;
-        }
-        page.words[word] = value;
+        let page = self.page_mut(word_addr >> PAGE_SHIFT);
+        self.resident += page.store(word, value) as usize;
     }
 
     /// Number of explicitly stored (non-zero-default) words.
@@ -254,8 +234,11 @@ impl Memory {
     /// pairs. Used by the differential and interp-vs-pipeline parity tests
     /// to compare committed memory state structurally.
     pub fn written_words(&self) -> Vec<(u64, u64)> {
+        let mut by_page: Vec<(u64, &Page)> =
+            self.pages.iter().map(|(&pn, page)| (pn, &**page)).collect();
+        by_page.sort_unstable_by_key(|&(pn, _)| pn);
         let mut out = Vec::with_capacity(self.resident);
-        for (pn, page) in &self.pages {
+        for (pn, page) in by_page {
             let base = pn << PAGE_SHIFT;
             for (chunk, &bits) in page.written.iter().enumerate() {
                 let mut bits = bits;
@@ -412,6 +395,17 @@ mod tests {
     }
 
     #[test]
+    fn map_region_reaches_the_top_of_the_address_space() {
+        let mut m = Memory::new();
+        m.map_region(u64::MAX - 0x1003, 0x1003);
+        assert!(!m.is_mapped(u64::MAX - 0x1004));
+        assert!(m.is_mapped(u64::MAX - 0x1003));
+        assert!(m.is_mapped(u64::MAX - 1));
+        assert!(!m.is_mapped(u64::MAX), "the range is half-open");
+        assert!(!m.is_mapped(0), "mapping does not wrap to page 0");
+    }
+
+    #[test]
     fn rewrite_does_not_double_count_residency() {
         let mut m = Memory::new();
         m.write(0x2000, 1);
@@ -427,7 +421,11 @@ mod tests {
         m.write(0x9008, 2);
         m.write(0x1000, 1);
         m.map_region(0x4000, 64); // mapped-only words are not "written"
-        assert_eq!(m.written_words(), vec![(0x1000, 1), (0x9008, 2)]);
+        m.write(0x1008, 3);
+        assert_eq!(
+            m.written_words(),
+            vec![(0x1000, 1), (0x1008, 3), (0x9008, 2)]
+        );
     }
 
     #[test]

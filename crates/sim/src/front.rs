@@ -6,7 +6,7 @@ use crate::stats::SimStats;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vanguard_bpred::{Btb, DecomposedBranchBuffer, DirectionPredictor, PredMeta, Ras};
-use vanguard_isa::{BlockId, DecodedImage, FuClass, Inst, NO_INST};
+use vanguard_isa::{BlockId, DecodedImage, DecodedInst, FuClass, Inst, NO_INST};
 use vanguard_mem::{AccessKind, Level, MemSystem};
 
 /// Prediction state attached to a fetched conditional.
@@ -67,13 +67,13 @@ pub(crate) const CTRL_HALT: u8 = 3;
 /// Issue-stage metadata for one buffered instruction: a packed
 /// structure-of-arrays lane kept in lockstep with the fetch buffer so the
 /// per-cycle ready/scoreboard/port checks — which re-run every cycle the
-/// head stalls — touch 16 contiguous bytes instead of the much larger
-/// [`FetchedInst`] (and never re-derive source registers or the FU class
+/// head stalls — touch 16 contiguous bytes instead of the 64-byte
+/// [`DecodedInst`] (and never re-derive source registers or the FU class
 /// through `match`es on the instruction encoding).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct LaneMeta {
-    /// Cycle at which the instruction clears the front end (mirrors
-    /// `FetchedInst::ready_cycle`).
+    /// Cycle at which the instruction clears the front end and becomes
+    /// issue-eligible.
     pub ready: u64,
     /// Source registers read at issue ([`LaneMeta::NO_SRC`] = unused).
     pub srcs: [u8; 2],
@@ -113,25 +113,6 @@ impl LaneMeta {
     }
 }
 
-/// An instruction waiting in the fetch buffer.
-#[derive(Clone, Copy, Debug)]
-pub struct FetchedInst {
-    /// The instruction.
-    pub inst: Inst,
-    /// Containing block.
-    pub block: BlockId,
-    /// Index within the block.
-    pub index: usize,
-    /// Code address.
-    pub pc: u64,
-    /// Cycle at which it clears the front end and becomes issue-eligible.
-    pub ready_cycle: u64,
-    /// Prediction state (conditionals only).
-    pub pred: Option<PredInfo>,
-    /// Front-end snapshot (conditionals only).
-    pub snapshot: Option<FetchSnapshot>,
-}
-
 /// The front end: fetch PC, fetch buffer, predictor, BTB, RAS, DBB, and
 /// the perfect call stack used to model a translated machine's precise
 /// return handling.
@@ -144,12 +125,19 @@ pub struct FrontEnd {
     config: MachineConfig,
     /// Next fetch position: flat index into the decoded image.
     pc: u32,
-    /// Decoded instructions awaiting issue.
-    pub(crate) buffer: VecDeque<FetchedInst>,
+    /// Instructions awaiting issue, as flat indices into the decoded
+    /// image: issue reads the instruction from the image, so nothing
+    /// larger than an index is copied through the buffer.
+    pub(crate) buffer: VecDeque<u32>,
     /// Issue-stage lane metadata, in lockstep with `buffer` (see
     /// [`LaneMeta`]): the only per-entry state the issue stage reads
     /// until an instruction actually issues.
     pub(crate) meta: VecDeque<LaneMeta>,
+    /// Prediction state and fetch snapshot of each buffered `Branch` and
+    /// `Resolve`, oldest first: pushed when one is fetched, popped when
+    /// it issues (on the wrong path too), so it holds exactly the
+    /// buffered conditionals in buffer order.
+    conds: VecDeque<(PredInfo, FetchSnapshot)>,
     /// Per-flat-index [`LaneMeta`] with `ready = 0`, precomputed at
     /// construction ([`LaneMeta`] is instruction-determined except for
     /// the ready cycle, which fetch patches in).
@@ -162,9 +150,6 @@ pub struct FrontEnd {
     /// Undo log of speculative call-stack mutations since the last
     /// compaction; snapshots reference a position in it.
     journal: Vec<JournalOp>,
-    /// Buffered instructions currently carrying a snapshot (compaction
-    /// is legal only when this is zero and no redirect is pending).
-    snapshots_in_buffer: usize,
     /// Fetch is blocked until this cycle (I$ miss or BTB bubble).
     stall_until: u64,
     /// Set when a `halt` (or an unresolvable wrong-path `ret`) was fetched.
@@ -208,6 +193,7 @@ impl FrontEnd {
             config,
             buffer: VecDeque::with_capacity(config.fetch_buffer),
             meta: VecDeque::with_capacity(config.fetch_buffer),
+            conds: VecDeque::with_capacity(config.fetch_buffer),
             meta_tpl,
             predictor,
             dbb: DecomposedBranchBuffer::new(config.dbb_entries),
@@ -215,7 +201,6 @@ impl FrontEnd {
             ras: Ras::table1_default(),
             call_stack: Vec::new(),
             journal: Vec::new(),
-            snapshots_in_buffer: 0,
             stall_until: 0,
             halted: false,
             last_line: None,
@@ -229,21 +214,40 @@ impl FrontEnd {
     }
 
     /// The oldest buffered instruction, if any.
-    pub fn head(&self) -> Option<&FetchedInst> {
-        self.buffer.front()
+    pub fn head(&self) -> Option<&DecodedInst> {
+        self.buffer.front().map(|&idx| self.image.get(idx))
     }
 
-    /// Removes and returns the oldest buffered instruction.
-    pub fn pop(&mut self) -> Option<FetchedInst> {
-        let fi = self.buffer.pop_front();
-        if let Some(fi) = &fi {
-            self.meta.pop_front();
-            debug_assert_eq!(self.meta.len(), self.buffer.len(), "meta lane in lockstep");
-            if fi.snapshot.is_some() {
-                self.snapshots_in_buffer -= 1;
-            }
-        }
-        fi
+    /// Removes the oldest buffered instruction and returns its flat index
+    /// into [`image`](Self::image). A `Branch` or `Resolve` leaves its
+    /// prediction state queued: its issue takes it with
+    /// [`pop_cond`](Self::pop_cond).
+    pub fn pop(&mut self) -> Option<u32> {
+        let idx = self.buffer.pop_front()?;
+        self.meta.pop_front();
+        debug_assert_eq!(self.meta.len(), self.buffer.len(), "meta lane in lockstep");
+        Some(idx)
+    }
+
+    /// Removes and returns the prediction state and fetch snapshot of the
+    /// oldest conditional, which the caller has just [`pop`](Self::pop)ped.
+    pub fn pop_cond(&mut self) -> Option<(PredInfo, FetchSnapshot)> {
+        let cond = self.conds.pop_front();
+        debug_assert!(
+            self.conds_in_lockstep(),
+            "one queued entry per buffered conditional"
+        );
+        cond
+    }
+
+    /// True when `conds` holds one entry per conditional in the buffer.
+    fn conds_in_lockstep(&self) -> bool {
+        let buffered = self
+            .meta
+            .iter()
+            .filter(|m| m.ctrl == CTRL_BRANCH || m.ctrl == CTRL_RESOLVE)
+            .count();
+        self.conds.len() == buffered
     }
 
     /// Issue-stage metadata of the oldest buffered instruction.
@@ -317,15 +321,12 @@ impl FrontEnd {
                     let snapshot = self.snapshot();
                     let meta = self.predictor.predict(pc);
                     let predicted_taken = meta.taken;
-                    self.push_fetched(
-                        &di,
-                        cycle,
-                        Some(PredInfo::Branch {
-                            meta,
-                            predicted_taken,
-                        }),
-                        Some(snapshot),
-                    );
+                    let pred = PredInfo::Branch {
+                        meta,
+                        predicted_taken,
+                    };
+                    self.conds.push_back((pred, snapshot));
+                    self.push_fetched(cycle);
                     if predicted_taken {
                         if self.steer(cycle, pc, target) {
                             return;
@@ -338,12 +339,9 @@ impl FrontEnd {
                     // Always predicted not-taken; tagged with the DBB tail.
                     let snapshot = self.snapshot();
                     let dbb_index = self.dbb.tail();
-                    self.push_fetched(
-                        &di,
-                        cycle,
-                        Some(PredInfo::Resolve { dbb_index }),
-                        Some(snapshot),
-                    );
+                    self.conds
+                        .push_back((PredInfo::Resolve { dbb_index }, snapshot));
+                    self.push_fetched(cycle);
                     self.pc = di.next;
                 }
                 Inst::Jump { target } => {
@@ -379,43 +377,26 @@ impl FrontEnd {
                     break;
                 }
                 Inst::Halt => {
-                    self.push_fetched(&di, cycle, None, None);
+                    self.push_fetched(cycle);
                     self.halted = true;
                     break;
                 }
                 _ => {
-                    self.push_fetched(&di, cycle, None, None);
+                    self.push_fetched(cycle);
                     self.pc = di.next;
                 }
             }
         }
     }
 
-    fn push_fetched(
-        &mut self,
-        di: &vanguard_isa::DecodedInst,
-        cycle: u64,
-        pred: Option<PredInfo>,
-        snapshot: Option<FetchSnapshot>,
-    ) {
-        if snapshot.is_some() {
-            self.snapshots_in_buffer += 1;
-        }
-        let ready_cycle = cycle + self.config.fe_latency();
-        // `self.pc` still indexes the instruction being pushed: every
-        // fetch arm advances the pc only after pushing.
+    /// Buffers the instruction at `self.pc`, fetched at `cycle`. Every
+    /// fetch arm pushes before it advances the pc, and a conditional's
+    /// arm queues its `conds` entry first.
+    fn push_fetched(&mut self, cycle: u64) {
         let mut m = self.meta_tpl[self.pc as usize];
-        m.ready = ready_cycle;
+        m.ready = cycle + self.config.fe_latency();
         self.meta.push_back(m);
-        self.buffer.push_back(FetchedInst {
-            inst: di.inst,
-            block: di.block,
-            index: di.index as usize,
-            pc: di.pc,
-            ready_cycle,
-            pred,
-            snapshot,
-        });
+        self.buffer.push_back(self.pc);
     }
 
     /// Redirects fetch to `target`; returns `true` if a BTB miss inserted a
@@ -440,7 +421,7 @@ impl FrontEnd {
     pub fn flush(&mut self, target: BlockId, snap: &FetchSnapshot, resume_cycle: u64) {
         self.buffer.clear();
         self.meta.clear();
-        self.snapshots_in_buffer = 0;
+        self.conds.clear();
         self.pc = self.image.block_entry(target);
         self.dbb.recover_tail(snap.dbb_tail);
         while self.journal.len() > snap.journal_mark {
@@ -466,9 +447,14 @@ impl FrontEnd {
 
     /// Discards the dead journal prefix. Legal only when no live snapshot
     /// references it: the caller must ensure no redirect is pending; the
-    /// buffered-snapshot count is checked here.
+    /// buffered conditionals (the only other snapshot holders) are
+    /// checked here.
     pub(crate) fn compact_journal(&mut self) {
-        if self.snapshots_in_buffer == 0 {
+        debug_assert!(
+            self.conds_in_lockstep(),
+            "one queued entry per buffered conditional"
+        );
+        if self.conds.is_empty() {
             self.journal.clear();
         }
     }
@@ -554,8 +540,8 @@ mod tests {
         let (mut fe, mut mem, mut stats) = front_for(&p);
         fe.fetch_cycle(0, &mut mem, &mut stats); // cold I$ fill
         fe.fetch_cycle(200, &mut mem, &mut stats);
-        let head = fe.head().expect("fetched");
-        assert_eq!(head.ready_cycle, 200 + 4);
+        let head = fe.head_meta().expect("fetched");
+        assert_eq!(head.ready, 200 + 4);
     }
 
     #[test]
@@ -587,7 +573,11 @@ mod tests {
         fe.fetch_cycle(0, &mut mem, &mut stats);
         fe.fetch_cycle(200, &mut mem, &mut stats);
         assert!(fe.buffer.len() >= 2);
-        let kinds: Vec<_> = fe.buffer.iter().map(|fi| fi.inst.mnemonic()).collect();
+        let kinds: Vec<_> = fe
+            .buffer
+            .iter()
+            .map(|&i| fe.image().get(i).inst.mnemonic())
+            .collect();
         assert!(kinds.contains(&"br.nz"));
     }
 
@@ -675,16 +665,107 @@ mod tests {
         }
         assert!(fe.is_halted(), "fetch must reach the halt after ret");
         assert_eq!(fe.call_stack.len(), 0);
-        let snap = fe
-            .buffer
-            .iter()
-            .find_map(|fi| fi.snapshot)
-            .expect("branch captured a snapshot");
+        let (_, snap) = *fe.conds.front().expect("branch captured a snapshot");
         fe.flush(f, &snap, 0);
         // The ret's pop was rewound: the frame pushed by the call is live.
         assert_eq!(fe.call_stack, vec![r]);
         assert_eq!(fe.ras.depth(), 1);
         assert_eq!(fe.journal.len(), snap.journal_mark);
+    }
+
+    #[test]
+    fn cond_fifo_holds_exactly_the_buffered_conditionals() {
+        // entry: call c (c: ret), so the journal holds a push and a pop;
+        // then plain instructions, branches and a resolve. Each branch
+        // targets its own fall-through, so either prediction fetches the
+        // same stream.
+        let mut b = ProgramBuilder::new();
+        let e = b.block("entry");
+        let c = b.block("callee");
+        let m = b.block("main");
+        let f = b.block("f");
+        let f2 = b.block("f2");
+        let g = b.block("g");
+        let x = b.block("fixup");
+        b.push(
+            e,
+            Inst::Call {
+                callee: c,
+                ret_to: m,
+            },
+        );
+        b.push(c, Inst::Ret);
+        let br = |target| Inst::Branch {
+            cond: CondKind::Nz,
+            src: Reg(1),
+            target,
+        };
+        b.push(m, Inst::Nop);
+        b.push(m, br(f));
+        b.fallthrough(m, f);
+        b.push(f, Inst::Nop);
+        b.push(
+            f,
+            Inst::Resolve {
+                cond: CondKind::Nz,
+                src: Reg(2),
+                target: x,
+            },
+        );
+        b.fallthrough(f, f2);
+        b.push(f2, Inst::Nop);
+        b.push(f2, br(g));
+        b.fallthrough(f2, g);
+        b.push(g, Inst::Nop);
+        b.push(g, Inst::Halt);
+        b.push(x, Inst::Halt);
+        b.set_entry(e);
+        let p = b.finish().unwrap();
+        let (mut fe, mut mem, mut stats) = front_for(&p);
+        for cyc in 0..2000 {
+            fe.fetch_cycle(cyc, &mut mem, &mut stats);
+            if fe.is_halted() {
+                break;
+            }
+        }
+        assert!(fe.is_halted(), "fetch must reach the halt");
+        let mnemonics: Vec<_> = fe
+            .buffer
+            .iter()
+            .map(|&i| fe.image().get(i).inst.mnemonic())
+            .collect();
+        assert_eq!(mnemonics.len(), 8, "{mnemonics:?}");
+        let kinds = |fe: &FrontEnd| -> Vec<bool> {
+            fe.conds
+                .iter()
+                .map(|(pred, _)| matches!(pred, PredInfo::Branch { .. }))
+                .collect()
+        };
+        // Branch, resolve, branch, in fetch order.
+        assert_eq!(kinds(&fe), vec![true, false, true]);
+        assert!(fe.conds_in_lockstep());
+        assert_eq!(fe.journal.len(), 2, "call and ret journalled");
+        // Every snapshot was taken after the call and the ret.
+        assert!(fe.conds.iter().all(|(_, s)| s.journal_mark == 2));
+
+        // Issue the nop and the first branch: its entry leaves the FIFO.
+        assert_eq!(fe.pop().map(|i| fe.image().get(i).inst), Some(Inst::Nop));
+        let (pred, snap) = {
+            fe.pop().expect("branch buffered");
+            fe.pop_cond().expect("branch queued")
+        };
+        assert!(matches!(pred, PredInfo::Branch { .. }));
+        assert_eq!(kinds(&fe), vec![false, true]);
+        // Live snapshots keep the journal.
+        fe.compact_journal();
+        assert_eq!(fe.journal.len(), 2);
+
+        fe.flush(g, &snap, 0);
+        assert!(fe.buffer.is_empty() && fe.meta.is_empty());
+        assert!(fe.conds.is_empty(), "a flush empties the FIFO");
+        assert_eq!(fe.journal.len(), snap.journal_mark);
+        fe.compact_journal();
+        assert!(fe.journal.is_empty());
     }
 
     #[test]
@@ -712,7 +793,7 @@ mod tests {
             }
         }
         assert!(!fe.journal.is_empty(), "call/ret journalled");
-        assert_eq!(fe.snapshots_in_buffer, 0);
+        assert!(fe.conds.is_empty());
         fe.compact_journal();
         assert!(fe.journal.is_empty());
     }

@@ -50,7 +50,7 @@ mod stats;
 mod store_buffer;
 
 pub use config::MachineConfig;
-pub use front::{FetchedInst, FrontEnd, PredInfo};
+pub use front::{FrontEnd, PredInfo};
 pub use pipeline::{
     HotloopProfile, SimError, SimFault, SimResult, Simulator, StopCause, TraceEvent,
     DEFAULT_CYCLE_BUDGET,

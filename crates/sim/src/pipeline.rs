@@ -538,8 +538,8 @@ impl<'t> Simulator<'t> {
         while issued < self.config.width {
             // The stall checks below re-run every cycle the head waits;
             // they read only the packed issue lane ([`LaneMeta`]), not
-            // the full [`FetchedInst`], which is touched once — at the
-            // actual issue.
+            // the decoded instruction, which is read once from the image
+            // at the actual issue.
             let Some(m) = self.front.head_meta() else {
                 if issued == 0 {
                     self.stats.frontend_stall_cycles += 1;
@@ -610,7 +610,8 @@ impl<'t> Simulator<'t> {
             }
             *slot -= 1;
 
-            let fi = self.front.pop().expect("head exists");
+            let idx = self.front.pop().expect("head exists");
+            let di = *self.front.image().get(idx);
             let wrong_path = self.pending.is_some();
             self.stats.issued += 1;
             self.stats.issued_wrong_path += wrong_path as u64;
@@ -618,20 +619,20 @@ impl<'t> Simulator<'t> {
             if let Some(t) = self.trace.as_mut() {
                 t(&TraceEvent::Issue {
                     cycle: self.cycle,
-                    pc: fi.pc,
-                    mnemonic: fi.inst.mnemonic(),
+                    pc: di.pc,
+                    mnemonic: di.inst.mnemonic(),
                     wrong_path,
                 });
             }
             let seq = self.next_seq;
             self.next_seq += 1;
 
-            match fi.inst {
+            match di.inst {
                 Inst::Alu { op, dst, a, b } => {
                     let av = self.operand(a);
                     let bv = self.operand(b);
                     self.regs[dst.index()] = eval_alu(op, av, bv);
-                    self.reg_ready[dst.index()] = self.cycle + u64::from(fi.inst.base_latency());
+                    self.reg_ready[dst.index()] = self.cycle + u64::from(di.inst.base_latency());
                 }
                 Inst::Fp { op, dst, a, b } => {
                     let av = f64::from_bits(self.regs[a.index()]);
@@ -643,7 +644,7 @@ impl<'t> Simulator<'t> {
                         FpOp::Div => av / bv,
                     };
                     self.regs[dst.index()] = r.to_bits();
-                    self.reg_ready[dst.index()] = self.cycle + u64::from(fi.inst.base_latency());
+                    self.reg_ready[dst.index()] = self.cycle + u64::from(di.inst.base_latency());
                 }
                 Inst::Cmp { kind, dst, a, b } => {
                     let av = self.regs[a.index()];
@@ -666,7 +667,7 @@ impl<'t> Simulator<'t> {
                         Some(v) => v,
                         None if speculative || wrong_path => 0,
                         None => {
-                            return Err(SimError::LoadFault { addr, pc: fi.pc });
+                            return Err(SimError::LoadFault { addr, pc: di.pc });
                         }
                     };
                     self.regs[dst.index()] = value;
@@ -682,39 +683,39 @@ impl<'t> Simulator<'t> {
                 }
                 Inst::Branch { cond, src, target } => {
                     let taken = cond.eval(self.regs[src.index()]);
-                    let Some(PredInfo::Branch {
-                        meta,
-                        predicted_taken,
-                    }) = fi.pred
+                    let Some((
+                        PredInfo::Branch {
+                            meta,
+                            predicted_taken,
+                        },
+                        snapshot,
+                    )) = self.front.pop_cond()
                     else {
                         return Err(SimError::MalformedImage {
-                            pc: fi.pc,
+                            pc: di.pc,
                             detail: "branch fetched without prediction",
                         });
                     };
                     if !wrong_path {
                         self.stats.branches += 1;
-                        self.front.predictor.update(fi.pc, &meta, taken);
+                        self.front.predictor.update(di.pc, &meta, taken);
                         if taken != predicted_taken {
                             self.stats.branch_mispredicts += 1;
                             let dest = if taken {
                                 target
                             } else {
-                                self.fallthrough_of(fi.block, fi.pc)?
+                                self.fallthrough_of(di.block, di.pc)?
                             };
-                            let snapshot = fi.snapshot.ok_or(SimError::MalformedImage {
-                                pc: fi.pc,
-                                detail: "branch carries no fetch snapshot",
-                            })?;
                             self.schedule_redirect(dest, seq + 1, snapshot, Some((meta, taken)));
                         }
                     }
                 }
                 Inst::Resolve { cond, src, target } => {
                     let mispredicted = cond.eval(self.regs[src.index()]);
-                    let Some(PredInfo::Resolve { dbb_index }) = fi.pred else {
+                    let Some((PredInfo::Resolve { dbb_index }, snapshot)) = self.front.pop_cond()
+                    else {
                         return Err(SimError::MalformedImage {
-                            pc: fi.pc,
+                            pc: di.pc,
                             detail: "resolve fetched without DBB index",
                         });
                     };
@@ -732,7 +733,7 @@ impl<'t> Simulator<'t> {
                             if let Some(t) = self.trace.as_mut() {
                                 t(&TraceEvent::ResolveMispredict {
                                     cycle: self.cycle,
-                                    pc: fi.pc,
+                                    pc: di.pc,
                                 });
                             }
                             // History repair uses the *predict* site's meta.
@@ -741,10 +742,6 @@ impl<'t> Simulator<'t> {
                                 .dbb
                                 .get(dbb_index)
                                 .map(|e| (e.meta, e.meta.taken ^ mispredicted));
-                            let snapshot = fi.snapshot.ok_or(SimError::MalformedImage {
-                                pc: fi.pc,
-                                detail: "resolve carries no fetch snapshot",
-                            })?;
                             self.schedule_redirect(target, seq + 1, snapshot, repair);
                         }
                     }
@@ -756,7 +753,7 @@ impl<'t> Simulator<'t> {
                 | Inst::Ret
                 | Inst::Halt => {
                     return Err(SimError::MalformedImage {
-                        pc: fi.pc,
+                        pc: di.pc,
                         detail: "front-end-only instruction issued",
                     });
                 }
