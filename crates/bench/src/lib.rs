@@ -23,7 +23,6 @@
 //! once and reused across every figure of a harness invocation.
 
 mod ablation;
-pub mod faultinject;
 mod figures;
 pub mod fuzz;
 mod glue;

@@ -237,7 +237,7 @@ impl JobResult {
 #[derive(Clone, Debug, Default)]
 pub struct FaultPolicy {
     /// Per-job simulated-cycle budget (`--max-cycles`); `None` keeps the
-    /// simulator's [`DEFAULT_CYCLE_BUDGET`](vanguard_sim::DEFAULT_CYCLE_BUDGET).
+    /// simulator's [`DEFAULT_CYCLE_BUDGET`].
     pub max_cycles: Option<u64>,
     /// Where to write replayable reproducers for jobs that do not
     /// complete (`VANGUARD_QUARANTINE_DIR`); `None` disables.
@@ -1157,7 +1157,8 @@ impl Engine {
     /// in **job-index order** regardless of worker count or completion
     /// order. Infallible: every job produces a [`JobResult`], and a
     /// failing job never prevents the rest of the list from running
-    /// (nor perturbs their results — see `tests/fault_recovery.rs`).
+    /// (nor perturbs their results — see
+    /// `crates/bench/tests/fault_recovery.rs`).
     /// Non-completed jobs are quarantined with a reproducer when the
     /// policy names a quarantine directory.
     pub fn run_jobs(

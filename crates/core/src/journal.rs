@@ -26,11 +26,18 @@
 //!   degrades a resume into extra work, never into wrong results. The
 //!   next append cuts the dropped bytes off under its lock before it
 //!   writes, so records appended after a torn tail stay readable.
-//! * **Bounded growth** — when the tail file exceeds a threshold
-//!   (`VANGUARD_JOURNAL_COMPACT_BYTES`; `0` disables), an append folds
-//!   every record into a sibling `.snap` snapshot (same `VGJ1` format,
-//!   written temp+rename) and truncates the tail back to its magic, all
-//!   under the append lock. [`Journal::read`] transparently merges
+//! * **One record per key** — the engine appends only through
+//!   [`Journal::append_new`], which writes a key at most once, so the
+//!   journal holds one record per distinct job and a rerun never grows
+//!   it (`figures all --quick` leaves 368 records, about 89 KB).
+//! * **Compaction relocates, never shrinks** — when the tail file
+//!   exceeds a threshold (`VANGUARD_JOURNAL_COMPACT_BYTES`, default
+//!   4 MiB; `0` disables), an append moves every record into a sibling
+//!   `.snap` snapshot (same `VGJ1` format, written temp+rename) and
+//!   truncates the tail back to its magic, all under the append lock.
+//!   With one record per key there are no duplicates to drop, so the
+//!   merged journal is as large as before, and real runs stay far below
+//!   the default threshold. [`Journal::read`] transparently merges
 //!   snapshot + tail; the tail is read *first*, so a compaction racing a
 //!   reader can only grow the merged view, never shrink it, and a crash
 //!   between the snapshot rename and the tail truncation leaves records

@@ -37,8 +37,6 @@ pub struct DecodedInst {
     pub pc: u64,
     /// The block that contains it.
     pub block: BlockId,
-    /// Its index within that block.
-    pub index: u32,
     /// Flat index of the straight-line successor: the next instruction
     /// in the block, or — for the block's last instruction — the entry
     /// of the fall-through chain ([`NO_INST`] when there is none).
@@ -84,7 +82,6 @@ impl DecodedImage {
                     inst,
                     pc: layout.inst_addr(b, i),
                     block: b,
-                    index: i as u32,
                     next: insts.len() as u32 + 1, // straight-line; patched below
                 });
             }
@@ -229,7 +226,7 @@ mod tests {
         let mut seen = Vec::new();
         loop {
             let di = img.get(idx);
-            seen.push((di.pc, di.block, di.index));
+            seen.push((di.pc, di.block));
             if matches!(di.inst, Inst::Halt) {
                 break;
             }
@@ -240,9 +237,9 @@ mod tests {
         assert_eq!(
             seen,
             vec![
-                (layout.inst_addr(e, 0), e, 0),
-                (layout.inst_addr(body, 0), body, 0),
-                (layout.inst_addr(body, 1), body, 1),
+                (layout.inst_addr(e, 0), e),
+                (layout.inst_addr(body, 0), body),
+                (layout.inst_addr(body, 1), body),
             ]
         );
     }

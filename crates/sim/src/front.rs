@@ -67,7 +67,7 @@ pub(crate) const CTRL_HALT: u8 = 3;
 /// Issue-stage metadata for one buffered instruction: a packed
 /// structure-of-arrays lane kept in lockstep with the fetch buffer so the
 /// per-cycle ready/scoreboard/port checks — which re-run every cycle the
-/// head stalls — touch 16 contiguous bytes instead of the 64-byte
+/// head stalls — touch 16 contiguous bytes instead of the 56-byte
 /// [`DecodedInst`] (and never re-derive source registers or the FU class
 /// through `match`es on the instruction encoding).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
