@@ -6,6 +6,7 @@
 //! cargo run --release -p vanguard-bench --bin figures -- fig8 fig9 sensitivity
 //! cargo run --release -p vanguard-bench --bin figures -- fig8 --quick --assert-shape
 //! cargo run --release -p vanguard-bench --bin figures -- ablation --quick
+//! cargo run --release -p vanguard-bench --bin figures -- knobs --quick
 //! cargo run --release -p vanguard-bench --bin figures -- fig8 --transform meld
 //! ```
 //!
@@ -13,8 +14,12 @@
 //! (vanguard / meld / shadow / stacked) head-to-head on the 4-wide and
 //! prints the per-benchmark ablation table; `--transform <kind>`
 //! re-runs any *other* item under a rival pass instead of the paper's
-//! decomposition. `ablation` is deliberately not part of `all`, which
-//! reproduces the paper's figures only.
+//! decomposition. `knobs` sweeps the paper's design choices one at a
+//! time (selection threshold, hoist budget, `ld.s` hoisting, shadow
+//! temporaries, DBB size) over SPEC06 INT+FP on the 4-wide, and forces
+//! conversion on one kernel per Figure 1 quadrant. Neither `ablation`
+//! nor `knobs` is part of `all`, which reproduces the paper's figures
+//! only, and both ignore `--transform`.
 //!
 //! `--assert-shape` (CI's paper-shape job) re-checks the qualitative
 //! claims of Figure 8 — positive geomean speedup at every width, the
@@ -46,9 +51,9 @@ use std::sync::Arc;
 use std::time::Instant;
 use vanguard_bench::{
     ablation_rows, check_ablation_shape, check_fig8_shape, fig14_rows, fig2_fig3_series,
-    format_ablation, format_speedups, format_table2, geomean_pct, icache_ablation,
-    sensitivity_rows, suite_speedups, table1_text, table2_rows, BenchScale, StderrProgress,
-    SuiteEngine,
+    format_ablation, format_knobs, format_speedups, format_table2, geomean_pct, icache_ablation,
+    knob_rows, quadrant_rows, sensitivity_rows, suite_speedups, table1_text, table2_rows,
+    BenchScale, StderrProgress, SuiteEngine,
 };
 use vanguard_core::engine::FaultPolicy;
 use vanguard_core::TransformKind;
@@ -75,7 +80,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: figures [ITEM...] [--quick] [--verbose] [--assert-shape] [--max-cycles N] \
          [--transform vanguard|meld|shadow|stacked] [--fault-kill-after N]\n\
-         \x20      items: all {} ablation",
+         \x20      items: all {} ablation knobs",
         PAPER_ITEMS.join(" ")
     );
     std::process::exit(2);
@@ -110,7 +115,7 @@ fn main() {
                 kill_after = Some(flag_value(it.next(), |v| v.parse().ok().filter(|&n| n > 0)))
             }
             flag if flag.starts_with("--") => usage(),
-            item if item == "all" || item == "ablation" || PAPER_ITEMS.contains(&item) => {
+            item if ["all", "ablation", "knobs"].contains(&item) || PAPER_ITEMS.contains(&item) => {
                 what.push(item)
             }
             _ => usage(),
@@ -266,6 +271,14 @@ fn main() {
                         }
                     }
                 }
+            }
+            "knobs" => {
+                println!("== Design knobs: SPEC06 INT+FP, 4-wide, speedup% (converted sites) ==");
+                let mut specs = suite::spec2006_int();
+                specs.extend(suite::spec2006_fp());
+                let rows = knob_rows(&mut eng, &specs);
+                let quadrants = quadrant_rows(&mut eng);
+                println!("{}", format_knobs(&rows, &quadrants));
             }
             "sensitivity" => {
                 println!("== Section 5.3: branch-predictor sensitivity (astar/sjeng/gobmk/mcf) ==");

@@ -11,6 +11,13 @@
 //! * §5.3 — branch-predictor sensitivity ladder;
 //! * §6.1 — I$ ablation (32 KB → 24 KB) and code-size effects.
 //!
+//! Two sweeps go beyond the paper's figures: the transform-pass
+//! ablation ([`ablation_rows`]) and the design-knob sweep
+//! ([`knob_rows`], [`quadrant_rows`]), which varies the selection
+//! threshold, the hoist budget, `ld.s` hoisting, shadow temporaries and
+//! the DBB size one at a time, and forces conversion on one kernel per
+//! Figure 1 quadrant.
+//!
 //! Everything is callable as a library (the `figures` binary is a thin
 //! dispatcher) and returns structured rows so tests can assert the
 //! *shape* of the reproduction.
@@ -29,7 +36,10 @@ mod glue;
 mod progress;
 mod speedups;
 
-pub use ablation::{ablation_rows, check_ablation_shape, format_ablation, AblationRow};
+pub use ablation::{
+    ablation_rows, check_ablation_shape, format_ablation, format_knobs, knob_rows, quadrant_rows,
+    AblationRow, KnobRow, QuadrantRow,
+};
 pub use figures::{
     fig14_rows, fig2_fig3_series, icache_ablation, sensitivity_rows, table1_text, BiasPredPoint,
     IcacheAblationRow, IssuedRow, SensitivityRow,

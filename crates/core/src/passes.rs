@@ -13,12 +13,11 @@
 //!   if-converted into straight-line mask-and-blend code. The right
 //!   tool for *unpredictable* unbiased branches (Figure 1's
 //!   bottom-right quadrant), wasted work on predictable ones.
-//! * **shadow** — decode-time shadow-branch exposure (Pepi et al.,
-//!   *Exposing Shadow Branches*): the branch's prediction is surfaced
-//!   early as a predict/resolve decomposition but **no** code moves —
-//!   resolution blocks carry only the pushed-down condition slice, so
-//!   the measured speedup isolates the early-redirect effect with zero
-//!   speculative code motion.
+//! * **shadow** — decomposition with zero code motion: the branch
+//!   becomes a predict/resolve pair but **no** code moves — resolution
+//!   blocks carry only the pushed-down condition slice, so the measured
+//!   speedup isolates the early-redirect effect from speculative
+//!   hoisting.
 //! * **stacked** — vanguard ∘ meld: melding removes the short
 //!   unpredictable hammocks first, then the decomposition converts the
 //!   predictable remainder.
@@ -45,7 +44,7 @@ pub enum TransformKind {
     Vanguard,
     /// IR-level branch melding (if-conversion), per Li et al.
     Meld,
-    /// Decode-time shadow-branch exposure, per Pepi et al.
+    /// Decomposition with zero code motion (no hoisting).
     Shadow,
     /// Meld first, then decompose the surviving branches.
     Stacked,

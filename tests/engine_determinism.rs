@@ -211,9 +211,9 @@ fn repeated_jobs_simulate_once_at_any_worker_count() {
     }
 }
 
-/// The wall-clock acceptance criterion: 4 workers beat serial by >2× on
-/// a simulation-heavy sweep. Requires real cores — on boxes with fewer
-/// than 4 CPUs the criterion is physically unmeasurable (oversubscribing
+/// The wall-clock acceptance bar: 4 workers beat serial by >2× on a
+/// simulation-heavy sweep. Requires real cores — on boxes with fewer
+/// than 4 CPUs the bar is physically unmeasurable (oversubscribing
 /// one core only adds scheduling overhead), so the test self-skips.
 #[test]
 fn four_workers_beat_serial_when_cores_allow() {
